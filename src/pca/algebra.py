@@ -1,8 +1,10 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
-A FinAlg is validated at construction (associativity on all basis triples,
-two-sided unit), so holding a value means holding a genuine algebra.  All
-values are immutable by convention and all operations are pure.
+Constructors only store their fields; each type's proof is its ``verify()``,
+run on input from outside (``make_algebra``, ``hom_check``) and on computed
+results.  The constructions below are valid by construction and not
+re-proved.  All values are immutable by convention and all operations are
+pure.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ class FinAlg:
 
     __slots__ = ("field", "dim", "labels", "rows", "unit", "_ltrace")
 
-    def __init__(self, field: Field, labels, rows, unit, _skip_check=False):
+    def __init__(self, field: Field, labels, rows, unit):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.rows = rows
         self.unit = tuple(unit)
-        if not _skip_check:
-            self.verify()
         trace = []
         for i in range(self.dim):
             acc = field.zero
@@ -127,7 +127,7 @@ class FinAlg:
     # -- validation ---------------------------------------------------------
 
     def verify(self):
-        """Re-check associativity on all basis triples and the unit laws."""
+        """Check associativity on all basis triples and the unit laws."""
         K = self.field
         n = self.dim
         if len(self.unit) != n:
@@ -188,9 +188,9 @@ def _build_rows(field: Field, dim: int, entries):
     return tuple({j: tuple(v) for j, v in row.items()} for row in rows)
 
 
-def _solve_unit(field, dim, rows):
-    probe = FinAlg(field, [f"e{i}" for i in range(dim)], rows,
-                   zero_vec(field, dim), _skip_check=True)
+def _solve_unit(probe: FinAlg):
+    field = probe.field
+    dim = probe.dim
     eqs = []
     rhs = []
     for j in range(dim):
@@ -209,20 +209,26 @@ def _solve_unit(field, dim, rows):
     return u
 
 
+def _trusted_algebra(field: Field, labels, entries, unit) -> FinAlg:
+    """A FinAlg from entries that are valid by construction, unproved."""
+    labels = list(labels)
+    if not labels:
+        raise BadSpec("algebras must have dimension >= 1")
+    return FinAlg(field, labels, _build_rows(field, len(labels), entries),
+                  unit)
+
+
 def make_algebra(field: Field, labels, entries, unit=None) -> FinAlg:
     """Build and validate a FinAlg from sparse (i, j, k, scalar) entries.
 
     When ``unit`` is omitted it is solved for; NoUnit is raised if the
     table has no two-sided unit.
     """
-    labels = list(labels)
-    dim = len(labels)
-    if dim == 0:
-        raise BadSpec("algebras must have dimension >= 1")
-    rows = _build_rows(field, dim, entries)
+    A = _trusted_algebra(field, labels, entries, () if unit is None else unit)
     if unit is None:
-        unit = _solve_unit(field, dim, rows)
-    return FinAlg(field, labels, rows, unit)
+        A = FinAlg(field, A.labels, A.rows, _solve_unit(A))
+    A.verify()
+    return A
 
 
 # -- standard constructors ----------------------------------------------------
@@ -236,7 +242,7 @@ def group_algebra(n: int, field: Field) -> FinAlg:
     entries = [(i, j, (i + j) % n, field.one)
                for i in range(n) for j in range(n)]
     unit = unit_vec(field, n, 0)
-    return make_algebra(field, labels, entries, unit)
+    return _trusted_algebra(field, labels, entries, unit)
 
 
 def matrix_algebra(n: int, field: Field) -> FinAlg:
@@ -253,7 +259,7 @@ def matrix_algebra(n: int, field: Field) -> FinAlg:
     unit = [field.zero] * (n * n)
     for i in range(n):
         unit[idx[(i, i)]] = field.one
-    return make_algebra(field, labels, entries, unit)
+    return _trusted_algebra(field, labels, entries, unit)
 
 
 def triangular_algebra(n: int, field: Field) -> FinAlg:
@@ -269,7 +275,7 @@ def triangular_algebra(n: int, field: Field) -> FinAlg:
     unit = [field.zero] * len(pos)
     for i in range(n):
         unit[idx[(i, i)]] = field.one
-    return make_algebra(field, labels, entries, unit)
+    return _trusted_algebra(field, labels, entries, unit)
 
 
 def truncated_polynomial_algebra(field: Field, n: int) -> FinAlg:
@@ -280,7 +286,7 @@ def truncated_polynomial_algebra(field: Field, n: int) -> FinAlg:
               for i in range(n)]
     entries = [(i, j, i + j, field.one)
                for i in range(n) for j in range(n) if i + j < n]
-    return make_algebra(field, labels, entries, unit_vec(field, n, 0))
+    return _trusted_algebra(field, labels, entries, unit_vec(field, n, 0))
 
 
 def polynomial_quotient_algebra(f: Poly) -> FinAlg:
@@ -301,7 +307,7 @@ def polynomial_quotient_algebra(f: Poly) -> FinAlg:
             for k, c in enumerate(rem):
                 if not K.is_zero(c):
                     entries.append((i, j, k, c))
-    return make_algebra(K, labels, entries, unit_vec(K, n, 0))
+    return _trusted_algebra(K, labels, entries, unit_vec(K, n, 0))
 
 
 def direct_product(algebras) -> FinAlg:
@@ -322,13 +328,13 @@ def direct_product(algebras) -> FinAlg:
             entries.append((offset + i, offset + j, offset + k, c))
         unit.extend(a.unit)
         offset += a.dim
-    return make_algebra(K, labels, entries, unit)
+    return _trusted_algebra(K, labels, entries, unit)
 
 
 def opposite(a: FinAlg) -> FinAlg:
     """Same space with reversed multiplication."""
     entries = [(j, i, k, c) for i, j, k, c in a.entries()]
-    return make_algebra(a.field, a.labels, entries, a.unit)
+    return _trusted_algebra(a.field, a.labels, entries, a.unit)
 
 
 def tensor(a: FinAlg, b: FinAlg) -> FinAlg:
@@ -343,7 +349,7 @@ def tensor(a: FinAlg, b: FinAlg) -> FinAlg:
             entries.append((i1 * nb + i2, j1 * nb + j2, k1 * nb + k2,
                             K.mul(c1, c2)))
     unit = [K.mul(x, y) for x in a.unit for y in b.unit]
-    return make_algebra(K, labels, entries, unit)
+    return _trusted_algebra(K, labels, entries, unit)
 
 
 def base_change(a: FinAlg, E: Field) -> FinAlg:
@@ -354,7 +360,7 @@ def base_change(a: FinAlg, E: Field) -> FinAlg:
         raise NotAnExtension(f"{E!r} does not extend {a.field!r}")
     entries = [(i, j, k, E.embed(c)) for i, j, k, c in a.entries()]
     unit = [E.embed(c) for c in a.unit]
-    return make_algebra(E, a.labels, entries, unit)
+    return _trusted_algebra(E, a.labels, entries, unit)
 
 
 def restrict_scalars(a: FinAlg):
@@ -396,7 +402,7 @@ def restrict_scalars(a: FinAlg):
                     if not B.is_zero(q[r]):
                         entries.append((i * d + s, j * d + t, k * d + r, q[r]))
     unit = down(a.unit)
-    return make_algebra(B, labels, entries, unit), down, up
+    return _trusted_algebra(B, labels, entries, unit), down, up
 
 
 # -- ideals -------------------------------------------------------------------
@@ -411,18 +417,23 @@ class Ideal:
             raise BadSpec(f"bad sidedness {sidedness!r}")
         if space.ambient != ambient.dim or space.field != ambient.field:
             raise AmbientMismatch("ideal basis does not match the algebra")
-        for v in space.basis:
-            for i in range(ambient.dim):
-                e = ambient.basis_element(i)
-                if sidedness in ("left", "twosided"):
-                    if not space.contains(ambient.mul(e, v)):
-                        raise NotAnIdeal(f"not closed under left e{i}")
-                if sidedness in ("right", "twosided"):
-                    if not space.contains(ambient.mul(v, e)):
-                        raise NotAnIdeal(f"not closed under right e{i}")
         self.ambient = ambient
         self.space = space
         self.sidedness = sidedness
+
+    def verify(self):
+        """Check closure under the declared multiplications by the basis."""
+        A, space = self.ambient, self.space
+        for v in space.basis:
+            for i in range(A.dim):
+                e = A.basis_element(i)
+                if self.sidedness in ("left", "twosided"):
+                    if not space.contains(A.mul(e, v)):
+                        raise NotAnIdeal(f"not closed under left e{i}")
+                if self.sidedness in ("right", "twosided"):
+                    if not space.contains(A.mul(v, e)):
+                        raise NotAnIdeal(f"not closed under right e{i}")
+        return True
 
     @property
     def dim(self):
@@ -475,23 +486,20 @@ def subspace_product(a: FinAlg, u: Subspace, v: Subspace) -> Subspace:
 # -- homomorphisms ------------------------------------------------------------
 
 class AlgHom:
-    """A linear map validated as a unital algebra homomorphism.
+    """A linear map that is a unital algebra homomorphism.
 
     The matrix has one column per source basis element holding the image.
     """
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source: FinAlg, target: FinAlg, matrix: Matrix,
-                 _skip_check=False):
+    def __init__(self, source: FinAlg, target: FinAlg, matrix: Matrix):
         check_same_field(source.field, target.field)
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise BadSpec("hom matrix has wrong shape")
         self.source = source
         self.target = target
         self.matrix = matrix
-        if not _skip_check:
-            self.verify()
 
     def verify(self):
         src, tgt, M = self.source, self.target, self.matrix
@@ -515,7 +523,7 @@ class AlgHom:
         if inner.target != self.source:
             raise BadSpec("composition mismatch")
         return AlgHom(inner.source, self.target,
-                      self.matrix.mul(inner.matrix), _skip_check=True)
+                      self.matrix.mul(inner.matrix))
 
     def image(self) -> Subspace:
         return Subspace(self.target.field, self.target.dim,
@@ -531,7 +539,9 @@ class AlgHom:
 
 def hom_check(matrix: Matrix, source: FinAlg, target: FinAlg) -> AlgHom:
     """Validate a matrix as an algebra homomorphism (raises NotAHom)."""
-    return AlgHom(source, target, matrix)
+    h = AlgHom(source, target, matrix)
+    h.verify()
+    return h
 
 
 def is_surjective(h: AlgHom) -> bool:
@@ -582,7 +592,7 @@ def quotient(a: FinAlg, ideal: Ideal):
                 if not K.is_zero(c):
                     entries.append((i, j, k, c))
     labels = [a.labels[c] for c in keep]
-    q = make_algebra(K, labels, entries, project(a.unit))
+    q = _trusted_algebra(K, labels, entries, project(a.unit))
     pmatrix = Matrix(K, zip(*[project(a.basis_element(i))
                               for i in range(a.dim)]), a.dim)
     return q, AlgHom(a, q, pmatrix)
@@ -604,13 +614,3 @@ def minimal_polynomial(a: FinAlg, v) -> Poly:
     sol = solve(M, nxt)
     coeffs = [K.neg(c) for c in sol] + [K.one]
     return Poly(K, coeffs)
-
-
-def evaluate_poly(a: FinAlg, f: Poly, v):
-    """f(v) inside the algebra."""
-    K = a.field
-    acc = a.zero_element()
-    for c in reversed(f.coeffs):
-        acc = a.mul(acc, v)
-        acc = a.add(acc, a.scale(c, a.unit))
-    return acc

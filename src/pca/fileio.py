@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .algebra import AlgHom, FinAlg, make_algebra
+from .algebra import FinAlg, hom_check, make_algebra
 from .errors import BadSpec
 from .fields import (Field, PrimeField, RationalFunctionField, Rationals,
                      SimpleExtension, split_top_level)
@@ -188,7 +188,7 @@ def tower_from_doc(doc: dict) -> Tower:
         maps = []
         for i, mdoc in enumerate(doc["maps"]):
             M = matrix_from_doc(levels[i].field, mdoc, levels[i + 1].dim)
-            maps.append(AlgHom(levels[i + 1], levels[i], M))
+            maps.append(hom_check(M, levels[i + 1], levels[i]))
         kind = doc.get("kind", "custom")
         meta = doc.get("meta", {})
     except (KeyError, TypeError, IndexError) as exc:
@@ -212,12 +212,16 @@ def splitting_to_doc(K: Field, section: Matrix, algebra_digest: str) -> dict:
 
 def splitting_matrix_from_doc(doc: dict, A: FinAlg,
                               algebra_digest: str | None = None) -> Matrix:
-    if doc.get("kind") != "splitting":
-        raise BadSpec("not a splitting document")
-    if algebra_digest is not None and "algebra_digest" in doc \
-            and doc["algebra_digest"] != algebra_digest:
-        raise BadSpec("splitting was computed for a different algebra file")
-    rows = doc["section"]
-    if len(rows) != A.dim:
-        raise BadSpec("section matrix has wrong height")
-    return matrix_from_doc(A.field, rows, len(rows[0]) if rows else 0)
+    try:
+        if doc.get("kind") != "splitting":
+            raise BadSpec("not a splitting document")
+        if algebra_digest is not None and "algebra_digest" in doc \
+                and doc["algebra_digest"] != algebra_digest:
+            raise BadSpec(
+                "splitting was computed for a different algebra file")
+        rows = doc["section"]
+        if len(rows) != A.dim:
+            raise BadSpec("section matrix has wrong height")
+        return matrix_from_doc(A.field, rows, len(rows[0]) if rows else 0)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise BadSpec(f"malformed splitting document: {exc}") from exc

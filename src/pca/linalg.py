@@ -19,10 +19,6 @@ def vec_sub(K: Field, u, v):
     return tuple(K.sub(a, b) for a, b in zip(u, v))
 
 
-def vec_neg(K: Field, u):
-    return tuple(K.neg(a) for a in u)
-
-
 def vec_scale(K: Field, c, u):
     return tuple(K.mul(c, a) for a in u)
 
@@ -65,16 +61,6 @@ class Matrix:
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int):
         return cls(field, [zero_vec(field, cols) for _ in range(rows)], cols)
-
-    @classmethod
-    def from_columns(cls, field: Field, columns, rows: int | None = None):
-        columns = list(columns)
-        if not columns:
-            return cls(field, [], 0) if rows is None else cls(
-                field, [()] * 0, 0)
-        n = len(columns[0])
-        return cls(field, [tuple(col[i] for col in columns)
-                           for i in range(n)])
 
     def column(self, j: int):
         return tuple(row[j] for row in self.data)

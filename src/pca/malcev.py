@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient
-from .errors import (CoboundaryUnsolvable, InternalVerificationFailed,
-                     NotIdempotentModJ, NotInner, NotSeparableQuotient,
-                     AmbientMismatch)
+from .errors import (BadSpec, CoboundaryUnsolvable,
+                     InternalVerificationFailed, NotIdempotentModJ, NotInner,
+                     NotSeparableQuotient, AmbientMismatch)
 from .linalg import Matrix, Subspace, nullspace, solve, solve_many
 from .radical import RadicalResult, radical
 from .separability import Bimodule, inner_derivation, is_separable
@@ -215,14 +215,18 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
 
 def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
                                   rad: RadicalResult | None = None) -> Splitting:
-    """Rebuild and fully validate a Splitting from a stored section matrix."""
+    """Rebuild and fully validate a Splitting from a stored section matrix;
+    one that is not a section of A -> A/J is bad input (NotAHom, BadSpec)."""
     if rad is None:
         rad = radical(A)
     head, head_proj = quotient(A, rad.radical)
     sec = AlgHom(head, A, matrix)
     split = Splitting(A, head, head_proj, sec,
                       Subspace(A.field, A.dim, matrix.columns()), rad)
-    split.verify()
+    try:
+        split.verify()
+    except InternalVerificationFailed as exc:
+        raise BadSpec(f"not a splitting of this algebra: {exc}") from exc
     return split
 
 

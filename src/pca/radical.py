@@ -167,29 +167,26 @@ def _radical_space(A: FinAlg):
 
 
 def _nilpotency_data(A: FinAlg, space: Subspace):
-    """Filtration J, J^2, ..., 0 and the nilpotency index."""
+    """Filtration J, J^2, ..., 0 and the nilpotency index.  J is proved an
+    ideal once; its powers are ideals because it is."""
+    J = Ideal(A, space, "twosided")
+    J.verify()
     if space.is_zero():
-        return [Ideal(A, space, "twosided")], 0
-    filtration = []
+        return [J], 0
+    filtration = [J]
     cur = space
-    count = 1
     while not cur.is_zero():
-        filtration.append(Ideal(A, cur, "twosided"))
         nxt = subspace_product(A, cur, space)
         if nxt.dim >= cur.dim:
             raise InternalVerificationFailed(
                 "candidate radical is not nilpotent")
         cur = nxt
-        count += 1
-        if count > A.dim + 1:
-            raise InternalVerificationFailed(
-                "candidate radical is not nilpotent")
-    filtration.append(Ideal(A, cur, "twosided"))
+        filtration.append(Ideal(A, cur, "twosided"))
     # the list holds J, J^2, ..., J^m with J^m the first zero power
     return filtration, len(filtration)
 
 
-def radical(A: FinAlg, _verify: bool = True) -> RadicalResult:
+def radical(A: FinAlg) -> RadicalResult:
     """The maximal nilpotent twosided ideal, with its power filtration.
 
     The chosen method's answer always passes post-verification (ideal,
@@ -202,7 +199,7 @@ def radical(A: FinAlg, _verify: bool = True) -> RadicalResult:
         raise InternalVerificationFailed(
             f"radical postcondition failed: {exc}") from exc
     result = RadicalResult(filtration[0], filtration, index, method)
-    if _verify and not space.is_zero():
+    if not space.is_zero():
         if space.dim == A.dim:
             raise InternalVerificationFailed("radical cannot be the algebra")
         Aq, _ = quotient(A, result.radical)
@@ -234,12 +231,12 @@ def radical_oracle(A: FinAlg) -> Ideal:
         if ok:
             good.append(x)
     space = Subspace(K, A.dim, good)
+    # the set lies in its span, so it is the span iff the sizes agree
     if p ** space.dim != len(good):
         raise InternalVerificationFailed("oracle set is not a subspace")
-    for v in good:
-        if not space.contains(v):
-            raise InternalVerificationFailed("oracle set is not a subspace")
-    return Ideal(A, space, "twosided")
+    idl = Ideal(A, space, "twosided")
+    idl.verify()
+    return idl
 
 
 def is_semisimple(A: FinAlg) -> bool:

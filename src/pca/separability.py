@@ -175,14 +175,13 @@ def nilpotent_witness(A: FinAlg, x):
 
 
 class Bimodule:
-    """A two-sided action of an algebra on a space, validated at
-    construction: the left action is a unital representation, the right
-    action a unital anti-representation, and they commute."""
+    """A two-sided action of an algebra on a space: the left action is a
+    unital representation, the right action a unital anti-representation,
+    and they commute.  ``verify`` checks these laws."""
 
     __slots__ = ("algebra", "space_dim", "left", "right")
 
     def __init__(self, algebra: FinAlg, left, right):
-        K = algebra.field
         left = list(left)
         right = list(right)
         if len(left) != algebra.dim or len(right) != algebra.dim:
@@ -195,7 +194,6 @@ class Bimodule:
         self.space_dim = dim
         self.left = left
         self.right = right
-        self._verify()
 
     def _lin(self, mats, v):
         K = self.algebra.field
@@ -225,7 +223,7 @@ class Bimodule:
     def act_right(self, t, a):
         return self.right_of(a).apply(t)
 
-    def _verify(self):
+    def verify(self):
         A = self.algebra
         K = A.field
         ident = Matrix.identity(K, self.space_dim)
@@ -244,6 +242,7 @@ class Bimodule:
                 if self.left[i].mul(self.right[j]) != \
                         self.right[j].mul(self.left[i]):
                     raise BadSpec(f"actions do not commute at ({i},{j})")
+        return True
 
 
 def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .algebra import (AlgHom, direct_product, group_algebra, ideal_closure,
-                      make_algebra, quotient, truncated_polynomial_algebra)
+from .algebra import (AlgHom, _trusted_algebra, direct_product,
+                      group_algebra, hom_check, ideal_closure, quotient,
+                      truncated_polynomial_algebra)
 from .errors import (BadSpec, EmptyQuiver, IncompatibleCoordinates,
                      NonComposableRelation, NotAHom, TheoremViolation)
 from .fields import Field, check_same_field, is_prime
@@ -23,7 +24,7 @@ from .radical import is_semisimple, radical
 
 @dataclass
 class Tower:
-    """Levels A_1 .. A_N and validated surjective maps A_{i+1} -> A_i."""
+    """Levels A_1 .. A_N and surjective maps A_{i+1} -> A_i."""
     levels: list
     maps: list
     kind: str
@@ -258,7 +259,7 @@ def _path_level(q: QuiverSpec, K: Field, n: int):
     unit = [K.zero] * len(paths)
     for v in q.vertices:
         unit[index[(v, (), v)]] = K.one
-    free = make_algebra(K, labels, entries, unit)
+    free = _trusted_algebra(K, labels, entries, unit)
     relvecs = []
     for rel in q.relations:
         if len(rel[0][1]) >= n:
@@ -387,7 +388,7 @@ def check_level_isomorphic(T1: Tower, T2: Tower) -> bool:
         if a.dim != b.dim or a.field != b.field:
             return False
         try:
-            isos.append(AlgHom(b, a, Matrix.identity(a.field, a.dim)))
+            isos.append(hom_check(Matrix.identity(a.field, a.dim), b, a))
         except NotAHom:
             return False
     for i in range(T1.depth - 1):

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebra import AlgHom, FinAlg, direct_product, make_algebra
+from .algebra import FinAlg, _trusted_algebra, direct_product, hom_check
 from .errors import (InternalVerificationFailed, NoSolutionInconsistency,
                      NotCoprime, NotSemisimple, UnsupportedField)
 from .fields import PrimeField, Rationals
@@ -215,7 +215,7 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
                     if not K.is_zero(c):
                         entries.append((i, j, k, c))
         ecoords = space.coords(e)
-        block = make_algebra(K, labels, entries, ecoords)
+        block = _trusted_algebra(K, labels, entries, ecoords)
         cdim = center(block).dim
         record = {"total_dim": block.dim, "center_dim": cdim}
         if isinstance(K, PrimeField):
@@ -237,17 +237,15 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
     data = [data[t] for t in order]
 
     # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
-    if len(blocks) > 1:
-        prod_alg = direct_product(blocks)
-        cols = []
-        for i in range(A.dim):
-            col = []
-            for e, space in zip(final, spaces):
-                col.extend(space.coords(A.mul(A.basis_element(i), e)))
-            cols.append(col)
-        h = AlgHom(A, prod_alg, Matrix(K, zip(*cols), A.dim))
-        if rank(h.matrix) != A.dim:
-            raise InternalVerificationFailed("reassembly map is not bijective")
+    cols = []
+    for i in range(A.dim):
+        col = []
+        for e, space in zip(final, spaces):
+            col.extend(space.coords(A.mul(A.basis_element(i), e)))
+        cols.append(col)
+    h = hom_check(Matrix(K, zip(*cols), A.dim), A, direct_product(blocks))
+    if rank(h.matrix) != A.dim:
+        raise InternalVerificationFailed("reassembly map is not bijective")
 
     return BlockDecomposition(A, final, blocks, spaces, data)
 

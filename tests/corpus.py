@@ -1,10 +1,11 @@
 """Seeded random algebra corpus shared by property and acceptance tests.
 
-Every generated value is a validated FinAlg; the constructions (group
-algebras, truncated polynomial rings, triangular matrices, products,
-trivial extensions, tensor squares, quotients by random ideals) are all
-closed under validity, so the generator never fabricates structure
-constants directly.
+Every generated value is a valid FinAlg.  The library constructions used
+(group algebras, truncated polynomial rings, triangular matrices, products,
+tensor squares, quotients by random ideals) are valid by construction and
+are not re-proved when built; test_trusted.py proves them.  The one table
+written here, the trivial extension, goes through ``make_algebra``, which
+proves it.
 """
 
 import random

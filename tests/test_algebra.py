@@ -158,8 +158,9 @@ def test_ideal_closure_examples():
 def test_ideal_validation():
     T2 = triangular_algebra(2, Q)
     with pytest.raises(NotAnIdeal):
-        Ideal(T2, Subspace(Q, 3, [T2.basis_element(0)]), "twosided")
-    Ideal(T2, Subspace(Q, 3, [T2.basis_element(1)]), "twosided")
+        Ideal(T2, Subspace(Q, 3, [T2.basis_element(0)]), "twosided").verify()
+    assert Ideal(T2, Subspace(Q, 3, [T2.basis_element(1)]),
+                 "twosided").verify()
 
 
 def test_quotient_by_zero():

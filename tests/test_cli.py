@@ -3,11 +3,14 @@ import json
 import pytest
 
 from clirun import run_cli
-from pca import fileio
-from pca.algebra import (group_algebra, make_algebra, tensor,
+from pca import cli, fileio
+from pca.algebra import (Ideal, group_algebra, make_algebra, tensor,
                          triangular_algebra)
+from pca.errors import InternalVerificationFailed, NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
-from pca.tower import loop_quiver
+from pca.linalg import Subspace
+from pca.radical import RadicalResult
+from pca.tower import loop_quiver, power_series_tower
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -160,3 +163,71 @@ def test_reports_are_byte_identical(fixtures, argv):
         assert res.returncode == expected_code, res.stderr
         assert res.stdout
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("radical",),
+    ("radical", "t2q.alg", "--bogus"),
+    ("radical", "t2q.alg", "--no-verify"),
+])
+def test_usage_errors_are_input_errors(fixtures, argv):
+    res = run_cli(*argv, cwd=fixtures)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert not res.stdout
+
+
+def test_tower_with_non_multiplicative_map_is_rejected(fixtures):
+    doc = fileio.tower_to_doc(power_series_tower(Q, 2))
+    # x -> 1 keeps the map unital and surjective, but x*x = 0 maps to 0 != 1
+    doc["maps"][0] = [["1", "1"]]
+    with pytest.raises(NotAHom):
+        fileio.tower_from_doc(doc)
+    fileio.save_canonical(str(fixtures / "nonhom.tower"), doc)
+    res = run_cli("tower", "check", "nonhom.tower", cwd=fixtures)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert not res.stdout
+
+
+QXQ = {"field": {"kind": "rationals"}, "dim": 2, "basis": ["a", "b"],
+       "unit": ["1", "1"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
+# Q x Q[x]/(x^2): the radical is spanned by x, and A/J is Q x Q
+QXD = {"field": {"kind": "rationals"}, "dim": 3, "basis": ["e", "f", "x"],
+       "unit": ["1", "1", "0"],
+       "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"], [1, 2, 2, "1"],
+                [2, 1, 2, "1"]]}
+
+
+@pytest.mark.parametrize("alg,good,bad", [
+    (QXQ, [["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]),
+    (QXD, [["1", "0"], ["0", "1"], ["0", "0"]],
+     [["1", "0"], ["0", "1"], ["1", "1"]]),
+    (QXD, [["1", "0"], ["0", "1"], ["0", "0"]],
+     [["1", "0"], ["0", "1"], ["1", "-1"]]),
+    (QXQ, [["1", "0"], ["0", "1"]], [1, 2]),
+], ids=["not_a_section", "not_unital", "not_multiplicative", "malformed"])
+def test_hostile_splitting_is_input_error(tmp_path, alg, good, bad):
+    fileio.save_canonical(str(tmp_path / "a.alg"), alg)
+    for name, section in (("good.json", good), ("bad.json", bad)):
+        fileio.save_canonical(str(tmp_path / name),
+                              {"kind": "splitting", "section": section})
+    res = run_cli("conjugate", "a.alg", "--s1", "good.json", "--s2",
+                  "good.json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("conjugate", "a.alg", "--s1", "good.json", "--s2",
+                  "bad.json", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert not res.stdout
+
+
+def test_oracle_disagreement_raises(fixtures, monkeypatch):
+    def zero_radical(A):
+        zero = Ideal(A, Subspace.zero(A.field, A.dim))
+        return RadicalResult(zero, [zero], 0, "trace_form")
+
+    monkeypatch.chdir(fixtures)
+    monkeypatch.setattr(cli, "radical", zero_radical)
+    with pytest.raises(InternalVerificationFailed):
+        cli.main(["radical", "f2c2.alg", "--oracle"])

@@ -150,7 +150,7 @@ def test_bimodule_validation():
     two = Matrix(Q, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
     # rho(g)^2 = 4 != 1 = rho(g^2): not an anti-representation
     with pytest.raises(BadSpec):
-        Bimodule(B, lam, [lam[0], two])
+        Bimodule(B, lam, [lam[0], two]).verify()
 
 
 def test_universal_derivation_examples():

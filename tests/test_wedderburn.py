@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from pca.algebra import (AlgHom, base_change, direct_product, group_algebra,
-                         ideal_closure, make_algebra, matrix_algebra,
-                         polynomial_quotient_algebra, triangular_algebra)
+from pca.algebra import (base_change, direct_product, group_algebra,
+                         hom_check, ideal_closure, make_algebra,
+                         matrix_algebra, polynomial_quotient_algebra,
+                         triangular_algebra)
 from pca.errors import NotCoprime, NotSemisimple, UnsupportedField
 from pca.fields import PrimeField, Rationals, SimpleExtension
 from pca.linalg import Matrix, rank
@@ -106,7 +107,7 @@ def test_base_changed_c3_splits_into_three_lines():
         (E.one, z, zz),
         (E.one, zz, E.mul(zz, zz)),
     ]
-    h = AlgHom(AE, lines, Matrix(E, zip(*cols), 3))
+    h = hom_check(Matrix(E, zip(*cols), 3), AE, lines)
     assert rank(h.matrix) == 3
 
 
