@@ -22,19 +22,37 @@ from fractions import Fraction
 from .errors import BadSpec, DivisionByZero, FieldMismatch
 
 
+# Miller-Rabin with the first 12 prime bases is exact below this bound
+# (Jaeschke, Math. Comp. 61, 1993).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test, fine for n < 2**31."""
+    """Deterministic Miller-Rabin primality test for n < 3.3 * 10**24;
+    larger n are refused with BadSpec."""
+    if n >= _MR_BOUND:
+        raise BadSpec(f"{n} is too large for the primality test "
+                      f"(limit {_MR_BOUND})")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -71,7 +71,7 @@ def field_from_doc(doc: dict) -> Field:
         return RationalFunctionField(doc["p"])
     if kind == "extension":
         base = field_from_doc(doc["base"])
-        minpoly = [base.parse(t) for t in doc["minpoly"]]
+        minpoly = vector_from_texts(base, doc["minpoly"])
         return SimpleExtension(base, minpoly, doc.get("name", "x"))
     raise BadSpec(f"unknown field kind {kind!r}")
 
@@ -95,8 +95,15 @@ def vector_to_texts(K: Field, v):
     return [K.text(c) for c in v]
 
 
+def _scalar_from_text(K: Field, text):
+    """A document scalar, which must be a JSON string."""
+    if not isinstance(text, str):
+        raise BadSpec(f"scalar {text!r} is not a string")
+    return K.parse(text)
+
+
 def vector_from_texts(K: Field, texts):
-    return tuple(K.parse(t) for t in texts)
+    return tuple(_scalar_from_text(K, t) for t in texts)
 
 
 def parse_vector_text(K: Field, text: str):
@@ -131,7 +138,8 @@ def algebra_from_doc(doc: dict) -> FinAlg:
         labels = doc["basis"]
         if len(labels) != dim:
             raise BadSpec("basis label count differs from dim")
-        entries = [(i, j, k, K.parse(t)) for i, j, k, t in doc["mult"]]
+        entries = [(i, j, k, _scalar_from_text(K, t))
+                   for i, j, k, t in doc["mult"]]
         unit = vector_from_texts(K, doc["unit"]) if "unit" in doc else None
     except (KeyError, TypeError, ValueError) as exc:
         raise BadSpec(f"malformed algebra document: {exc}") from exc

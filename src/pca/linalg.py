@@ -1,8 +1,14 @@
-"""Exact dense linear algebra over the supported fields.
+"""Exact linear algebra over the supported fields.
 
-Matrices are immutable-by-convention row tuples.  Everything is pivoted
-Gaussian elimination with exact division; "no solution" is a value (None),
-not an error.
+Matrices are immutable-by-convention row tuples.  Every elimination, in
+``rref``, ``rank``, ``nullspace``, ``solve``, ``solve_many`` and
+``Subspace``, goes through one sparse Gauss-Jordan kernel, ``_eliminate``,
+which works on ``{col: value}`` rows and touches only nonzero entries;
+the systems the algorithms build (the separability system above all) have
+a few nonzeros per row.  The reduced row echelon form of a matrix is
+unique, so the kernel's results do not depend on the order in which it
+visits rows or on how it stores them.  Division is exact; "no solution"
+is a value (None), not an error.
 """
 
 from __future__ import annotations
@@ -127,36 +133,61 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _eliminate(field: Field, rows, ncols):
-    """In-place RREF of a list of row lists; returns pivot column list."""
-    K = field
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not K.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
+def _sub_multiple(K: Field, row: dict, f, other: dict, skip: int):
+    """row -= f * other on sparse rows, leaving out column ``skip``, whose
+    entry the caller has already cancelled and removed."""
+    is_zero, sub, mul = K.is_zero, K.sub, K.mul
+    for j, a in other.items():
+        if j == skip:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = K.inv(rows[r][c])
+        v = row.get(j)
+        if v is None:
+            row[j] = K.neg(mul(f, a))
+        else:
+            v = sub(v, mul(f, a))
+            if is_zero(v):
+                del row[j]
+            else:
+                row[j] = v
+
+
+def _eliminate(field: Field, rows, ncols):
+    """In-place RREF of a list of equal-length row lists; returns the
+    pivot column list.  Pivots are taken only among the first ``ncols``
+    columns; any columns past them ride along as a tail.
+
+    The rows are reduced one at a time as ``{col: value}`` dicts against
+    a set of pivot rows that is kept fully reduced: each pivot row is
+    monic at its pivot, has nothing left of it, and has zeros in every
+    other pivot column.  A new row therefore needs one pass over the
+    pivot columns it touches, and its leftmost remaining column in range
+    becomes the next pivot.  The rows are written back in place, the
+    pivot rows in column order followed by the leftover rows.
+    """
+    K = field
+    piv = {}       # pivot column -> reduced pivot row
+    rest = []      # rows with nothing left in the first ncols columns
+    for dense in rows:
+        row = {j: a for j, a in enumerate(dense) if not K.is_zero(a)}
+        for c in [c for c in row if c in piv]:
+            _sub_multiple(K, row, row.pop(c), piv[c], c)
+        lead = min((j for j in row if j < ncols), default=None)
+        if lead is None:
+            rest.append(row)
+            continue
+        inv = K.inv(row[lead])
         if inv != K.one:
-            rows[r] = [K.mul(inv, a) for a in rows[r]]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if K.is_zero(f):
-                continue
-            ri, rr = rows[i], rows[r]
-            rows[i] = [K.sub(ri[j], K.mul(f, rr[j])) for j in range(len(ri))]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+            row = {j: K.mul(inv, a) for j, a in row.items()}
+        for prow in piv.values():
+            f = prow.pop(lead, None)
+            if f is not None:
+                _sub_multiple(K, prow, f, row, lead)
+        piv[lead] = row
+    pivots = sorted(piv)
+    for i, row in enumerate([piv[c] for c in pivots] + rest):
+        rows[i] = dense = [K.zero] * len(rows[i])
+        for j, a in row.items():
+            dense[j] = a
     return pivots
 
 

@@ -231,3 +231,44 @@ def test_oracle_disagreement_raises(fixtures, monkeypatch):
     monkeypatch.setattr(cli, "radical", zero_radical)
     with pytest.raises(InternalVerificationFailed):
         cli.main(["radical", "f2c2.alg", "--oracle"])
+
+
+GOOD_TOWER = fileio.tower_to_doc(power_series_tower(Q, 2))
+
+
+@pytest.mark.parametrize("argv,name,doc", [
+    (("radical",), "num.alg", dict(QXQ, mult=[[0, 0, 0, 1]])),
+    (("tower", "check"), "num.tower", dict(GOOD_TOWER, maps=[[[1]]])),
+], ids=["algebra", "tower"])
+def test_non_string_scalar_is_input_error(tmp_path, argv, name, doc):
+    fileio.save_canonical(str(tmp_path / name), doc)
+    res = run_cli(*argv, name, cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
+
+
+def c2_over(field_doc):
+    return {"field": field_doc, "dim": 2, "basis": ["1", "g"],
+            "unit": ["1", "0"],
+            "mult": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"],
+                     [1, 1, 0, "1"]]}
+
+
+def test_large_prime_field(tmp_path):
+    big = {"kind": "primefield", "p": 2 ** 61 - 1}
+    fileio.save_canonical(str(tmp_path / "big.alg"), c2_over(big))
+    res = run_cli("radical", "big.alg", "--json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["results"]["radical_dim"] == 0
+    huge = {"kind": "primefield", "p": 2 ** 89 - 1}
+    fileio.save_canonical(str(tmp_path / "huge.alg"), c2_over(huge))
+    for argv in (("radical", "huge.alg"),
+                 ("tower", "build", "--kind", "powerseries", "--field",
+                  f"F{2 ** 89 - 1}", "--depth", "2", "-o", "t.tower")):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("pca: error:")
+        assert "Traceback" not in res.stderr
+        assert not res.stdout

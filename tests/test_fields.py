@@ -40,6 +40,26 @@ def test_is_prime():
         PrimeField(1)
 
 
+def test_is_prime_large_and_pseudoprimes():
+    M61 = 2 ** 61 - 1
+    assert is_prime(M61)
+    assert PrimeField(M61).mul(M61 - 1, M61 - 1) == 1
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    assert not is_prime(561)
+    assert not is_prime(3215031751)
+    assert not is_prime(M61 * 3)
+    assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 32 + 1)
+
+
+@pytest.mark.parametrize("n", [2 ** 82, 2 ** 89 - 1, 2 ** 127 - 1])
+def test_is_prime_refuses_beyond_deterministic_bound(n):
+    with pytest.raises(BadSpec):
+        is_prime(n)
+    with pytest.raises(BadSpec):
+        PrimeField(n)
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Q.inv(Fraction(0))

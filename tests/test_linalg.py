@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pca.errors import AmbientMismatch
-from pca.fields import PrimeField, Rationals
+from pca.fields import PrimeField, Rationals, SimpleExtension
 from pca.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
                         solve_many, unit_vec, vec_is_zero)
 
@@ -116,3 +118,161 @@ def test_ambient_mismatch():
     V = Subspace(Q, 3, [])
     with pytest.raises(AmbientMismatch):
         U.sum(V)
+
+
+# -- the elimination kernel against a dense Gauss-Jordan reference ----------
+
+F3 = PrimeField(3)
+F9 = SimpleExtension(F3, (1, 0, 1), name="i")     # F_3[i]/(i^2 + 1)
+KERNEL_FIELDS = [Q, F5, F9]
+
+
+def scalar(K, n):
+    """A scalar of K from a small integer code; 0 is always zero."""
+    if K == Q:
+        return Fraction(n, n % 3 + 1)
+    if K == F5:
+        return n % 5
+    return (n % 3, (n // 2) % 3)
+
+
+def dense_rref(K, rows, ncols):
+    """Textbook Gauss-Jordan on full-width rows, pivoting in the first
+    ``ncols`` columns; returns (rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows))
+                  if not K.is_zero(rows[i][c])), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = K.inv(rows[r][c])
+        rows[r] = [K.mul(inv, a) for a in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and not K.is_zero(f):
+                rows[i] = [K.sub(a, K.mul(f, b))
+                           for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def dense_nullspace(K, M):
+    R, pivots = dense_rref(K, M.data, M.cols)
+    basis = []
+    for fc in (c for c in range(M.cols) if c not in pivots):
+        v = [K.zero] * M.cols
+        v[fc] = K.one
+        for r, pc in enumerate(pivots):
+            v[pc] = K.neg(R[r][fc])
+        basis.append(v)
+    basis, _ = dense_rref(K, basis, M.cols)
+    return [tuple(v) for v in basis if not vec_is_zero(K, v)]
+
+
+def dense_solve_many(K, M, bs):
+    rows = [list(row) + [b[i] for b in bs] for i, row in enumerate(M.data)]
+    R, pivots = dense_rref(K, rows, M.cols)
+    if any(vec_is_zero(K, row[:M.cols]) and not vec_is_zero(K, row[M.cols:])
+           for row in R):
+        return None
+    out = []
+    for t in range(len(bs)):
+        x = [K.zero] * M.cols
+        for r, pc in enumerate(pivots):
+            x[pc] = R[r][M.cols + t]
+        out.append(tuple(x))
+    return out
+
+
+codes = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+@st.composite
+def systems(draw):
+    """(rows, ncols, xs, bs) as integer codes: a matrix with duplicated
+    rows mixed in, solutions xs whose images are consistent right-hand
+    sides, and free right-hand sides bs, which often are not."""
+    ncols = draw(st.integers(0, 5))
+    row = st.lists(codes, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=5))
+    if rows:
+        dups = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3))
+        rows += [list(rows[i]) for i in dups]
+    xs = draw(st.lists(st.lists(codes, min_size=ncols, max_size=ncols),
+                       max_size=2))
+    bs = draw(st.lists(st.lists(codes, min_size=len(rows),
+                                max_size=len(rows)), max_size=2))
+    return rows, ncols, xs, bs
+
+
+EDGE_CASES = [
+    ([], 0, [], []),                                   # no rows, no columns
+    ([], 3, [[1, 2, 3]], [[]]),                        # no rows
+    ([[], [], []], 0, [[]], [[0, 0, 0], [0, 1, 0]]),   # no columns
+    ([[0, 0], [0, 0]], 2, [[1, 1]], [[0, 0], [1, 0]]),  # zero matrix
+    ([[1, 2, 0], [1, 2, 0], [2, 4, 0]], 3, [[1, 0, 2]], [[1, 1, 2]]),
+    ([[0, 3, 1, 0], [0, 3, 1, 0], [1, 0, 0, 2]], 4,
+     [[1, 1, 1, 1], [0, 2, 0, 1]], [[1, 0, 0], [0, 0, 1]]),
+]
+
+
+def kernel_case(test):
+    for case in EDGE_CASES:
+        test = example(case=case)(test)
+    return pytest.mark.parametrize("K", KERNEL_FIELDS,
+                                   ids=["Q", "F5", "F9"])(
+        settings(max_examples=60, deadline=None)(given(case=systems())(test)))
+
+
+def build(K, case):
+    rows, ncols, xs, bs = case
+    M = Matrix(K, [[scalar(K, n) for n in r] for r in rows], ncols)
+    xs = [tuple(scalar(K, n) for n in x) for x in xs]
+    bs = [M.apply(x) for x in xs] + [tuple(scalar(K, n) for n in b)
+                                      for b in bs]
+    return M, bs
+
+
+@kernel_case
+def test_rref_matches_dense_reference(K, case):
+    M, _ = build(K, case)
+    R, pivots = rref(M)
+    ref, ref_pivots = dense_rref(K, M.data, M.cols)
+    assert pivots == tuple(ref_pivots)
+    assert R.data == tuple(tuple(r) for r in ref)
+    assert rank(M) == len(ref_pivots)
+
+
+@kernel_case
+def test_nullspace_matches_dense_reference(K, case):
+    M, _ = build(K, case)
+    N = nullspace(M)
+    assert N.data == tuple(dense_nullspace(K, M))
+    assert N.rows == M.cols - rank(M)
+    for v in N.data:
+        assert vec_is_zero(K, M.apply(v))
+
+
+@kernel_case
+def test_solve_many_matches_dense_reference(K, case):
+    M, bs = build(K, case)
+    sols = solve_many(M, bs)
+    assert sols == dense_solve_many(K, M, bs)
+    if sols is not None:
+        assert [M.apply(x) for x in sols] == bs
+        assert sols == [solve(M, b) for b in bs]
+    else:
+        assert any(solve(M, b) is None for b in bs)
+
+
+@kernel_case
+def test_subspace_matches_dense_reference(K, case):
+    M, _ = build(K, case)
+    U = Subspace(K, M.cols, M.data)
+    ref, ref_pivots = dense_rref(K, M.data, M.cols)
+    assert U.basis == tuple(tuple(r) for r in ref[:len(ref_pivots)])
+    assert U.pivots == tuple(ref_pivots)
+    assert all(U.contains(v) for v in M.data)
