@@ -22,9 +22,11 @@ from fractions import Fraction
 from .errors import BadSpec, DivisionByZero, FieldMismatch
 
 
-# Miller-Rabin with the first 12 prime bases is exact below this bound
-# (Jaeschke, Math. Comp. 61, 1993).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 prime bases is exact below this bound,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# Math. Comp. 86, 2017).  Twelve bases would only reach
+# 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 

@@ -133,22 +133,16 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _sub_multiple(K: Field, row: dict, f, other: dict, skip: int):
-    """row -= f * other on sparse rows, leaving out column ``skip``, whose
-    entry the caller has already cancelled and removed."""
+def _sub_multiple(K: Field, row: dict, f, other: dict):
+    """row -= f * other on sparse rows, storing no zero entries."""
     is_zero, sub, mul = K.is_zero, K.sub, K.mul
     for j, a in other.items():
-        if j == skip:
-            continue
         v = row.get(j)
-        if v is None:
-            row[j] = K.neg(mul(f, a))
+        v = K.neg(mul(f, a)) if v is None else sub(v, mul(f, a))
+        if is_zero(v):
+            row.pop(j, None)
         else:
-            v = sub(v, mul(f, a))
-            if is_zero(v):
-                del row[j]
-            else:
-                row[j] = v
+            row[j] = v
 
 
 def _eliminate(field: Field, rows, ncols):
@@ -170,7 +164,7 @@ def _eliminate(field: Field, rows, ncols):
     for dense in rows:
         row = {j: a for j, a in enumerate(dense) if not K.is_zero(a)}
         for c in [c for c in row if c in piv]:
-            _sub_multiple(K, row, row.pop(c), piv[c], c)
+            _sub_multiple(K, row, row[c], piv[c])
         lead = min((j for j in row if j < ncols), default=None)
         if lead is None:
             rest.append(row)
@@ -179,9 +173,9 @@ def _eliminate(field: Field, rows, ncols):
         if inv != K.one:
             row = {j: K.mul(inv, a) for j, a in row.items()}
         for prow in piv.values():
-            f = prow.pop(lead, None)
+            f = prow.get(lead)
             if f is not None:
-                _sub_multiple(K, prow, f, row, lead)
+                _sub_multiple(K, prow, f, row)
         piv[lead] = row
     pivots = sorted(piv)
     for i, row in enumerate([piv[c] for c in pivots] + rest):

@@ -50,9 +50,14 @@ def test_is_prime_large_and_pseudoprimes():
     assert not is_prime(3215031751)
     assert not is_prime(M61 * 3)
     assert is_prime(2 ** 31 - 1) and not is_prime(2 ** 32 + 1)
+    # the least strong pseudoprime to the first 12 prime bases, 2 to 37
+    assert not is_prime(399165290221 * 798330580441)
 
 
-@pytest.mark.parametrize("n", [2 ** 82, 2 ** 89 - 1, 2 ** 127 - 1])
+# 3317044064679887385961981 is the least strong pseudoprime to the first
+# 13 prime bases, so the deterministic test stops there
+@pytest.mark.parametrize("n", [3317044064679887385961981, 2 ** 82,
+                               2 ** 89 - 1, 2 ** 127 - 1])
 def test_is_prime_refuses_beyond_deterministic_bound(n):
     with pytest.raises(BadSpec):
         is_prime(n)

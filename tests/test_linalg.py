@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pca.errors import AmbientMismatch
-from pca.fields import PrimeField, Rationals, SimpleExtension
+from pca.fields import (PrimeField, RationalFunctionField, Rationals,
+                        SimpleExtension)
 from pca.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
                         solve_many, unit_vec, vec_is_zero)
 
@@ -276,3 +277,17 @@ def test_subspace_matches_dense_reference(K, case):
     assert U.basis == tuple(tuple(r) for r in ref[:len(ref_pivots)])
     assert U.pivots == tuple(ref_pivots)
     assert all(U.contains(v) for v in M.data)
+
+
+def test_kernel_stores_no_zero_products_over_zero_divisors():
+    # over F_3(t), x^2 - 1 is not checked for irreducibility, so
+    # (x - 1)(x + 1) = 0 and a product of nonzero entries can vanish
+    B = RationalFunctionField(3)
+    K = SimpleExtension(B, (B.from_int(-1), B.zero, B.one))
+    one, zero = K.one, K.zero
+    xp1 = (B.one, B.one)
+    xm1 = (B.from_int(-1), B.one)
+    M = Matrix(K, [[one, xp1], [xm1, zero]])
+    R, pivots = rref(M)
+    assert pivots == (0,)
+    assert R.data == ((one, xp1), (zero, zero))
