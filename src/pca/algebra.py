@@ -598,19 +598,23 @@ def quotient(a: FinAlg, ideal: Ideal):
     return q, AlgHom(a, q, pmatrix)
 
 
-def minimal_polynomial(a: FinAlg, v) -> Poly:
-    """Monic minimal polynomial of an element, by growing the power sequence
-    until it becomes linearly dependent."""
+def _block_minpoly(a: FinAlg, e, z) -> Poly:
+    """Monic minimal polynomial of z inside the block with unit e, by
+    growing the sequence e, ez, ez^2, ... until it becomes linearly
+    dependent."""
     K = a.field
-    powers = [a.unit]
-    span = Subspace(K, a.dim, [a.unit])
+    powers = [e]
+    span = Subspace(K, a.dim, [e])
     while True:
-        nxt = a.mul(powers[-1], v)
+        nxt = a.mul(powers[-1], z)
         if span.contains(nxt):
             break
         powers.append(nxt)
         span = Subspace(K, a.dim, powers)
-    M = Matrix(K, zip(*powers), len(powers))
-    sol = solve(M, nxt)
-    coeffs = [K.neg(c) for c in sol] + [K.one]
-    return Poly(K, coeffs)
+    sol = solve(Matrix(K, zip(*powers), len(powers)), nxt)
+    return Poly(K, [K.neg(c) for c in sol] + [K.one])
+
+
+def minimal_polynomial(a: FinAlg, v) -> Poly:
+    """Monic minimal polynomial of an element of a."""
+    return _block_minpoly(a, a.unit, v)

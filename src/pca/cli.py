@@ -117,9 +117,10 @@ def _cmd_septest(args):
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     sep = is_separable(A)
-    results = {"separable": sep}
-    return (not sep), _report("septest", digest, args.seed, results,
-                              {"solution_substituted": True})
+    verified = ({"solution_substituted": True} if sep
+                else {"system_inconsistent": True})
+    return (not sep), _report("septest", digest, args.seed,
+                              {"separable": sep}, verified)
 
 
 def _cmd_sepidem(args):
@@ -175,7 +176,7 @@ def _cmd_conjugate(args):
     m1 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s1), A, digest)
     m2 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s2), A, digest)
     s1 = splitting_from_section_matrix(A, m1)
-    s2 = splitting_from_section_matrix(A, m2)
+    s2 = splitting_from_section_matrix(A, m2, s1.radical)
     omega = malcev_conjugator(s1, s2)
     results = {"omega": fileio.vector_to_texts(A.field, omega),
                "radical_dim": s1.radical.radical.dim}

@@ -83,9 +83,12 @@ def parse_field_text(text: str) -> Field:
         return Rationals()
     if text.startswith("F"):
         rest = text[1:]
-        if rest.endswith("(t)"):
-            return RationalFunctionField(int(rest[:-3]))
-        return PrimeField(int(rest))
+        ratfunc = rest.endswith("(t)")
+        try:
+            p = int(rest[:-3] if ratfunc else rest)
+        except ValueError:
+            raise BadSpec(f"cannot parse field descriptor {text!r}") from None
+        return RationalFunctionField(p) if ratfunc else PrimeField(p)
     raise BadSpec(f"cannot parse field descriptor {text!r}")
 
 

@@ -6,6 +6,16 @@ square-zero layer: pick a linear lift, measure its multiplication defect,
 and absorb the defect with one linear (coboundary) solve, which is possible
 exactly because A/J is separable.  Every lifted section is re-checked for
 exact multiplicativity.
+
+The two corrections have one sign each:
+
+* On a layer N with N^2 = 0, a linear lift t has defect
+  c(a, b) = t(ab) - t(a) t(b), and the solve finds h: A/J -> N with
+  h(ab) - t(a) h(b) - h(a) t(b) = c(a, b).  As h(a) h(b) = 0, t + e*h has
+  defect (1 + e) c, so the multiplicative lift is t - h.
+* Two sections s1, s2 differ by the derivation d = s1 - s2 into J with
+  x.j = s1(x) j and j.x = j s2(x).  An inner w with d(x) = x.w - w.x is
+  exactly (1 - w) s2(x) = s1(x) (1 - w), so w itself is the conjugator.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from .errors import (BadSpec, CoboundaryUnsolvable,
                      NotSeparableQuotient, AmbientMismatch)
 from .linalg import Matrix, Subspace, nullspace, solve, solve_many
 from .radical import RadicalResult, radical
-from .separability import Bimodule, inner_derivation, is_separable
+from .separability import induced_bimodule, inner_derivation, is_separable
 
 
 @dataclass
@@ -137,24 +147,12 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         def mul_cols(M, i, j, alg=fine):
             return alg.mul(M.column(i), M.column(j))
 
-        # defect and the coboundary system
+        # defect and the coboundary system over the layer bimodule
         nu = nspace.dim
-        lam = []
-        rho_act = []
-        for s in range(q):
-            ts = tau.column(s)
-            lcols = []
-            rcols = []
-            for v in nspace.basis:
-                cv = nspace.coords(fine.mul(ts, v))
-                dv = nspace.coords(fine.mul(v, ts))
-                if cv is None or dv is None:
-                    raise InternalVerificationFailed(
-                        "kernel layer is not stable under the lift")
-                lcols.append(cv)
-                rcols.append(dv)
-            lam.append(Matrix(K, zip(*lcols), nu))
-            rho_act.append(Matrix(K, zip(*rcols), nu))
+        tcols = tau.columns()
+        T = induced_bimodule(head, nspace,
+                             lambda s, v: fine.mul(tcols[s], v),
+                             lambda s, v: fine.mul(v, tcols[s]))
         rows = []
         rhs = []
         for i in range(q):
@@ -172,9 +170,9 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
                             row[r * q + s] = K.add(row[r * q + s], prod[s])
                     for m2 in range(nu):
                         row[m2 * q + j] = K.sub(row[m2 * q + j],
-                                                lam[i].data[r][m2])
+                                                T.left[i].data[r][m2])
                         row[m2 * q + i] = K.sub(row[m2 * q + i],
-                                                rho_act[j].data[r][m2])
+                                                T.right[j].data[r][m2])
                     rows.append(row)
                     rhs.append(cc[r])
         if nu and rows:
@@ -187,24 +185,13 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
                      for s in range(q)]
         else:
             hcols = [(K.zero,) * fine.dim for _ in range(q)]
-        accepted = None
-        for sign in (-1, 1):
-            cand_cols = []
-            for s in range(q):
-                col = [K.add(a, K.mul(K.from_int(sign), b))
-                       for a, b in zip(tau.column(s), hcols[s])]
-                cand_cols.append(col)
-            cand = Matrix(K, zip(*cand_cols), q)
-            ok = all(cand.apply(head.product_basis(i, j)) ==
-                     mul_cols(cand, i, j)
-                     for i in range(q) for j in range(q))
-            if ok:
-                accepted = cand
-                break
-        if accepted is None:
+        section = Matrix(K, zip(*[fine.sub(t, h)
+                                  for t, h in zip(tcols, hcols)]), q)
+        if not all(section.apply(head.product_basis(i, j)) ==
+                   mul_cols(section, i, j)
+                   for i in range(q) for j in range(q)):
             raise InternalVerificationFailed(
                 "corrected lift is not multiplicative")
-        section = accepted
     # the last quotient is by the zero ideal, i.e. A itself coordinatewise
     sec_hom = AlgHom(head, A, section)
     image = Subspace(K, A.dim, section.columns())
@@ -286,47 +273,26 @@ def malcev_conjugator(s1: Splitting, s2: Splitting):
         raise InternalVerificationFailed("quotient mismatch between splittings")
     if J.is_zero():
         return A.zero_element()
-    lam = []
-    rho = []
+    a1 = [s1.section.apply(head.basis_element(i)) for i in range(head.dim)]
+    a2 = [s2.section.apply(head.basis_element(i)) for i in range(head.dim)]
+    T = induced_bimodule(head, J, lambda i, v: A.mul(a1[i], v),
+                         lambda i, v: A.mul(v, a2[i]))
     dcols = []
-    for i in range(head.dim):
-        a1 = s1.section.apply(head.basis_element(i))
-        a2 = s2.section.apply(head.basis_element(i))
-        lcols = []
-        rcols = []
-        for v in J.basis:
-            cv = J.coords(A.mul(a1, v))
-            dv = J.coords(A.mul(v, a2))
-            if cv is None or dv is None:
-                raise InternalVerificationFailed("J is not action-stable")
-            lcols.append(cv)
-            rcols.append(dv)
-        lam.append(Matrix(K, zip(*lcols), J.dim))
-        rho.append(Matrix(K, zip(*rcols), J.dim))
-        diff = J.coords(A.sub(a1, a2))
+    for x1, x2 in zip(a1, a2):
+        diff = J.coords(A.sub(x1, x2))
         if diff is None:
             raise InternalVerificationFailed(
                 "section difference escapes the radical")
         dcols.append(diff)
-    T = Bimodule(head, lam, rho)
     u = inner_derivation(head, T, Matrix(K, zip(*dcols), head.dim))
     if u is None:
         raise NotInner("section difference not inner: separability violated")
-
-    def conjugates(omega):
-        one_minus = A.sub(A.unit, omega)
-        inv = _geometric_inverse(A, omega, s1.radical.nilpotency_index)
-        if A.mul(one_minus, inv) != A.unit or A.mul(inv, one_minus) != A.unit:
-            return None
-        for i in range(head.dim):
-            lhs = A.mul(one_minus,
-                        A.mul(s2.section.apply(head.basis_element(i)), inv))
-            if lhs != s1.section.apply(head.basis_element(i)):
-                return None
-        return omega
-
     omega = J.from_coords(u)
-    for cand in (omega, A.scale(K.from_int(-1), omega)):
-        if conjugates(cand) is not None:
-            return cand
-    raise InternalVerificationFailed("conjugator candidates both fail")
+    one_minus = A.sub(A.unit, omega)
+    inv = _geometric_inverse(A, omega, s1.radical.nilpotency_index)
+    if A.mul(one_minus, inv) != A.unit or A.mul(inv, one_minus) != A.unit \
+            or any(A.mul(one_minus, A.mul(x2, inv)) != x1
+                   for x1, x2 in zip(a1, a2)):
+        raise InternalVerificationFailed(
+            "(1 - w) S2 (1 - w)^(-1) is not S1")
+    return omega

@@ -10,6 +10,7 @@ degrees this package works at.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -406,7 +407,7 @@ def _zassenhaus(f, rng):
     size = 1
     while 2 * size <= len(avail):
         found = False
-        for subset in _subsets(avail, size):
+        for subset in itertools.combinations(avail, size):
             cand = [rest[-1]]
             for i in subset:
                 cand = _ztrunc(_zmul(cand, lifted[i]), modulus)
@@ -432,11 +433,6 @@ def _next_prime(p):
     while not fields.is_prime(p):
         p += 1
     return p
-
-
-def _subsets(items, size):
-    import itertools
-    return itertools.combinations(items, size)
 
 
 def _qq_sqf_list(f, K):

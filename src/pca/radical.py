@@ -144,13 +144,10 @@ def _radical_space(A: FinAlg):
     if isinstance(A.field, PrimeField):
         return _char_p_chain_space(A), "char_p_chain"
     # finite extension field: restrict scalars to F_p, then re-span over E
-    B, down, up = restrict_scalars(A)
+    B, _, up = restrict_scalars(A)
     while isinstance(B.field, SimpleExtension):
-        B2, down2, up2 = restrict_scalars(B)
-        down_old, up_old = down, up
-        down = lambda v, d1=down_old, d2=down2: d2(d1(v))
-        up = lambda w, u1=up_old, u2=up2: u1(u2(w))
-        B = B2
+        B, _, inner_up = restrict_scalars(B)
+        up = lambda w, u1=up, u2=inner_up: u1(u2(w))
     wspace = _char_p_chain_space(B)
     E = A.field
     vecs = [up(w) for w in wspace.basis]

@@ -5,6 +5,17 @@ with (a (x) 1) p = p (1 (x) a) for all basis a in the dim^2 unknowns of
 p in A (x) A.  "Not separable" is the value None, certified by an
 inconsistent linear system.  Every solution is re-verified by direct
 substitution before being returned.
+
+Two identities turn a separability idempotent into explicit answers, each
+with one sign, and each answer is still checked by substitution:
+
+* If p = sum l_r (x) r_r and d is a derivation into a bimodule T, put
+  w = sum d(l_r) r_r.  By the Leibniz rule b.w = sum d(b l_r) r_r - d(b),
+  and applying x (x) y -> d(x) y to bp = pb gives sum d(b l_r) r_r = w.b.
+  So b.w - w.b = -d(b), and u = -w satisfies b.u - u.b = d(b).
+* For the universal derivation d(a) = 1 (x) a - a (x) 1 into Ker(m),
+  a (1 (x) 1) - (1 (x) 1) a = -d(a), so an inner u with a.u - u.a = d(a)
+  makes 1 (x) 1 + u a separability idempotent.
 """
 
 from __future__ import annotations
@@ -68,6 +79,18 @@ def _mult_map(A: FinAlg, v):
     return tuple(out)
 
 
+def _mult_rows(A: FinAlg):
+    """The rows of the matrix of m: A (x) A -> A, one per basis element."""
+    K = A.field
+    n = A.dim
+    rows = [[K.zero] * (n * n) for _ in range(n)]
+    for s in range(n):
+        for t, cell in A.rows[s].items():
+            for k, c in cell:
+                rows[k][s * n + t] = K.add(rows[k][s * n + t], c)
+    return rows
+
+
 def verify_sep_idempotent(A: FinAlg, coeffs) -> bool:
     """Both defining equations, checked by direct substitution."""
     if _mult_map(A, coeffs) != A.unit:
@@ -93,13 +116,7 @@ def sep_idempotent(A: FinAlg):
         rows.setdefault(key, None)
 
     # m(p) = 1
-    for k in range(n):
-        row = [K.zero] * N
-        for s in range(n):
-            for t, cell in A.rows[s].items():
-                for kk, c in cell:
-                    if kk == k:
-                        row[s * n + t] = K.add(row[s * n + t], c)
+    for k, row in enumerate(_mult_rows(A)):
         add_row(row, A.unit[k])
     # (e_i (x) 1) p - p (1 (x) e_i) = 0, coefficient of e_g (x) e_h
     for i in range(n):
@@ -163,14 +180,12 @@ def base_change_semisimple_check(A: FinAlg, E) -> bool:
 def nilpotent_witness(A: FinAlg, x):
     """Least m <= dim(A) with x^m = 0, else None."""
     K = A.field
-    cur = tuple(x)
+    x = tuple(x)
+    cur = x
     for m in range(1, A.dim + 1):
-        if m == 1:
-            pass
-        else:
-            cur = A.mul(cur, tuple(x))
         if vec_is_zero(K, cur):
             return m
+        cur = A.mul(cur, x)
     return None
 
 
@@ -217,12 +232,6 @@ class Bimodule:
     def right_of(self, v) -> Matrix:
         return self._lin(self.right, v)
 
-    def act_left(self, a, t):
-        return self.left_of(a).apply(t)
-
-    def act_right(self, t, a):
-        return self.right_of(a).apply(t)
-
     def verify(self):
         A = self.algebra
         K = A.field
@@ -248,10 +257,11 @@ class Bimodule:
 def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
     """Find u in T with d(b) = b*u - u*b, or None when no such u exists.
 
-    d is given as a matrix whose columns are the images of the basis.  The
-    closed form u = sum d(l_r)*r_r read off a separability idempotent
-    p = sum l_r (x) r_r is tried first (both signs) and never trusted
-    without the exact substitution check; otherwise the defining linear
+    d is given as a matrix whose columns are the images of the basis.  When
+    B has a separability idempotent p = sum l_r (x) r_r, the closed form
+    u = -sum d(l_r)*r_r is returned once it passes the exact substitution
+    check (b.u - u.b = d(b) holds by the Leibniz rule and bp = pb, so it
+    fails only if T is not a bimodule); otherwise the defining linear
     system is solved directly."""
     K = B.field
     if d.rows != T.space_dim or d.cols != B.dim:
@@ -280,12 +290,9 @@ def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
         u = (K.zero,) * T.space_dim
         for left, right in p.pairs:
             term = T.right_of(right).apply(d.apply(left))
-            u = tuple(K.add(x, y) for x, y in zip(u, term))
+            u = tuple(K.sub(x, y) for x, y in zip(u, term))
         if satisfies(u):
             return u
-        u_neg = tuple(K.neg(x) for x in u)
-        if satisfies(u_neg):
-            return u_neg
     rows = []
     rhs = []
     for i in range(B.dim):
@@ -300,50 +307,41 @@ def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
     return u
 
 
+def induced_bimodule(B: FinAlg, space: Subspace, left, right) -> Bimodule:
+    """The bimodule on ``space`` in which e_i acts by ``left(i, v)`` and
+    ``right(i, v)``, in the coordinates of ``space``.  The bimodule laws are
+    the caller's to know; an image that leaves ``space`` raises."""
+    K = B.field
+
+    def action(act, i):
+        cols = []
+        for v in space.basis:
+            c = space.coords(act(i, v))
+            if c is None:
+                raise InternalVerificationFailed(
+                    "subspace is not stable under the action")
+            cols.append(c)
+        return Matrix(K, zip(*cols), space.dim)
+
+    return Bimodule(B, [action(left, i) for i in range(B.dim)],
+                    [action(right, i) for i in range(B.dim)])
+
+
 def multiplication_kernel_bimodule(A: FinAlg):
     """Ker(m) inside A (x) A as a bimodule, together with the coordinate
     subspace used to express its elements."""
     K = A.field
-    n = A.dim
-    N = n * n
-    mrows = []
-    for k in range(n):
-        row = [K.zero] * N
-        for s in range(n):
-            for t, cell in A.rows[s].items():
-                for kk, c in cell:
-                    if kk == k:
-                        row[s * n + t] = K.add(row[s * n + t], c)
-        mrows.append(row)
-    kspace = Subspace(K, N, nullspace(Matrix(K, mrows, N)).data)
-    left = []
-    right = []
-    for i in range(n):
-        lcols = []
-        rcols = []
-        for v in kspace.basis:
-            w = _tensor_mul_left(A, i, v)
-            cw = kspace.coords(w)
-            if cw is None:
-                raise InternalVerificationFailed("kernel not left-stable")
-            lcols.append(cw)
-            w = _tensor_mul_right(A, v, i)
-            cw = kspace.coords(w)
-            if cw is None:
-                raise InternalVerificationFailed("kernel not right-stable")
-            rcols.append(cw)
-        left.append(Matrix(K, zip(*lcols), kspace.dim))
-        right.append(Matrix(K, zip(*rcols), kspace.dim))
-    T = Bimodule(A, left, right)
+    N = A.dim * A.dim
+    kspace = Subspace(K, N, nullspace(Matrix(K, _mult_rows(A), N)).data)
+    T = induced_bimodule(A, kspace, lambda i, v: _tensor_mul_left(A, i, v),
+                         lambda i, v: _tensor_mul_right(A, v, i))
     return T, kspace
 
 
 def universal_derivation_check(A: FinAlg) -> bool:
     """Verify the round trip: the map a -> 1 (x) a - a (x) 1 into Ker(m) is
-    inner, and the inner element reconstructs a separability idempotent
-    1 (x) 1 -+ u."""
-    if sep_idempotent(A) is None:
-        return False
+    inner exactly when A is separable, and the inner element u reconstructs
+    the separability idempotent 1 (x) 1 + u."""
     K = A.field
     n = A.dim
     T, kspace = multiplication_kernel_bimodule(A)
@@ -368,8 +366,8 @@ def universal_derivation_check(A: FinAlg) -> bool:
     for s in range(n):
         for t in range(n):
             one_one[s * n + t] = K.mul(A.unit[s], A.unit[t])
-    for sign in (K.neg(K.one), K.one):
-        cand = tuple(K.add(a, K.mul(sign, b)) for a, b in zip(one_one, ubig))
-        if verify_sep_idempotent(A, cand):
-            return True
-    return False
+    if not verify_sep_idempotent(A, tuple(K.add(a, b)
+                                          for a, b in zip(one_one, ubig))):
+        raise InternalVerificationFailed(
+            "1 (x) 1 + u is not a separability idempotent")
+    return True

@@ -15,7 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .algebra import FinAlg, _trusted_algebra, direct_product, hom_check
+from .algebra import (FinAlg, _block_minpoly, _trusted_algebra, direct_product,
+                      hom_check)
 from .errors import (InternalVerificationFailed, NoSolutionInconsistency,
                      NotCoprime, NotSemisimple, UnsupportedField)
 from .fields import PrimeField, Rationals
@@ -43,21 +44,6 @@ def center(A: FinAlg) -> Subspace:
         R = A.right_mult_matrix(A.basis_element(i))
         rows.extend(L.sub(R).data)
     return Subspace(K, A.dim, nullspace(Matrix(K, rows, A.dim)).data)
-
-
-def _block_minpoly(A: FinAlg, e, z):
-    """Minimal polynomial of z inside the block Ae (unit e)."""
-    K = A.field
-    powers = [e]
-    span = Subspace(K, A.dim, [e])
-    while True:
-        nxt = A.mul(powers[-1], z)
-        if span.contains(nxt):
-            break
-        powers.append(nxt)
-        span = Subspace(K, A.dim, powers)
-    sol = solve(Matrix(K, zip(*powers), len(powers)), nxt)
-    return Poly(K, [K.neg(c) for c in sol] + [K.one])
 
 
 def _eval_in_block(A: FinAlg, e, z, f: Poly):

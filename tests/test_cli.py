@@ -67,6 +67,23 @@ def test_septest_positive(fixtures):
     assert res.returncode == 0
 
 
+def test_septest_verified_block_names_the_check_that_ran(fixtures):
+    res = run_cli("septest", "insep.alg", "--json", cwd=fixtures)
+    assert res.returncode == 2
+    assert json.loads(res.stdout)["verified"] == {"system_inconsistent": True}
+    res = run_cli("septest", "qc3.alg", "--json", cwd=fixtures)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["verified"] == {"solution_substituted": True}
+
+
+@pytest.mark.parametrize("field", ["Fx", "F", "F7(t"])
+def test_malformed_field_descriptor_is_input_error(tmp_path, field):
+    res = run_cli("tower", "build", "--kind", "powerseries", "--field", field,
+                  "--depth", "2", "-o", "t.tower", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+
+
 def test_missing_file_is_input_error(fixtures):
     res = run_cli("radical", "nosuchfile.alg", cwd=fixtures)
     assert res.returncode == 1

@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 import corpus
+from pca import separability
 from pca.algebra import (base_change, direct_product, group_algebra,
                          ideal_closure, make_algebra, matrix_algebra,
-                         quotient, tensor, triangular_algebra)
-from pca.errors import BadSpec, NotADerivation
+                         quotient, tensor, triangular_algebra,
+                         truncated_polynomial_algebra)
+from pca.errors import BadSpec, InternalVerificationFailed, NotADerivation
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import Matrix
+from pca.linalg import Matrix, Subspace
 from pca.poly import Poly
 from pca.radical import is_semisimple
 from pca.separability import (Bimodule, base_change_semisimple_check,
-                              inner_derivation, is_separable,
+                              induced_bimodule, inner_derivation, is_separable,
                               multiplication_kernel_bimodule,
                               nilpotent_witness, sep_idempotent,
                               universal_derivation_check,
@@ -125,6 +127,72 @@ def test_inner_derivation_projection_bimodule():
         assert got == d.column(i)[0]
 
 
+def _matrix_commutator(K):
+    """M_2(K) as a bimodule over itself and the inner derivation
+    b -> bx - xb for a fixed non-central x."""
+    B = matrix_algebra(2, K)
+    x = tuple(K.from_int(c) for c in (1, 2, -1, 4))
+    lam = [B.left_mult_matrix(B.basis_element(i)) for i in range(B.dim)]
+    rho = [B.right_mult_matrix(B.basis_element(i)) for i in range(B.dim)]
+    cols = [B.sub(B.mul(B.basis_element(i), x), B.mul(x, B.basis_element(i)))
+            for i in range(B.dim)]
+    return B, Bimodule(B, lam, rho), Matrix(K, zip(*cols), B.dim)
+
+
+def _projection_bimodule():
+    """Q x Q acting on Q by the first factor on the left and the second on
+    the right, with d(e_0) = 1 and d(e_1) = -1."""
+    B = direct_product([group_algebra(1, Q), group_algebra(1, Q)])
+    lam = [Matrix(Q, [[Fraction(1)]]), Matrix(Q, [[Fraction(0)]])]
+    rho = [Matrix(Q, [[Fraction(0)]]), Matrix(Q, [[Fraction(1)]])]
+    return B, Bimodule(B, lam, rho), Matrix(Q, [[Fraction(1), Fraction(-1)]])
+
+
+CLOSED_FORM_CASES = {
+    "QxQ_on_Q": _projection_bimodule,
+    "M2Q": lambda: _matrix_commutator(Q),
+    "M2F3": lambda: _matrix_commutator(F3),
+    "M2F5": lambda: _matrix_commutator(F5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_inner_derivation_closed_form_needs_no_solve(monkeypatch, name):
+    """Over a separable B the closed form u = -sum d(l_r) r_r is the answer,
+    so the direct solve is never reached."""
+    B, T, d = CLOSED_FORM_CASES[name]()
+    p = sep_idempotent(B)
+
+    def no_solve(*args):
+        raise AssertionError("inner_derivation fell back to the solve")
+
+    monkeypatch.setattr(separability, "sep_idempotent", lambda _: p)
+    monkeypatch.setattr(separability, "solve", no_solve)
+    u = inner_derivation(B, T, d)
+    K = B.field
+    assert any(not K.is_zero(c) for row in d.data for c in row)
+    for i in range(B.dim):
+        got = tuple(K.sub(a, b) for a, b in zip(T.left[i].apply(u),
+                                                T.right[i].apply(u)))
+        assert got == d.column(i)
+
+
+def test_induced_bimodule():
+    B = triangular_algebra(2, Q)
+    whole = Subspace(Q, B.dim, [B.basis_element(i) for i in range(B.dim)])
+    T = induced_bimodule(B, whole, lambda i, v: B.mul(B.basis_element(i), v),
+                         lambda i, v: B.mul(v, B.basis_element(i)))
+    for i in range(B.dim):
+        assert T.left[i] == B.left_mult_matrix(B.basis_element(i))
+        assert T.right[i] == B.right_mult_matrix(B.basis_element(i))
+    assert T.verify()
+    G = group_algebra(2, Q)
+    ones = Subspace(Q, G.dim, [G.unit])
+    with pytest.raises(InternalVerificationFailed):
+        induced_bimodule(G, ones, lambda i, v: G.mul(G.basis_element(i), v),
+                         lambda i, v: v)
+
+
 def test_derivation_on_inseparable_extension_not_inner():
     E = insep_algebra()
     lam = [E.left_mult_matrix(E.basis_element(i)) for i in range(2)]
@@ -158,6 +226,11 @@ def test_universal_derivation_examples():
     assert universal_derivation_check(matrix_algebra(2, F3))
     assert universal_derivation_check(
         direct_product([group_algebra(1, Q), group_algebra(1, Q)]))
+
+
+def test_universal_derivation_not_inner_when_inseparable():
+    assert not universal_derivation_check(insep_algebra())
+    assert not universal_derivation_check(truncated_polynomial_algebra(Q, 3))
 
 
 def test_round_trip_idempotent_reconstruction():

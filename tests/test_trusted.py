@@ -97,21 +97,37 @@ def _path_levels():
     return out
 
 
-def _conjugator_bimodules():
-    seen = []
-    real = malcev.inner_derivation
+SPLIT_ALGEBRAS = (triangular_algebra(3, Q), triangular_algebra(3, F3),
+                  group_algebra(4, F2))
 
-    def spy(B, T, d):
-        seen.append(T)
-        return real(B, T, d)
+
+def _induced_bimodules(build):
+    """Every bimodule that ``malcev`` builds with ``induced_bimodule`` while
+    ``build()`` runs."""
+    seen = []
+    real = malcev.induced_bimodule
+
+    def spy(*args):
+        seen.append(real(*args))
+        return seen[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(malcev, "inner_derivation", spy)
-        for A in (triangular_algebra(3, Q), group_algebra(4, F2)):
-            malcev_conjugator(wedderburn_splitting(A, seed=1),
-                              wedderburn_splitting(A, seed=2))
+        mp.setattr(malcev, "induced_bimodule", spy)
+        build()
     assert seen
     return seen
+
+
+def _splitting_layer_bimodules():
+    return _induced_bimodules(lambda: [wedderburn_splitting(A, seed=1)
+                                       for A in SPLIT_ALGEBRAS])
+
+
+def _conjugator_bimodules():
+    pairs = [(wedderburn_splitting(A, seed=1), wedderburn_splitting(A, seed=2))
+             for A in SPLIT_ALGEBRAS]
+    return _induced_bimodules(lambda: [malcev_conjugator(s1, s2)
+                                       for s1, s2 in pairs])
 
 
 CASES = {
@@ -168,6 +184,7 @@ CASES = {
         for A in (group_algebra(3, Q), matrix_algebra(2, F3),
                   triangular_algebra(2, Q))],
     "conjugator_bimodule": _conjugator_bimodules,
+    "splitting_layer_bimodule": _splitting_layer_bimodules,
 }
 
 
