@@ -14,7 +14,8 @@ from .algebra import (AlgHom, FinAlg, Ideal, base_change, direct_product,
                       quotient, tensor,
                       triangular_algebra, truncated_polynomial_algebra)
 from .radical import (RadicalResult, is_semisimple,
-                      maximal_twosided_intersection, radical, radical_oracle)
+                      maximal_twosided_intersection, radical,
+                      radical_from_below, radical_oracle)
 from .wedderburn import BlockDecomposition, center, central_idempotents, crt_lift
 from .separability import (Bimodule, SepIdempotent,
                            base_change_semisimple_check, inner_derivation,
@@ -27,6 +28,7 @@ from .tower import (QuiverSpec, Tower, TowerElement, check_level_isomorphic,
                     cyclic_group_tower, element_from_top, kronecker_quiver,
                     loop_quiver, make_element, path_algebra_tower,
                     power_series_tower, product_tower, quiver_radical_check,
-                    tower_radical_check, tower_semisimple_check)
+                    tower_radical_check, tower_radicals,
+                    tower_semisimple_check)
 
 __version__ = "0.1.0"

@@ -127,19 +127,36 @@ class FinAlg:
     # -- validation ---------------------------------------------------------
 
     def verify(self):
-        """Check associativity on all basis triples and the unit laws."""
+        """Check associativity on all basis triples and the unit laws.
+
+        (e_i e_j) e_k and e_i (e_j e_k) are expanded straight from the
+        sparse rows, and the triples are tried in (i, j, k) order, so the
+        first failing triple is the one reported."""
         K = self.field
         n = self.dim
         if len(self.unit) != n:
             raise BadSpec("unit vector has wrong length")
-        prods = [[self.product_basis(i, j) for j in range(n)]
-                 for i in range(n)]
+        rows = self.rows
+        add, mul, is_zero = K.add, K.mul, K.is_zero
+
+        def expand(terms):
+            # sum of c * cell over (c, cell), as a zero-free {k: scalar}
+            acc = {}
+            for c, cell in terms:
+                for k, d in cell:
+                    v = mul(c, d)
+                    acc[k] = add(acc[k], v) if k in acc else v
+            return {k: v for k, v in acc.items() if not is_zero(v)}
+
         for i in range(n):
+            ri = rows[i]
             for j in range(n):
-                pij = prods[i][j]
+                pij = ri.get(j, ())
+                rj = rows[j]
                 for k in range(n):
-                    left = self.mul(pij, self.basis_element(k))
-                    right = self.mul(self.basis_element(i), prods[j][k])
+                    left = expand((c, rows[m].get(k, ())) for m, c in pij)
+                    right = expand((c, ri.get(m, ()))
+                                   for m, c in rj.get(k, ()))
                     if left != right:
                         raise NotAssociative(
                             f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})",
@@ -475,12 +492,6 @@ def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:
         if bigger.dim == space.dim:
             return Ideal(a, space, sidedness)
         space = bigger
-
-
-def subspace_product(a: FinAlg, u: Subspace, v: Subspace) -> Subspace:
-    """Span of all pairwise products of basis vectors."""
-    vecs = [a.mul(x, y) for x in u.basis for y in v.basis]
-    return Subspace(a.field, a.dim, vecs)
 
 
 # -- homomorphisms ------------------------------------------------------------

@@ -19,7 +19,7 @@ from .radical import radical, radical_oracle
 from .separability import is_separable, nilpotent_witness, sep_idempotent
 from .tower import (cyclic_group_tower, path_algebra_tower,
                     power_series_tower, product_tower, quiver_radical_check,
-                    tower_radical_check)
+                    tower_radical_check, tower_radicals)
 from .wedderburn import central_idempotents
 
 
@@ -176,7 +176,8 @@ def _cmd_conjugate(args):
     m1 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s1), A, digest)
     m2 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s2), A, digest)
     s1 = splitting_from_section_matrix(A, m1)
-    s2 = splitting_from_section_matrix(A, m2, s1.radical)
+    s2 = splitting_from_section_matrix(A, m2, s1.radical,
+                                       (s1.quotient, s1.projection))
     omega = malcev_conjugator(s1, s2)
     results = {"omega": fileio.vector_to_texts(A.field, omega),
                "radical_dim": s1.radical.radical.dim}
@@ -226,11 +227,12 @@ def _cmd_tower_check(args):
     T = fileio.load_tower(args.file)
     digest = fileio.digest_file(args.file)
     results = {"kind": T.kind}
-    results.update(tower_radical_check(T))
+    rads = tower_radicals(T)
+    results.update(tower_radical_check(T, rads))
     results["all_levels_semisimple"] = not any(results["radical_dims"])
     verified = {"radical_onto_radical": True}
     if T.kind == "path" and "quiver" in T.meta:
-        results["arrow_ideal_is_radical"] = quiver_radical_check(T)
+        results["arrow_ideal_is_radical"] = quiver_radical_check(T, rads)
         verified["arrow_ideal_is_radical"] = True
     return False, _report("tower check", digest, args.seed, results, verified)
 

@@ -56,7 +56,7 @@ class NotAnIdeal(PcaError):
 
 
 class TooLarge(PcaError):
-    """Brute-force enumeration bound exceeded."""
+    """An input or a brute-force enumeration exceeds its size bound."""
 
 
 class NotSemisimple(PcaError):

@@ -14,6 +14,7 @@ from .algebra import FinAlg, hom_check, make_algebra
 from .errors import BadSpec
 from .fields import (Field, PrimeField, RationalFunctionField, Rationals,
                      SimpleExtension, split_top_level)
+from .limits import check_dim
 from .linalg import Matrix
 from .tower import QuiverSpec, Tower
 
@@ -141,6 +142,7 @@ def algebra_from_doc(doc: dict) -> FinAlg:
         labels = doc["basis"]
         if len(labels) != dim:
             raise BadSpec("basis label count differs from dim")
+        check_dim(dim, "the algebra")
         entries = [(i, j, k, _scalar_from_text(K, t))
                    for i, j, k, t in doc["mult"]]
         unit = vector_from_texts(K, doc["unit"]) if "unit" in doc else None

@@ -1,0 +1,32 @@
+"""Input budgets, checked before any work starts.
+
+Every size bound on what the program accepts lives in ``Limits``, so an
+oversized request ends in ``TooLarge`` (exit 1 with ``pca: error:``)
+instead of running out of memory or time.  A tower's cost grows with both
+its top level and its number of levels: a Kronecker path tower keeps
+dimension 4 at every level, so its depth needs a bound of its own.
+"""
+
+from __future__ import annotations
+
+from .errors import TooLarge
+
+
+class Limits:
+    """``dim``: the largest dimension of an algebra read from a file and of
+    the top level of a tower, checked before any level is built.
+    ``depth``: the largest number of levels of a built tower."""
+    dim = 256
+    depth = 64
+
+
+def check_dim(dim: int, what: str) -> None:
+    if dim > Limits.dim:
+        raise TooLarge(f"{what} has dimension {dim}, above the limit "
+                       f"of {Limits.dim}")
+
+
+def check_depth(depth: int) -> None:
+    if depth > Limits.depth:
+        raise TooLarge(f"tower depth {depth} is above the limit "
+                       f"of {Limits.depth}")

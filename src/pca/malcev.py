@@ -201,12 +201,15 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
 
 
 def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
-                                  rad: RadicalResult | None = None) -> Splitting:
+                                  rad: RadicalResult | None = None,
+                                  head=None) -> Splitting:
     """Rebuild and fully validate a Splitting from a stored section matrix;
-    one that is not a section of A -> A/J is bad input (NotAHom, BadSpec)."""
+    one that is not a section of A -> A/J is bad input (NotAHom, BadSpec).
+    ``head`` is the pair (A/J, projection) when the caller already holds
+    it for this radical."""
     if rad is None:
         rad = radical(A)
-    head, head_proj = quotient(A, rad.radical)
+    head, head_proj = quotient(A, rad.radical) if head is None else head
     sec = AlgHom(head, A, matrix)
     split = Splitting(A, head, head_proj, sec,
                       Subspace(A.field, A.dim, matrix.columns()), rad)
@@ -232,7 +235,7 @@ def splitting_from_complement(A: FinAlg, space: Subspace,
             "subspace is not a complement of the radical")
     section_cols = [space.from_coords(c) for c in coords]
     return splitting_from_section_matrix(
-        A, Matrix(K, zip(*section_cols), head.dim), rad)
+        A, Matrix(K, zip(*section_cols), head.dim), rad, (head, head_proj))
 
 
 def check_ideal_lemma(s: Splitting, ideal: Ideal) -> bool:

@@ -1,6 +1,6 @@
 """Jacobson radical of a finite-dimensional algebra, with cross-checks.
 
-Two computational routes:
+Two cold routes:
 
 * characteristic 0, or characteristic p > dim(A): the radical is the kernel
   of the trace form (x, y) -> tr(L_{xy});
@@ -9,11 +9,31 @@ Two computational routes:
   regular representation, run over the prime subfield after restriction of
   scalars.
 
-Both routes end in the same post-verification: the result must be a
-twosided ideal, nilpotent of index <= dim, with a radical-free quotient.
-A failed check raises InternalVerificationFailed rather than returning a
-wrong answer.  ``radical_oracle`` is an independent brute-force enumeration
-used by the test suite to pin the fast routes down.
+One warm route, ``radical_from_below``, for a surjection pi: A -> B whose
+target's radical is known, as between the levels of a tower.  pi maps
+J(A) onto J(B), so J(A) lies in J' = pi^(-1)(J(B)).  J' is an ideal,
+being the preimage of one, and A/J' is isomorphic to B/J(B), which is
+semisimple.  Hence J' = J(A) exactly when J' is nilpotent.  J' is the
+kernel of (reduce by J(B)) o pi; when its powers stop falling, as on a
+product tower whose kernels are whole factors, the cold route runs.
+
+Every route ends in the same post-verification, ``_certified``: the
+result must be a twosided ideal whose powers fall strictly to 0, not the
+whole algebra, with a radical-free quotient.  A failed check raises
+InternalVerificationFailed rather than returning a wrong answer.
+
+The powers of an ideal J come from generators.  J^k is a right ideal, so
+J^k (A g) = J^k g, and J^(k+1) = span{x g : x in J^k, g in G} for any G
+with A G spanning J; a greedy G costs at most dim(J) * dim(A) products,
+once.  This holds for every twosided ideal, nilpotent or not, so a
+non-nilpotent J' is seen when its powers stop falling.  The shortcut
+J^(k+1) = J^k V, with V a complement of J^2 in J, is not used: it holds
+only once J is known to be nilpotent.  For J = N x E with N nilpotent
+and E = E^2 nonzero, V may be taken inside N x 0; then J V lies in
+N^2 x 0 and the chain reaches 0, certifying a non-nilpotent ideal.
+
+``radical_oracle`` is an independent brute-force enumeration used by the
+test suite to pin the fast routes down.
 """
 
 from __future__ import annotations
@@ -21,8 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (FinAlg, Ideal, quotient, restrict_scalars,
-                      subspace_product)
+from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
                      prime_subfield)
@@ -52,29 +71,29 @@ def _trace_form_space(A: FinAlg) -> Subspace:
     return Subspace(K, n, nullspace(Matrix(K, zip(*T), n)).data)
 
 
-def _imat_mul(a, b):
+def _imat_mul(a, b, m):
+    """Product of two square integer matrices, reduced mod m."""
     n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            c = ai[k]
+    out = []
+    for ai in a:
+        oi = [0] * n
+        for k, c in enumerate(ai):
             if c:
                 bk = b[k]
                 for j in range(n):
                     if bk[j]:
                         oi[j] += c * bk[j]
+        out.append([x % m for x in oi])
     return out
 
 
-def _imat_pow(a, e):
+def _imat_pow(a, e, m):
     n = len(a)
     out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     while e > 0:
         if e & 1:
-            out = _imat_mul(out, a)
-        a = _imat_mul(a, a)
+            out = _imat_mul(out, a, m)
+        a = _imat_mul(a, a, m)
         e >>= 1
     return out
 
@@ -85,14 +104,18 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
 
     The integer traces are provably divisible by p^i on the chain, which
     makes each condition an F_p-linear cut; non-divisibility would mean a
-    bug and is raised."""
+    bug and is raised.  Only t mod p^(i+1) matters, and q = p^i divides
+    p^(i+1), so every product and power is reduced mod p^(i+1) and the
+    check ``t % q`` stays exact.  The Gram matrix is symmetric, because
+    tr((XY)^q) = tr((YX)^q), so only s >= r is computed; at i = 0 the trace
+    tr(XY) is the sum of X_ab Y_ba, with no matrix product."""
     K = A.field
     p = K.p
     n = A.dim
     lifts = [[list(row) for row in A.left_mult_matrix(
         A.basis_element(i)).data] for i in range(n)]
 
-    def lift_of(v):
+    def lift_of(v, m):
         out = [[0] * n for _ in range(n)]
         for r, c in enumerate(v):
             if c:
@@ -103,7 +126,7 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
                         li = lr[i]
                         for j in range(n):
                             oi[j] += c * li[j]
-        return out
+        return [[x % m for x in row] for row in out]
 
     space = Subspace.full(K, n)
     ell = 0
@@ -113,22 +136,26 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
         if space.is_zero():
             break
         basis = space.basis
-        mats = [lift_of(v) for v in basis]
         q = p ** i
-        G = []
-        for mr in mats:
-            row = []
-            for ms in mats:
-                t = 0
-                power = _imat_pow(_imat_mul(mr, ms), q)
-                for d in range(n):
-                    t += power[d][d]
+        m = q * p
+        mats = [lift_of(v, m) for v in basis]
+        transposed = [list(zip(*X)) for X in mats] if i == 0 else None
+        d = len(mats)
+        G = [[0] * d for _ in range(d)]
+        for r in range(d):
+            for s in range(r, d):
+                if i == 0:
+                    t = sum(x * y for X, Yt in zip(mats[r], transposed[s])
+                            for x, y in zip(X, Yt) if x)
+                else:
+                    power = _imat_pow(_imat_mul(mats[r], mats[s], m), q, m)
+                    t = sum(power[a][a] for a in range(n))
+                t %= m
                 if t % q:
                     raise InternalVerificationFailed(
                         "chain trace not divisible by p^i")
-                row.append((t // q) % p)
-            G.append(row)
-        N = nullspace(Matrix(K, zip(*G), len(basis)))
+                G[r][s] = G[s][r] = t // q
+        N = nullspace(Matrix(K, G, d))
         vecs = [space.from_coords(c) for c in N.data]
         space = Subspace(K, n, vecs)
     return space
@@ -163,38 +190,55 @@ def _radical_space(A: FinAlg):
     return space, "char_p_chain"
 
 
+def _left_generators(A: FinAlg, space: Subspace):
+    """A greedy G among the basis of an ideal J such that A*G spans J."""
+    K, n = A.field, A.dim
+    gens = []
+    span = Subspace.zero(K, n)
+    for v in space.basis:
+        if not span.contains(v):
+            gens.append(v)
+            span = Subspace(K, n, list(span.basis) + [
+                A.mul(A.basis_element(i), v) for i in range(n)])
+    return gens
+
+
 def _nilpotency_data(A: FinAlg, space: Subspace):
-    """Filtration J, J^2, ..., 0 and the nilpotency index.  J is proved an
-    ideal once; its powers are ideals because it is."""
+    """Filtration J, J^2, ..., 0 and the nilpotency index, or None when
+    the powers stop falling, that is, when J is not nilpotent.  J is
+    proved an ideal once; its powers are ideals because it is, and
+    J^(k+1) is spanned by x*g for x in J^k and g in G."""
     J = Ideal(A, space, "twosided")
     J.verify()
     if space.is_zero():
         return [J], 0
+    gens = _left_generators(A, space)
     filtration = [J]
     cur = space
     while not cur.is_zero():
-        nxt = subspace_product(A, cur, space)
+        nxt = Subspace(A.field, A.dim,
+                       [A.mul(x, g) for x in cur.basis for g in gens])
         if nxt.dim >= cur.dim:
-            raise InternalVerificationFailed(
-                "candidate radical is not nilpotent")
+            return None
         cur = nxt
         filtration.append(Ideal(A, cur, "twosided"))
     # the list holds J, J^2, ..., J^m with J^m the first zero power
     return filtration, len(filtration)
 
 
-def radical(A: FinAlg) -> RadicalResult:
-    """The maximal nilpotent twosided ideal, with its power filtration.
-
-    The chosen method's answer always passes post-verification (ideal,
-    nilpotent, semisimple quotient); a failure raises rather than returning
-    a wrong ideal."""
-    space, method = _radical_space(A)
+def _certified(A: FinAlg, space: Subspace, method: str):
+    """The radical postcondition, shared by every route: ``space`` is an
+    ideal, its powers fall strictly to 0, it is not all of A, and A/space
+    has no radical.  Returns None when the powers stop falling; any other
+    failure raises InternalVerificationFailed."""
     try:
-        filtration, index = _nilpotency_data(A, space)
+        data = _nilpotency_data(A, space)
     except Exception as exc:
         raise InternalVerificationFailed(
             f"radical postcondition failed: {exc}") from exc
+    if data is None:
+        return None
+    filtration, index = data
     result = RadicalResult(filtration[0], filtration, index, method)
     if not space.is_zero():
         if space.dim == A.dim:
@@ -205,6 +249,37 @@ def radical(A: FinAlg) -> RadicalResult:
             raise InternalVerificationFailed(
                 "quotient by computed radical is not semisimple")
     return result
+
+
+def radical(A: FinAlg) -> RadicalResult:
+    """The maximal nilpotent twosided ideal, with its power filtration.
+
+    The chosen method's answer always passes post-verification (ideal,
+    nilpotent, semisimple quotient); a failure raises rather than returning
+    a wrong ideal."""
+    space, method = _radical_space(A)
+    result = _certified(A, space, method)
+    if result is None:
+        raise InternalVerificationFailed(
+            "radical postcondition failed: candidate radical is not nilpotent")
+    return result
+
+
+def _preimage(h: AlgHom, space: Subspace) -> Subspace:
+    """h^(-1)(space), as the kernel of (reduce by space) o h."""
+    A = h.source
+    cols = [space.reduce(c) for c in h.matrix.columns()]
+    return Subspace(A.field, A.dim, nullspace(
+        Matrix(A.field, zip(*cols), A.dim)).data)
+
+
+def radical_from_below(h: AlgHom, below: RadicalResult) -> RadicalResult:
+    """The radical of h.source, given the radical of h.target for a
+    surjection h: J' = h^(-1)(J(target)) through the radical postcondition,
+    or the cold ``radical`` when J' is not nilpotent."""
+    result = _certified(h.source, _preimage(h, below.radical.space),
+                        "preimage")
+    return radical(h.source) if result is None else result
 
 
 def radical_oracle(A: FinAlg) -> Ideal:
@@ -256,12 +331,7 @@ def maximal_twosided_intersection(A: FinAlg) -> Ideal:
         comp = Subspace(K, Aq.dim,
                         [Aq.mul(Aq.basis_element(i), Aq.sub(one, e))
                          for i in range(Aq.dim)])
-        # preimage of comp under pi: kernel of (reduce-by-comp) o pi
-        cols = [comp.reduce(pi.apply(A.basis_element(i)))
-                for i in range(A.dim)]
-        pre = Subspace(K, A.dim, nullspace(
-            Matrix(K, zip(*cols), A.dim)).data)
-        inter = inter.intersect(pre)
+        inter = inter.intersect(_preimage(pi, comp))
     if inter != rr.radical.space:
         raise InternalVerificationFailed(
             "maximal twosided intersection differs from the radical")

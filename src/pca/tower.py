@@ -6,6 +6,15 @@ series, cyclic p-group algebras, truncated path algebras, finite products)
 and the check functions verify the levelwise theorems exactly: connecting
 maps send radicals onto radicals, semisimplicity is a levelwise property,
 and path-algebra radicals are generated by the arrows.
+
+The level radicals are computed once, by ``tower_radicals``, as the
+paper's radical of the inverse limit suggests: the first level cold, each
+later one from the level below as the preimage of its radical
+(``radical.radical_from_below``), which falls back to the cold route when
+that preimage is not nilpotent.  Both checks take this list; the
+radical-onto-radical check still compares the image of each radical with
+the radical below.  Each constructor bounds the tower's depth and the
+dimension of its top level (``limits.Limits``) before it builds a level.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from .algebra import (AlgHom, _trusted_algebra, direct_product,
 from .errors import (BadSpec, EmptyQuiver, IncompatibleCoordinates,
                      NonComposableRelation, NotAHom, TheoremViolation)
 from .fields import Field, check_same_field, is_prime
+from .limits import check_depth, check_dim
 from .linalg import Matrix, Subspace, rank, solve_many, unit_vec
-from .radical import is_semisimple, radical
+from .radical import is_semisimple, radical, radical_from_below
 
 
 @dataclass
@@ -94,6 +104,8 @@ def power_series_tower(K: Field, depth: int) -> Tower:
     """Levels k[x]/(x^n), maps sending x to x."""
     if depth < 1:
         raise BadSpec("depth must be >= 1")
+    check_depth(depth)
+    check_dim(depth, "the top level")
     levels = [truncated_polynomial_algebra(K, n) for n in range(1, depth + 1)]
     maps = []
     for n in range(1, depth):
@@ -111,6 +123,8 @@ def cyclic_group_tower(p: int, K: Field, depth: int) -> Tower:
         raise BadSpec("depth must be >= 1")
     if not is_prime(p):
         raise BadSpec(f"{p} is not prime")
+    check_depth(depth)
+    check_dim(p ** depth, "the top level")
     levels = [group_algebra(p ** n, K) for n in range(1, depth + 1)]
     maps = []
     for n in range(1, depth):
@@ -135,6 +149,8 @@ def product_tower(factors, depth: int | None = None) -> Tower:
     K = factors[0].field
     for f in factors:
         check_same_field(K, f.field)
+    check_depth(depth)
+    check_dim(sum(f.dim for f in factors[:depth]), "the top level")
     levels = [direct_product(factors[:n]) for n in range(1, depth + 1)]
     maps = []
     for n in range(1, depth):
@@ -234,6 +250,20 @@ def _paths_below(q: QuiverSpec, length_bound: int):
     return paths
 
 
+def _path_count(q: QuiverSpec, length_bound: int) -> int:
+    """The number of paths of length < length_bound, counted by target
+    vertex without listing them."""
+    ending = dict.fromkeys(q.vertices, 1)
+    total = len(q.vertices)
+    for _ in range(length_bound - 1):
+        nxt = dict.fromkeys(q.vertices, 0)
+        for _, src, tgt in q.arrows:
+            nxt[tgt] += ending[src]
+        ending = nxt
+        total += sum(ending.values())
+    return total
+
+
 def _coerce_scalar(K: Field, c):
     if isinstance(c, str):
         return K.parse(c)
@@ -284,6 +314,8 @@ def path_algebra_tower(q: QuiverSpec, K: Field, depth: int) -> Tower:
     """Levels kQ/(I + (arrows)^n), maps truncating away the longest paths."""
     if depth < 1:
         raise BadSpec("depth must be >= 1")
+    check_depth(depth)
+    check_dim(_path_count(q, depth), "the top free level")
     data = [_path_level(q, K, n) for n in range(1, depth + 1)]
     levels = [d[0] for d in data]
     maps = []
@@ -331,10 +363,21 @@ def quiver_of(T: Tower) -> QuiverSpec:
 
 # -- levelwise theorem checks --------------------------------------------------
 
-def tower_radical_check(T: Tower) -> dict:
+def tower_radicals(T: Tower) -> list:
+    """The radical of every level: the first cold, each later one from the
+    level below through ``radical_from_below``."""
+    rads = [radical(T.levels[0])]
+    for h in T.maps:
+        rads.append(radical_from_below(h, rads[-1]))
+    return rads
+
+
+def tower_radical_check(T: Tower, rads=None) -> dict:
     """Radicals per level, plus the exact check that every connecting map
-    sends the radical onto the radical.  A failure is a TheoremViolation."""
-    rads = [radical(lvl) for lvl in T.levels]
+    sends the radical onto the radical.  A failure is a TheoremViolation.
+    ``rads`` are the level radicals when the caller already holds them."""
+    if rads is None:
+        rads = tower_radicals(T)
     for i, h in enumerate(T.maps):
         upper = rads[i + 1].radical.space
         image = Subspace(T.levels[i].field, T.levels[i].dim,
@@ -356,10 +399,13 @@ def tower_semisimple_check(T: Tower) -> bool:
     return all(is_semisimple(lvl) for lvl in T.levels)
 
 
-def quiver_radical_check(T: Tower) -> bool:
+def quiver_radical_check(T: Tower, rads=None) -> bool:
     """For a path tower: the radical at each level is exactly the ideal
-    generated by the images of the arrows."""
+    generated by the images of the arrows.  ``rads`` are the level
+    radicals when the caller already holds them."""
     q = quiver_of(T)
+    if rads is None:
+        rads = tower_radicals(T)
     K = T.levels[0].field
     for n, lvl in enumerate(T.levels, start=1):
         level, project, _, index, free = _path_level(q, K, n)
@@ -372,7 +418,7 @@ def quiver_radical_check(T: Tower) -> bool:
                     unit_vec(K, free.dim, index[(src, (name,), tgt)])))
         closure = (ideal_closure(lvl, arrow_vecs).space if arrow_vecs
                    else Subspace.zero(lvl.field, lvl.dim))
-        if closure != radical(lvl).radical.space:
+        if closure != rads[n - 1].radical.space:
             raise TheoremViolation(
                 f"arrow ideal differs from the radical at level {n}", n)
     return True

@@ -25,8 +25,9 @@ def cli_env():
     return env
 
 
-def run_cli(*args, cwd=None, text=True):
-    """Run ``python -m pca *args`` in ``cwd`` and capture its output."""
+def run_cli(*args, cwd=None, text=True, **kwargs):
+    """Run ``python -m pca *args`` in ``cwd`` and capture its output; any
+    other keyword (``timeout``, ``preexec_fn``) goes to ``subprocess.run``."""
     return subprocess.run([sys.executable, "-m", "pca", *args],
                           capture_output=True, text=text, cwd=cwd,
-                          env=cli_env())
+                          env=cli_env(), **kwargs)

@@ -1,16 +1,18 @@
 import json
+import resource
 
 import pytest
 
 from clirun import run_cli
-from pca import cli, fileio
+from pca import cli, fileio, malcev
 from pca.algebra import (Ideal, group_algebra, make_algebra, tensor,
                          triangular_algebra)
 from pca.errors import InternalVerificationFailed, NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
+from pca.limits import Limits
 from pca.linalg import Subspace
 from pca.radical import RadicalResult
-from pca.tower import loop_quiver, power_series_tower
+from pca.tower import kronecker_quiver, loop_quiver, power_series_tower
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -289,3 +291,69 @@ def test_large_prime_field(tmp_path):
         assert res.stderr.startswith("pca: error:")
         assert "Traceback" not in res.stderr
         assert not res.stdout
+
+
+def test_conjugate_builds_the_quotient_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fileio.save_canonical("t3q.alg",
+                          fileio.algebra_to_doc(triangular_algebra(3, Q)))
+    for seed, name in (("1", "s1.json"), ("2", "s2.json")):
+        assert cli.main(["split", "t3q.alg", "--seed", seed, "-o", name]) == 0
+    calls = []
+    real_quotient = malcev.quotient
+
+    def counting_quotient(*args):
+        calls.append(args)
+        return real_quotient(*args)
+
+    monkeypatch.setattr(malcev, "quotient", counting_quotient)
+    assert cli.main(["conjugate", "t3q.alg", "--s1", "s1.json",
+                     "--s2", "s2.json"]) == 0
+    assert len(calls) == 1
+
+
+# -- input budgets ------------------------------------------------------------
+
+def _cap_memory():
+    # a refusal must not need memory; a build that starts is cut off here
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _two_loops():
+    return {"vertices": ["v"],
+            "arrows": [{"name": "x", "src": "v", "tgt": "v"},
+                       {"name": "y", "src": "v", "tgt": "v"}]}
+
+
+def _oversized_algebra():
+    n = Limits.dim + 1
+    return {"field": {"kind": "rationals"}, "dim": n,
+            "basis": [f"e{i}" for i in range(n)],
+            "unit": ["1"] + ["0"] * (n - 1), "mult": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "build", "--kind", "cyclicgroup", "--field", "F3", "--prime",
+     "3", "--depth", "12", "-o", "t.tower"),
+    ("tower", "build", "--kind", "powerseries", "--field", "Q", "--depth",
+     "100000", "-o", "t.tower"),
+    ("tower", "build", "--kind", "path", "--field", "Q", "--quiver",
+     "kron.quiver", "--depth", "100000", "-o", "t.tower"),
+    # 2^0 + ... + 2^9 = 1023 paths of length < 10 at the top free level
+    ("tower", "build", "--kind", "path", "--field", "Q", "--quiver",
+     "loops.quiver", "--depth", "10", "-o", "t.tower"),
+    ("radical", "big.alg"),
+], ids=["cyclic_dim", "powerseries_depth", "kronecker_depth", "path_dim",
+        "algebra_file_dim"])
+def test_oversized_input_is_refused(tmp_path, argv):
+    fileio.save_canonical(str(tmp_path / "kron.quiver"),
+                          fileio.quiver_to_doc(kronecker_quiver()))
+    fileio.save_canonical(str(tmp_path / "loops.quiver"), _two_loops())
+    fileio.save_canonical(str(tmp_path / "big.alg"), _oversized_algebra())
+    res = run_cli(*argv, cwd=tmp_path, timeout=20, preexec_fn=_cap_memory)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "above the limit" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
+    assert not (tmp_path / "t.tower").exists()

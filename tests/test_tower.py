@@ -4,8 +4,9 @@ import pytest
 
 from pca.algebra import group_algebra, matrix_algebra
 from pca.errors import (EmptyQuiver, IncompatibleCoordinates,
-                        NonComposableRelation)
+                        NonComposableRelation, TooLarge)
 from pca.fields import PrimeField, Rationals
+from pca.limits import Limits
 from pca.linalg import Subspace
 from pca.malcev import (malcev_conjugator, splitting_from_complement,
                         wedderburn_splitting)
@@ -144,3 +145,19 @@ def test_splitting_compatible_along_tower():
             s_direct = wedderburn_splitting(T.levels[i], seed=0)
             omega = malcev_conjugator(s_pushed, s_direct)
             assert radical(T.levels[i]).radical.contains(omega)
+
+
+def test_tower_size_limits():
+    # the largest accepted towers build; one step past either bound is
+    # refused before any level is built
+    assert cyclic_group_tower(2, F2, 8).levels[-1].dim == Limits.dim
+    assert power_series_tower(Q, Limits.depth).depth == Limits.depth
+    with pytest.raises(TooLarge):
+        cyclic_group_tower(2, F2, 9)
+    with pytest.raises(TooLarge):
+        power_series_tower(Q, Limits.depth + 1)
+    big = group_algebra(Limits.dim // 2 + 1, Q)
+    with pytest.raises(TooLarge):
+        product_tower([big, big])
+    with pytest.raises(TooLarge):
+        path_algebra_tower(kronecker_quiver(), Q, Limits.depth + 1)

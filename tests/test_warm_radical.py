@@ -1,0 +1,268 @@
+"""The warm tower radical, the generator powers of an ideal and the sparse
+associativity proof, each against a slower reference kept here.
+
+* ``tower_radicals`` (each level from the one below) must agree with the
+  cold ``radical`` of every level: the same space, the same filtration and
+  the same index, on every tower kind, and must fall back to the cold route
+  exactly where the preimage of the radical below is not nilpotent.
+* ``_nilpotency_data`` spans J^(k+1) from J^k times a generating set G of
+  J; the reference spans it from J^k times all of J.
+* ``FinAlg.verify`` expands both sides of associativity from the sparse
+  rows; the reference multiplies dense vectors, and both must give the same
+  answer and the same first failing triple.
+"""
+
+import importlib
+import random
+
+import pytest
+
+import corpus
+from pca import fileio
+from pca.algebra import (AlgHom, _trusted_algebra, direct_product,
+                         group_algebra, matrix_algebra, tensor,
+                         triangular_algebra, truncated_polynomial_algebra)
+from pca.errors import NoUnit, NotAssociative
+from pca.fields import (PrimeField, RationalFunctionField, Rationals,
+                        SimpleExtension)
+from pca.linalg import Matrix, Subspace, solve
+from pca.radical import _nilpotency_data, radical, radical_from_below
+from pca.tower import (QuiverSpec, Tower, cyclic_group_tower,
+                       kronecker_quiver, loop_quiver, path_algebra_tower,
+                       power_series_tower, product_tower, tower_radicals)
+
+radical_module = importlib.import_module("pca.radical")
+
+Q = Rationals()
+F2 = PrimeField(2)
+F3 = PrimeField(3)
+F5 = PrimeField(5)
+F9 = SimpleExtension(F3, (1, 0, 1), name="i")     # F_3[i]/(i^2 + 1)
+F2T = RationalFunctionField(2)
+
+
+def _custom_tower():
+    """T_2(Q) -> Q, upper triangular matrix to its (1,1) entry: the kernel
+    span(E12, E22) holds the idempotent E22, so it is not nilpotent."""
+    top = triangular_algebra(2, Q)          # basis E11, E12, E22
+    bottom = group_algebra(1, Q)
+    h = AlgHom(top, bottom, Matrix(Q, [[Q.one, Q.zero, Q.zero]], 3))
+    return Tower([bottom, top], [h], "custom")
+
+
+TOWERS = {
+    "powerseries": lambda: power_series_tower(Q, 6),
+    "cyclic_F2": lambda: cyclic_group_tower(2, F2, 4),
+    "cyclic_F3": lambda: cyclic_group_tower(3, F3, 3),
+    "loop": lambda: path_algebra_tower(loop_quiver(), Q, 5),
+    "kronecker": lambda: path_algebra_tower(kronecker_quiver(), F3, 3),
+    "with_relation": lambda: path_algebra_tower(
+        QuiverSpec(["v"], [("x", "v", "v")], [[("1", ("x", "x"))]]), Q, 4),
+    "product_local": lambda: product_tower(
+        [group_algebra(2, F2), group_algebra(4, F2),
+         truncated_polynomial_algebra(F2, 3)]),
+    "product_semisimple": lambda: product_tower(
+        [group_algebra(2, Q), group_algebra(3, Q), matrix_algebra(2, Q)]),
+}
+
+# how many levels above the first must take the cold route
+FALLBACKS = {"product_local": 2, "product_semisimple": 2, "custom_file": 1}
+
+
+def _summary(r):
+    return (r.radical.space, [f.space for f in r.filtration],
+            r.nilpotency_index)
+
+
+def _loaded_custom_tower(tmp_path):
+    path = str(tmp_path / "custom.tower")
+    fileio.save_canonical(path, fileio.tower_to_doc(_custom_tower()))
+    return fileio.load_tower(path)
+
+
+@pytest.fixture
+def cold_calls(monkeypatch):
+    """Counts the calls of the cold ``radical`` made by the warm route."""
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return radical(A)
+
+    monkeypatch.setattr(radical_module, "radical", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", [*TOWERS, "custom_file"])
+def test_warm_radicals_equal_cold(kind, tmp_path, cold_calls):
+    T = (_loaded_custom_tower(tmp_path) if kind == "custom_file"
+         else TOWERS[kind]())
+    warm = tower_radicals(T)
+    assert [_summary(r) for r in warm] == \
+        [_summary(radical(lvl)) for lvl in T.levels]
+    # the cold route runs exactly where the preimage is not nilpotent
+    fallbacks = FALLBACKS.get(kind, 0)
+    assert len(cold_calls) == fallbacks
+    assert sum(r.method == "preimage" for r in warm) == \
+        T.depth - 1 - fallbacks
+
+
+def test_product_tower_preimage_is_not_nilpotent(cold_calls):
+    T = TOWERS["product_local"]()
+    h = T.maps[0]
+    below = radical(T.levels[0])
+    pre = radical_module._preimage(h, below.radical.space)
+    # the preimage holds the whole new factor, unit included
+    assert pre.dim == below.radical.dim + (T.levels[1].dim
+                                          - T.levels[0].dim)
+    assert _nilpotency_data(T.levels[1], pre) is None
+    r = radical_from_below(h, below)
+    assert cold_calls == [T.levels[1]]
+    assert r.method == "char_p_chain"
+    assert r.radical.space == radical(T.levels[1]).radical.space
+
+
+# -- powers of an ideal ------------------------------------------------------
+
+def _reference_powers(A, space):
+    """J, J^2, ... from all products of J^k with J; None if they stall."""
+    powers = [space]
+    cur = space
+    while not cur.is_zero():
+        nxt = Subspace(A.field, A.dim,
+                       [A.mul(x, y) for x in cur.basis for y in space.basis])
+        if nxt.dim >= cur.dim:
+            return None
+        powers.append(nxt)
+        cur = nxt
+    return powers
+
+
+def _radical_corpus():
+    rng = random.Random(606)
+    algebras = [triangular_algebra(4, Q), group_algebra(16, F2),
+                group_algebra(9, F3), truncated_polynomial_algebra(F5, 6),
+                tensor(truncated_polynomial_algebra(F2, 2),
+                       group_algebra(2, F2)),
+                corpus.trivial_extension(group_algebra(3, Q)),
+                direct_product([truncated_polynomial_algebra(Q, 3),
+                                matrix_algebra(2, Q)])]
+    for K in (Q, F2, F3, F5):
+        algebras += [corpus.random_algebra(rng, K, 6) for _ in range(6)]
+    return algebras
+
+
+CORPUS = _radical_corpus()
+
+
+@pytest.mark.parametrize("A", CORPUS, ids=[f"{i}-dim{A.dim}"
+                                           for i, A in enumerate(CORPUS)])
+def test_generator_filtration_equals_reference(A):
+    J = radical(A)
+    assert [f.space for f in J.filtration] == \
+        _reference_powers(A, J.radical.space)
+    # every twosided ideal, nilpotent or not, gets the reference answer
+    for ideal in corpus.coordinate_ideals(A):
+        data = _nilpotency_data(A, ideal.space)
+        ref = _reference_powers(A, ideal.space)
+        if ref is None:
+            assert data is None
+        else:
+            assert [f.space for f in data[0]] == ref
+            assert data[1] == len(ref)
+
+
+def test_non_nilpotent_ideal_with_nilpotent_complement_of_square():
+    # J = N x E with N = (x) in k[x]/(x^3) and E = k: a complement V of
+    # J^2 in J may be taken inside N x 0, and then J V, J V V, ... reach 0
+    # although J is not nilpotent; the generator powers must see the stall
+    A = direct_product([truncated_polynomial_algebra(Q, 3),
+                        group_algebra(1, Q)])
+    J = Subspace(Q, 4, [A.basis_element(1), A.basis_element(2),
+                        A.basis_element(3)])
+    assert _reference_powers(A, J) is None
+    assert _nilpotency_data(A, J) is None
+
+
+# -- sparse associativity proof -----------------------------------------------
+
+def _dense_verify(A):
+    """The associativity and unit check on dense vectors: None if A
+    passes, else the exception type and the first failing triple."""
+    n = A.dim
+    prods = [[A.product_basis(i, j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = A.mul(prods[i][j], A.basis_element(k))
+                right = A.mul(A.basis_element(i), prods[j][k])
+                if left != right:
+                    return NotAssociative, (i, j, k)
+    for i in range(n):
+        e = A.basis_element(i)
+        if A.mul(A.unit, e) != e or A.mul(e, A.unit) != e:
+            return NoUnit, None
+    return None
+
+
+def _sparse_verify(A):
+    try:
+        assert A.verify() is True
+    except NotAssociative as err:
+        return NotAssociative, err.args[1]
+    except NoUnit:
+        return NoUnit, None
+    return None
+
+
+def _perturbed(rng, A):
+    """A copy of A's table with a few entries changed, added or dropped,
+    and now and then another unit."""
+    K = A.field
+    entries = list(A.entries())
+    unit = A.unit
+    if rng.random() < 0.2:
+        unit = tuple(K.random(rng) for _ in range(A.dim))
+    for _ in range(rng.randint(0, 2)):
+        choice = rng.random()
+        if choice < 0.4 and entries:
+            t = rng.randrange(len(entries))
+            i, j, k, c = entries[t]
+            entries[t] = (i, j, k, K.add(c, K.random(rng)))
+        elif choice < 0.8:
+            entries.append((rng.randrange(A.dim), rng.randrange(A.dim),
+                            rng.randrange(A.dim), K.random(rng)))
+        elif entries:
+            entries.pop(rng.randrange(len(entries)))
+    return _trusted_algebra(K, A.labels, entries, unit)
+
+
+def _rebased(rng, A):
+    """A on the basis e_i + (random multiples of e_a, a < i): dense
+    structure constants whose products cancel now and then."""
+    K, n = A.field, A.dim
+    M = Matrix(K, [[K.one if a == i else K.random(rng) if a < i else K.zero
+                    for i in range(n)] for a in range(n)], n)
+    new = M.columns()
+    entries = [(i, j, k, c)
+               for i in range(n) for j in range(n)
+               for k, c in enumerate(solve(M, A.mul(new[i], new[j])))
+               if not K.is_zero(c)]
+    return _trusted_algebra(K, A.labels, entries, solve(M, A.unit))
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9, F2T], ids=["Q", "F5", "F9", "F2t"])
+def test_sparse_verify_matches_dense_reference(K):
+    rng = random.Random(61)
+    bases = [group_algebra(3, K), truncated_polynomial_algebra(K, 4),
+             triangular_algebra(2, K), matrix_algebra(2, K),
+             tensor(truncated_polynomial_algebra(K, 2), group_algebra(2, K))]
+    bases += [_rebased(rng, A) for A in bases]
+    outcomes = set()
+    for _ in range(60):
+        A = _perturbed(rng, rng.choice(bases))
+        expected = _dense_verify(A)
+        assert _sparse_verify(A) == expected
+        outcomes.add(expected if expected is None else expected[0])
+    # the perturbations reach the accepting and both rejecting answers
+    assert outcomes == {None, NotAssociative, NoUnit}
