@@ -2,8 +2,14 @@
 
 Exit codes: 0 for success, 2 for a computed negative mathematical answer
 (not separable, not semisimple, not nilpotent), 1 for unusable input or
-command line.  Reports are deterministic: identical inputs produce
-identical bytes.
+command line, 3 for an internal failure: a result failed its own
+verification or contradicted a theorem.  That failure prints one line,
+``pca: internal error: ...`` with the seed and the input digest, on
+stderr and nothing on stdout.  Reports are deterministic: identical
+inputs produce identical bytes.
+
+Each handler imports the algorithm modules it runs, so a command does not
+pay for the start-up of the others.
 """
 
 from __future__ import annotations
@@ -12,15 +18,8 @@ import argparse
 import sys
 
 from . import fileio
-from .errors import PcaError, InternalVerificationFailed, TheoremViolation
-from .malcev import (malcev_conjugator, splitting_from_section_matrix,
-                     wedderburn_splitting)
-from .radical import radical, radical_oracle
-from .separability import is_separable, nilpotent_witness, sep_idempotent
-from .tower import (cyclic_group_tower, path_algebra_tower,
-                    power_series_tower, product_tower, quiver_radical_check,
-                    tower_radical_check, tower_radicals)
-from .wedderburn import central_idempotents
+from .errors import (InternalVerificationFailed, NotSemisimple, PcaError,
+                     TheoremViolation)
 
 
 def _flatten(prefix, val, lines):
@@ -64,6 +63,7 @@ def _vecs(K, rows):
 # -- handlers: return (negative, report) -------------------------------------
 
 def _cmd_radical(args):
+    from .radical import radical, radical_oracle
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     oracle = radical_oracle(A) if args.oracle else None
@@ -89,7 +89,7 @@ def _cmd_radical(args):
 
 
 def _cmd_wedderburn(args):
-    from .errors import NotSemisimple
+    from .wedderburn import central_idempotents
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     try:
@@ -114,6 +114,7 @@ def _cmd_wedderburn(args):
 
 
 def _cmd_septest(args):
+    from .separability import is_separable
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     sep = is_separable(A)
@@ -124,6 +125,7 @@ def _cmd_septest(args):
 
 
 def _cmd_sepidem(args):
+    from .separability import sep_idempotent
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     p = sep_idempotent(A)
@@ -141,6 +143,7 @@ def _cmd_sepidem(args):
 
 
 def _cmd_nilpotent(args):
+    from .separability import nilpotent_witness
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     x = fileio.parse_vector_text(A.field, args.element)
@@ -152,6 +155,7 @@ def _cmd_nilpotent(args):
 
 
 def _cmd_split(args):
+    from .malcev import wedderburn_splitting
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     s = wedderburn_splitting(A, seed=args.seed)
@@ -171,6 +175,7 @@ def _cmd_split(args):
 
 
 def _cmd_conjugate(args):
+    from .malcev import malcev_conjugator, splitting_from_section_matrix
     A = fileio.load_algebra(args.file)
     digest = fileio.digest_file(args.file)
     m1 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s1), A, digest)
@@ -188,6 +193,8 @@ def _cmd_conjugate(args):
 
 
 def _cmd_tower_build(args):
+    from .tower import (cyclic_group_tower, path_algebra_tower,
+                        power_series_tower, product_tower)
     K = fileio.parse_field_text(args.field)
     if args.kind == "powerseries":
         T = power_series_tower(K, args.depth)
@@ -224,6 +231,8 @@ def _cmd_tower_build(args):
 
 
 def _cmd_tower_check(args):
+    from .tower import (quiver_radical_check, tower_radical_check,
+                        tower_radicals)
     T = fileio.load_tower(args.file)
     digest = fileio.digest_file(args.file)
     results = {"kind": T.kind}
@@ -323,8 +332,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         negative, report = args.handler(args)
-    except (InternalVerificationFailed, TheoremViolation):
-        raise
+    except (InternalVerificationFailed, TheoremViolation) as exc:
+        where = f"seed {args.seed}"
+        if getattr(args, "file", None):
+            where += f", input {fileio.digest_file(args.file)}"
+        print(f"pca: internal error: {exc} ({where})", file=sys.stderr)
+        return 3
     except (OSError, PcaError) as exc:
         print(f"pca: error: {exc}", file=sys.stderr)
         return 1

@@ -20,6 +20,7 @@ import re
 from fractions import Fraction
 
 from .errors import BadSpec, DivisionByZero, FieldMismatch
+from .limits import check_degree
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound,
@@ -420,6 +421,7 @@ def _fp_poly_parse(text: str, p: int):
             k = 0
         elif m.group(4) is not None:
             k = int(m.group(4))
+            check_degree(k)
         else:
             k = 1
         coeffs[k] = (coeffs.get(k, 0) + sgn * c) % p

@@ -14,9 +14,8 @@ from .algebra import FinAlg, hom_check, make_algebra
 from .errors import BadSpec
 from .fields import (Field, PrimeField, RationalFunctionField, Rationals,
                      SimpleExtension, split_top_level)
-from .limits import check_dim
+from .limits import check_depth, check_dim
 from .linalg import Matrix
-from .tower import QuiverSpec, Tower
 
 
 def canonical_dumps(doc) -> str:
@@ -157,7 +156,7 @@ def load_algebra(path: str) -> FinAlg:
 
 # -- quivers ------------------------------------------------------------------
 
-def quiver_to_doc(q: QuiverSpec) -> dict:
+def quiver_to_doc(q) -> dict:
     return {
         "vertices": list(q.vertices),
         "arrows": [{"name": n, "src": s, "tgt": t} for n, s, t in q.arrows],
@@ -167,7 +166,9 @@ def quiver_to_doc(q: QuiverSpec) -> dict:
     }
 
 
-def quiver_from_doc(doc: dict) -> QuiverSpec:
+def quiver_from_doc(doc: dict):
+    """The ``tower.QuiverSpec`` a quiver document describes."""
+    from .tower import QuiverSpec
     try:
         vertices = doc["vertices"]
         arrows = [(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
@@ -179,13 +180,13 @@ def quiver_from_doc(doc: dict) -> QuiverSpec:
     return QuiverSpec(vertices, arrows, relations)
 
 
-def load_quiver(path: str) -> QuiverSpec:
+def load_quiver(path: str):
     return quiver_from_doc(load_json(path))
 
 
 # -- towers ---------------------------------------------------------------
 
-def tower_to_doc(T: Tower) -> dict:
+def tower_to_doc(T) -> dict:
     K = T.levels[0].field
     return {
         "kind": T.kind,
@@ -195,8 +196,12 @@ def tower_to_doc(T: Tower) -> dict:
     }
 
 
-def tower_from_doc(doc: dict) -> Tower:
+def tower_from_doc(doc: dict):
+    """The ``tower.Tower`` a tower document describes; its number of
+    levels is checked before any level is parsed."""
+    from .tower import Tower
     try:
+        check_depth(len(doc["levels"]))
         levels = [algebra_from_doc(d) for d in doc["levels"]]
         maps = []
         for i, mdoc in enumerate(doc["maps"]):
@@ -209,7 +214,7 @@ def tower_from_doc(doc: dict) -> Tower:
     return Tower(levels, maps, kind, meta)
 
 
-def load_tower(path: str) -> Tower:
+def load_tower(path: str):
     return tower_from_doc(load_json(path))
 
 

@@ -21,7 +21,6 @@ The two corrections have one sign each:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient
 from .errors import (BadSpec, CoboundaryUnsolvable,
@@ -32,15 +31,17 @@ from .radical import RadicalResult, radical
 from .separability import induced_bimodule, inner_derivation, is_separable
 
 
-@dataclass
 class Splitting:
     """An algebra section of the projection A -> A/J(A) with image S."""
-    algebra: FinAlg
-    quotient: FinAlg
-    projection: AlgHom
-    section: AlgHom
-    image: Subspace
-    radical: RadicalResult
+
+    def __init__(self, algebra: FinAlg, quotient: FinAlg, projection: AlgHom,
+                 section: AlgHom, image: Subspace, radical: RadicalResult):
+        self.algebra = algebra
+        self.quotient = quotient
+        self.projection = projection
+        self.section = section
+        self.image = image
+        self.radical = radical
 
     def verify(self):
         A = self.algebra

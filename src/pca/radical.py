@@ -39,7 +39,6 @@ test suite to pin the fast routes down.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField)
@@ -48,12 +47,16 @@ from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
 from .linalg import Matrix, Subspace, nullspace, rank
 
 
-@dataclass
 class RadicalResult:
-    radical: Ideal
-    filtration: list
-    nilpotency_index: int
-    method: str
+    """J(A), its filtration J > J^2 > ... > 0, the nilpotency index and
+    the route that found it."""
+
+    def __init__(self, radical: Ideal, filtration: list,
+                 nilpotency_index: int, method: str):
+        self.radical = radical
+        self.filtration = filtration
+        self.nilpotency_index = nilpotency_index
+        self.method = method
 
 
 def _check_field_supported(A: FinAlg):

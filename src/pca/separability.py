@@ -20,8 +20,6 @@ with one sign, and each answer is still checked by substitution:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import FinAlg, base_change
 from .errors import (BadSpec, InternalVerificationFailed, NotADerivation)
 from .fields import PrimeField, Rationals
@@ -29,12 +27,15 @@ from .linalg import Matrix, Subspace, nullspace, solve, vec_is_zero
 from .radical import is_semisimple as _is_semisimple
 
 
-@dataclass
 class SepIdempotent:
     """An element p of A (x) A with m(p) = 1 and ap = pa."""
-    algebra: FinAlg
-    tensor_coeffs: tuple       # length dim^2, index s*dim + t for e_s (x) e_t
-    pairs: list                # [(left, right)] with p = sum left_i (x) right_i
+
+    def __init__(self, algebra: FinAlg, tensor_coeffs: tuple, pairs: list):
+        self.algebra = algebra
+        # length dim^2, index s*dim + t for e_s (x) e_t
+        self.tensor_coeffs = tensor_coeffs
+        # [(left, right)] with p = sum left_i (x) right_i
+        self.pairs = pairs
 
 
 def _tensor_mul_left(A: FinAlg, i: int, v):

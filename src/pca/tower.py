@@ -19,8 +19,6 @@ dimension of its top level (``limits.Limits``) before it builds a level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .algebra import (AlgHom, _trusted_algebra, direct_product,
                       group_algebra, hom_check, ideal_closure, quotient,
                       truncated_polynomial_algebra)
@@ -32,15 +30,15 @@ from .linalg import Matrix, Subspace, rank, solve_many, unit_vec
 from .radical import is_semisimple, radical, radical_from_below
 
 
-@dataclass
 class Tower:
     """Levels A_1 .. A_N and surjective maps A_{i+1} -> A_i."""
-    levels: list
-    maps: list
-    kind: str
-    meta: dict = dataclass_field(default_factory=dict)
 
-    def __post_init__(self):
+    def __init__(self, levels: list, maps: list, kind: str,
+                 meta: dict | None = None):
+        self.levels = levels
+        self.maps = maps
+        self.kind = kind
+        self.meta = {} if meta is None else meta
         if not self.levels:
             raise BadSpec("a tower needs at least one level")
         if len(self.maps) != len(self.levels) - 1:
@@ -56,11 +54,12 @@ class Tower:
         return len(self.levels)
 
 
-@dataclass
 class TowerElement:
     """A compatible coordinate sequence through the levels."""
-    tower: Tower
-    coords: list
+
+    def __init__(self, tower: Tower, coords: list):
+        self.tower = tower
+        self.coords = coords
 
     def add(self, other: "TowerElement") -> "TowerElement":
         T = self.tower
@@ -165,7 +164,6 @@ def product_tower(factors, depth: int | None = None) -> Tower:
 
 # -- quivers ------------------------------------------------------------------
 
-@dataclass
 class QuiverSpec:
     """A finite quiver with optional homogeneous path relations.
 
@@ -173,15 +171,12 @@ class QuiverSpec:
     (coefficient, path) terms; coefficients may be scalar text, ints, or
     scalars, and every path in one relation must be composable with one
     shared length >= 2."""
-    vertices: list
-    arrows: list
-    relations: list = dataclass_field(default_factory=list)
 
-    def __post_init__(self):
-        self.vertices = list(self.vertices)
-        self.arrows = [tuple(a) for a in self.arrows]
+    def __init__(self, vertices, arrows, relations=()):
+        self.vertices = list(vertices)
+        self.arrows = [tuple(a) for a in arrows]
         self.relations = [[(c, tuple(path)) for c, path in rel]
-                          for rel in self.relations]
+                          for rel in relations]
         if not self.vertices:
             raise EmptyQuiver("quiver has no vertices")
         if len(set(self.vertices)) != len(self.vertices):

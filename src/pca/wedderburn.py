@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .algebra import (FinAlg, _block_minpoly, _trusted_algebra, direct_product,
                       hom_check)
@@ -26,13 +25,19 @@ from .radical import is_semisimple
 from .fields import pdeg, pdivmod, pextgcd, pmod, pmul, pscale
 
 
-@dataclass
 class BlockDecomposition:
-    algebra: FinAlg
-    idempotents: list          # complete orthogonal primitive central set
-    blocks: list               # FinAlg on each Ae with unit e
-    block_spaces: list         # Subspace of A underlying each block
-    block_data: list           # dicts: total_dim, center_dim, matrix_degree
+    """``idempotents``: a complete orthogonal primitive central set.  For
+    each idempotent e, ``blocks`` holds the FinAlg on Ae with unit e,
+    ``block_spaces`` the Subspace of A under it and ``block_data`` a dict
+    with total_dim, center_dim and, over a prime field, matrix_degree."""
+
+    def __init__(self, algebra: FinAlg, idempotents: list, blocks: list,
+                 block_spaces: list, block_data: list):
+        self.algebra = algebra
+        self.idempotents = idempotents
+        self.blocks = blocks
+        self.block_spaces = block_spaces
+        self.block_data = block_data
 
 
 def center(A: FinAlg) -> Subspace:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import resource
 
@@ -7,12 +8,15 @@ from clirun import run_cli
 from pca import cli, fileio, malcev
 from pca.algebra import (Ideal, group_algebra, make_algebra, tensor,
                          triangular_algebra)
-from pca.errors import InternalVerificationFailed, NotAHom
+from pca.errors import NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.limits import Limits
 from pca.linalg import Subspace
 from pca.radical import RadicalResult
 from pca.tower import kronecker_quiver, loop_quiver, power_series_tower
+
+# the submodule; ``pca.radical`` is the public function of that name
+radical_module = importlib.import_module("pca.radical")
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -241,15 +245,19 @@ def test_hostile_splitting_is_input_error(tmp_path, alg, good, bad):
     assert not res.stdout
 
 
-def test_oracle_disagreement_raises(fixtures, monkeypatch):
+def test_oracle_disagreement_raises(fixtures, monkeypatch, capsys):
     def zero_radical(A):
         zero = Ideal(A, Subspace.zero(A.field, A.dim))
         return RadicalResult(zero, [zero], 0, "trace_form")
 
     monkeypatch.chdir(fixtures)
-    monkeypatch.setattr(cli, "radical", zero_radical)
-    with pytest.raises(InternalVerificationFailed):
-        cli.main(["radical", "f2c2.alg", "--oracle"])
+    monkeypatch.setattr(radical_module, "radical", zero_radical)
+    assert cli.main(["radical", "f2c2.alg", "--oracle", "--seed", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == ("pca: internal error: oracle and main method disagree on "
+                   "the radical (seed 7, input "
+                   f"{fileio.digest_file('f2c2.alg')})\n")
 
 
 GOOD_TOWER = fileio.tower_to_doc(power_series_tower(Q, 2))
@@ -332,6 +340,20 @@ def _oversized_algebra():
             "unit": ["1"] + ["0"] * (n - 1), "mult": []}
 
 
+def _high_degree_algebra():
+    # t^99999999 as a dense list would need about 800 MB
+    return {"field": {"kind": "ratfunc", "p": 2}, "dim": 1, "basis": ["e"],
+            "unit": ["1"], "mult": [[0, 0, 0, "t^99999999"]]}
+
+
+def _deep_tower():
+    n = Limits.depth + 1
+    point = {"field": {"kind": "rationals"}, "dim": 1, "basis": ["e"],
+             "unit": ["1"], "mult": [[0, 0, 0, "1"]]}
+    return {"kind": "custom", "levels": [point] * n,
+            "maps": [[["1"]]] * (n - 1)}
+
+
 @pytest.mark.parametrize("argv", [
     ("tower", "build", "--kind", "cyclicgroup", "--field", "F3", "--prime",
      "3", "--depth", "12", "-o", "t.tower"),
@@ -343,13 +365,17 @@ def _oversized_algebra():
     ("tower", "build", "--kind", "path", "--field", "Q", "--quiver",
      "loops.quiver", "--depth", "10", "-o", "t.tower"),
     ("radical", "big.alg"),
+    ("septest", "deg.alg"),
+    ("tower", "check", "deep.tower"),
 ], ids=["cyclic_dim", "powerseries_depth", "kronecker_depth", "path_dim",
-        "algebra_file_dim"])
+        "algebra_file_dim", "ratfunc_degree", "tower_file_depth"])
 def test_oversized_input_is_refused(tmp_path, argv):
     fileio.save_canonical(str(tmp_path / "kron.quiver"),
                           fileio.quiver_to_doc(kronecker_quiver()))
     fileio.save_canonical(str(tmp_path / "loops.quiver"), _two_loops())
     fileio.save_canonical(str(tmp_path / "big.alg"), _oversized_algebra())
+    fileio.save_canonical(str(tmp_path / "deg.alg"), _high_degree_algebra())
+    fileio.save_canonical(str(tmp_path / "deep.tower"), _deep_tower())
     res = run_cli(*argv, cwd=tmp_path, timeout=20, preexec_fn=_cap_memory)
     assert res.returncode == 1
     assert res.stderr.startswith("pca: error:")

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from pca.errors import BadSpec, DivisionByZero, FieldMismatch
+from pca.errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension, check_same_field, is_prime,
                         prime_subfield)
+from pca.limits import Limits
 from pca.poly import Poly
 
 Q = Rationals()
@@ -161,3 +162,13 @@ def test_function_field_parse_forms():
     assert F2T.parse("t^2+1/t") == F2T.parse("(t^2+1)/(t)")
     three_t = RationalFunctionField(5).parse("3*t")
     assert RationalFunctionField(5).text(three_t) == "3*t"
+
+
+def test_function_field_degree_limit():
+    top = Limits.degree
+    t_top = F2T.parse(f"t^{top}")
+    assert t_top == F2T.mul(F2T.parse(f"t^{top - 1}"), F2T.t)
+    assert F2T.parse(f"1/t^{top}") == F2T.inv(t_top)
+    for text in (f"t^{top + 1}", f"1/(t^{top + 1}+1)", "t^99999999"):
+        with pytest.raises(TooLarge):
+            F2T.parse(text)

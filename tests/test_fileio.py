@@ -7,9 +7,10 @@ import corpus
 from pca import fileio
 from pca.algebra import (base_change, group_algebra, matrix_algebra,
                          triangular_algebra)
-from pca.errors import BadSpec
+from pca.errors import BadSpec, TooLarge
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
+from pca.limits import Limits
 from pca.malcev import wedderburn_splitting
 from pca.poly import Poly
 from pca.tower import (QuiverSpec, kronecker_quiver, path_algebra_tower,
@@ -91,6 +92,17 @@ def test_tower_round_trip():
         assert all(a == b for a, b in zip(T2.levels, T.levels))
         assert fileio.canonical_dumps(fileio.tower_to_doc(T2)) == \
             fileio.canonical_dumps(doc)
+
+
+def test_tower_doc_depth_limit():
+    point = fileio.algebra_to_doc(power_series_tower(Q, 1).levels[0])
+
+    def doc(n):
+        return {"levels": [point] * n, "maps": [[["1"]]] * (n - 1)}
+
+    assert fileio.tower_from_doc(doc(Limits.depth)).depth == Limits.depth
+    with pytest.raises(TooLarge):
+        fileio.tower_from_doc(doc(Limits.depth + 1))
 
 
 def test_splitting_doc_round_trip(tmp_path):

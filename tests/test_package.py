@@ -1,0 +1,55 @@
+"""The package's public names and what a command imports."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import pca
+from clirun import cli_env
+from pca import fileio
+from pca.algebra import group_algebra
+from pca.fields import PrimeField
+
+# modules that ``pca radical`` must not load: the record classes are plain
+# classes, and each command imports only the algorithms it runs
+NOT_LOADED = ("dataclasses", "inspect", "pca.wedderburn", "pca.separability",
+              "pca.malcev", "pca.tower")
+
+PROBE = """
+import json, sys
+from pca import cli
+code = cli.main(["radical", "f2c4.alg", "--json"])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def test_radical_command_loads_only_what_it_runs(tmp_path):
+    f2c4 = group_algebra(4, PrimeField(2))
+    fileio.save_canonical(str(tmp_path / "f2c4.alg"),
+                          fileio.algebra_to_doc(f2c4))
+    res = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path,
+                         env=cli_env(), capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    code, modules = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0
+    assert "pca.radical" in modules
+    assert [m for m in NOT_LOADED if m in modules] == []
+
+
+def test_every_public_name_resolves():
+    star = {}
+    exec("from pca import *", star)
+    assert len(pca.__all__) == 74
+    for name in pca.__all__:
+        obj = getattr(pca, name)
+        assert star[name] is obj
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    # the function keeps its name after its submodule is imported
+    assert pca.radical is sys.modules["pca.radical"].radical
+    with pytest.raises(AttributeError):
+        getattr(pca, "no_such_name")
+    with pytest.raises(ImportError):
+        exec("from pca import no_such_name", {})
