@@ -77,12 +77,6 @@ class FinAlg:
                     acc[k] = K.add(acc[k], K.mul(cc, c))
         return tuple(acc)
 
-    def power(self, u, m: int):
-        out = self.unit
-        for _ in range(m):
-            out = self.mul(out, u)
-        return out
-
     def product_basis(self, i: int, j: int):
         K = self.field
         out = [K.zero] * self.dim
@@ -439,17 +433,11 @@ class Ideal:
         self.sidedness = sidedness
 
     def verify(self):
-        """Check closure under the declared multiplications by the basis."""
-        A, space = self.ambient, self.space
-        for v in space.basis:
-            for i in range(A.dim):
-                e = A.basis_element(i)
-                if self.sidedness in ("left", "twosided"):
-                    if not space.contains(A.mul(e, v)):
-                        raise NotAnIdeal(f"not closed under left e{i}")
-                if self.sidedness in ("right", "twosided"):
-                    if not space.contains(A.mul(v, e)):
-                        raise NotAnIdeal(f"not closed under right e{i}")
+        """Check closure under the declared multiplications by the basis,
+        by one elimination of the basis products (``_closure_step``)."""
+        if _closure_step(self.ambient, self.space,
+                         self.sidedness).dim != self.dim:
+            raise NotAnIdeal(f"subspace is not a {self.sidedness} ideal")
         return True
 
     @property
@@ -474,21 +462,28 @@ class Ideal:
         return f"Ideal(dim {self.dim}, {self.sidedness})"
 
 
-def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:
-    """Smallest subspace containing the generators and closed under the
-    declared actions, by iterated multiplication until the dimension stops
-    growing."""
-    space = Subspace(a.field, a.dim, list(generators))
-    while True:
-        new_vecs = list(space.basis)
+def _closure_step(a: FinAlg, space: Subspace, sidedness) -> Subspace:
+    """space extended by the products of its basis with every e_i, on the
+    declared sides.  The space is such an ideal exactly when the step
+    leaves its dimension unchanged."""
+    def products():
         for v in space.basis:
             for i in range(a.dim):
                 e = a.basis_element(i)
-                if sidedness in ("left", "twosided"):
-                    new_vecs.append(a.mul(e, v))
-                if sidedness in ("right", "twosided"):
-                    new_vecs.append(a.mul(v, e))
-        bigger = Subspace(a.field, a.dim, new_vecs)
+                if sidedness != "right":
+                    yield a.mul(e, v)
+                if sidedness != "left":
+                    yield a.mul(v, e)
+    return space.extend(products())
+
+
+def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:
+    """Smallest subspace containing the generators and closed under the
+    declared actions, by closure steps until the dimension stops
+    growing."""
+    space = Subspace(a.field, a.dim, list(generators))
+    while True:
+        bigger = _closure_step(a, space, sidedness)
         if bigger.dim == space.dim:
             return Ideal(a, space, sidedness)
         space = bigger
@@ -621,7 +616,7 @@ def _block_minpoly(a: FinAlg, e, z) -> Poly:
         if span.contains(nxt):
             break
         powers.append(nxt)
-        span = Subspace(K, a.dim, powers)
+        span = span.extend([nxt])
     sol = solve(Matrix(K, zip(*powers), len(powers)), nxt)
     return Poly(K, [K.neg(c) for c in sol] + [K.one])
 

@@ -492,9 +492,6 @@ class RationalFunctionField(Field):
             return self.zero
         return RatFunc((n,), (1,))
 
-    def from_poly(self, cs):
-        return self.make(cs, (1,))
-
     def parse(self, text):
         text = text.strip().replace(" ", "")
         if "/" in text:

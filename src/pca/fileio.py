@@ -168,16 +168,14 @@ def quiver_to_doc(q) -> dict:
 
 def quiver_from_doc(doc: dict):
     """The ``tower.QuiverSpec`` a quiver document describes."""
-    from .tower import QuiverSpec
+    from .tower import _checked_quiver
     try:
-        vertices = doc["vertices"]
         arrows = [(a["name"], a["src"], a["tgt"]) for a in doc["arrows"]]
-        relations = [[(term["coeff"], tuple(term["path"]))
-                      for term in rel["terms"]]
+        relations = [[(term["coeff"], term["path"]) for term in rel["terms"]]
                      for rel in doc.get("relations", [])]
-    except (KeyError, TypeError) as exc:
+        return _checked_quiver(doc["vertices"], arrows, relations)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise BadSpec(f"malformed quiver document: {exc}") from exc
-    return QuiverSpec(vertices, arrows, relations)
 
 
 def load_quiver(path: str):
@@ -209,6 +207,8 @@ def tower_from_doc(doc: dict):
             maps.append(hom_check(M, levels[i + 1], levels[i]))
         kind = doc.get("kind", "custom")
         meta = doc.get("meta", {})
+        if not isinstance(meta, dict):
+            raise BadSpec("tower metadata must be a JSON object")
     except (KeyError, TypeError, IndexError) as exc:
         raise BadSpec(f"malformed tower document: {exc}") from exc
     return Tower(levels, maps, kind, meta)

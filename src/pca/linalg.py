@@ -5,10 +5,13 @@ Matrices are immutable-by-convention row tuples.  Every elimination, in
 ``Subspace``, goes through one sparse Gauss-Jordan kernel, ``_eliminate``,
 which works on ``{col: value}`` rows and touches only nonzero entries;
 the systems the algorithms build (the separability system above all) have
-a few nonzeros per row.  The reduced row echelon form of a matrix is
-unique, so the kernel's results do not depend on the order in which it
-visits rows or on how it stores them.  Division is exact; "no solution"
-is a value (None), not an error.
+a few nonzeros per row.  A ``Subspace`` keeps the kernel's pivot rows, so
+its reductions, coordinates and sums are the kernel's own row step, and
+``Subspace.extend`` carries an elimination on instead of starting over.
+The reduced row echelon form of a matrix is unique, so the kernel's
+results do not depend on the order in which it visits rows or on how it
+stores them.  Division is exact; "no solution" is a value (None), not an
+error.
 """
 
 from __future__ import annotations
@@ -74,20 +77,17 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self):
-        return Matrix(self.field, zip(*self.data) if self.data else [],
-                      self.rows)
-
     def apply(self, v):
-        """Matrix times column vector, with zero-skipping."""
+        """Matrix times column vector, over the nonzero coordinates of v."""
         K = self.field
+        nz = [(j, x) for j, x in enumerate(v) if not K.is_zero(x)]
         out = []
         for row in self.data:
             acc = K.zero
-            for a, x in zip(row, v):
-                if K.is_zero(a) or K.is_zero(x):
-                    continue
-                acc = K.add(acc, K.mul(a, x))
+            for j, x in nz:
+                a = row[j]
+                if not K.is_zero(a):
+                    acc = K.add(acc, K.mul(a, x))
             out.append(acc)
         return tuple(out)
 
@@ -145,29 +145,46 @@ def _sub_multiple(K: Field, row: dict, f, other: dict):
             row[j] = v
 
 
-def _eliminate(field: Field, rows, ncols):
-    """In-place RREF of a list of equal-length row lists; returns the
-    pivot column list.  Pivots are taken only among the first ``ncols``
-    columns; any columns past them ride along as a tail.
+def _sparse(K: Field, v) -> dict:
+    return {j: a for j, a in enumerate(v) if not K.is_zero(a)}
 
-    The rows are reduced one at a time as ``{col: value}`` dicts against
-    a set of pivot rows that is kept fully reduced: each pivot row is
-    monic at its pivot, has nothing left of it, and has zeros in every
-    other pivot column.  A new row therefore needs one pass over the
-    pivot columns it touches, and its leftmost remaining column in range
-    becomes the next pivot.  The rows are written back in place, the
-    pivot rows in column order followed by the leftover rows.
+
+def _dense(K: Field, row: dict, n: int) -> tuple:
+    out = [K.zero] * n
+    for j, a in row.items():
+        out[j] = a
+    return tuple(out)
+
+
+def _reduce(K: Field, row: dict, piv: dict) -> dict:
+    """The row step: row minus its multiples of the pivot rows, in place.
+    The pivot rows are fully reduced, so one pass over the pivot columns
+    that the row touches clears them all."""
+    for c in [c for c in row if c in piv]:
+        _sub_multiple(K, row, row[c], piv[c])
+    return row
+
+
+def _eliminate(field: Field, rows, ncols, piv=None):
+    """Gauss-Jordan elimination of dense rows, carried on from the pivot
+    rows ``piv`` (updated in place) when given; returns (piv, rest).
+
+    ``piv`` maps each pivot column to its ``{col: value}`` row, kept fully
+    reduced: monic at its pivot, nothing left of it, and zeros in every
+    other pivot column.  A new row therefore needs one row step, and its
+    leftmost remaining column among the first ``ncols`` becomes the next
+    pivot.  Later columns ride along as a tail; ``rest`` holds the rows
+    left with only a nonzero tail.
     """
     K = field
-    piv = {}       # pivot column -> reduced pivot row
-    rest = []      # rows with nothing left in the first ncols columns
+    piv = {} if piv is None else piv
+    rest = []
     for dense in rows:
-        row = {j: a for j, a in enumerate(dense) if not K.is_zero(a)}
-        for c in [c for c in row if c in piv]:
-            _sub_multiple(K, row, row[c], piv[c])
+        row = _reduce(K, _sparse(K, dense), piv)
         lead = min((j for j in row if j < ncols), default=None)
         if lead is None:
-            rest.append(row)
+            if row:
+                rest.append(row)
             continue
         inv = K.inv(row[lead])
         if inv != K.one:
@@ -177,41 +194,40 @@ def _eliminate(field: Field, rows, ncols):
             if f is not None:
                 _sub_multiple(K, prow, f, row)
         piv[lead] = row
-    pivots = sorted(piv)
-    for i, row in enumerate([piv[c] for c in pivots] + rest):
-        rows[i] = dense = [K.zero] * len(rows[i])
-        for j, a in row.items():
-            dense[j] = a
-    return pivots
+    return piv, rest
+
+
+def _dense_rows(K: Field, piv: dict, n: int) -> list:
+    """The pivot rows as dense tuples, in pivot order: the RREF rows."""
+    return [_dense(K, piv[c], n) for c in sorted(piv)]
 
 
 def rref(M: Matrix):
     """Reduced row echelon form and the pivot columns."""
-    rows = [list(r) for r in M.data]
-    pivots = _eliminate(M.field, rows, M.cols)
-    return Matrix(M.field, rows, M.cols), tuple(pivots)
+    K = M.field
+    piv, _ = _eliminate(K, M.data, M.cols)
+    rows = _dense_rows(K, piv, M.cols)
+    rows += [zero_vec(K, M.cols)] * (M.rows - len(rows))
+    return Matrix(K, rows, M.cols), tuple(sorted(piv))
 
 
 def rank(M: Matrix) -> int:
-    return len(rref(M)[1])
+    return len(_eliminate(M.field, M.data, M.cols)[0])
 
 
 def nullspace(M: Matrix) -> Matrix:
     """Canonical basis (RREF rows) of {x : M x = 0}."""
     K = M.field
-    R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
+    piv, _ = _eliminate(K, M.data, M.cols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(M.cols) if c not in piv):
         v = [K.zero] * M.cols
         v[fc] = K.one
-        for r, pc in enumerate(pivots):
-            v[pc] = K.neg(R.data[r][fc])
+        for pc, row in piv.items():
+            v[pc] = K.neg(row.get(fc, K.zero))
         basis.append(v)
-    rows = [list(r) for r in basis]
-    _eliminate(K, rows, M.cols)
-    rows = [r for r in rows if not vec_is_zero(K, r)]
-    return Matrix(K, rows, M.cols)
+    return Matrix(K, _dense_rows(K, _eliminate(K, basis, M.cols)[0],
+                                 M.cols), M.cols)
 
 
 def solve(M: Matrix, b) -> tuple | None:
@@ -227,37 +243,42 @@ def solve_many(M: Matrix, bs) -> list | None:
     K = M.field
     bs = [tuple(b) for b in bs]
     rows = [list(row) + [b[i] for b in bs] for i, row in enumerate(M.data)]
-    pivots = _eliminate(K, rows, M.cols)
-    # inconsistent when a zero row has a nonzero tail
-    for row in rows:
-        if all(K.is_zero(a) for a in row[:M.cols]) and any(
-                not K.is_zero(a) for a in row[M.cols:]):
-            return None
+    piv, rest = _eliminate(K, rows, M.cols)
+    if rest:      # a zero row with a nonzero tail
+        return None
     out = []
-    for t in range(len(bs)):
+    for t in range(M.cols, M.cols + len(bs)):
         x = [K.zero] * M.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][M.cols + t]
+        for pc, row in piv.items():
+            if t in row:
+                x[pc] = row[t]
         out.append(tuple(x))
     return out
 
 
 class Subspace:
-    """A linear subspace of K^n held as a canonical RREF basis."""
+    """A linear subspace of K^n held as a canonical RREF basis and as the
+    kernel's pivot rows, which its reductions and spans run through."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_rows")
 
     def __init__(self, field: Field, ambient: int, vectors):
-        rows = [list(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
-                raise AmbientMismatch("vector length != ambient dimension")
-        pivots = _eliminate(field, rows, ambient)
-        rows = rows[:len(pivots)]
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
+        self._span({}, vectors)
+
+    def _span(self, rows: dict, vectors):
+        """Store the span of the pivot rows ``rows`` and ``vectors``."""
+        def sized(vectors):
+            for v in vectors:
+                v = tuple(v)
+                if len(v) != self.ambient:
+                    raise AmbientMismatch("vector length != ambient dimension")
+                yield v
+        self._rows, _ = _eliminate(self.field, sized(vectors), self.ambient,
+                                   rows)
+        self.pivots = tuple(sorted(self._rows))
+        self.basis = tuple(_dense_rows(self.field, self._rows, self.ambient))
 
     @classmethod
     def zero(cls, field: Field, ambient: int):
@@ -275,39 +296,37 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    def extend(self, vectors) -> "Subspace":
+        """The span of this space and ``vectors``, carrying on the
+        elimination from a copy of the stored pivot rows."""
+        out = Subspace.__new__(Subspace)
+        out.field, out.ambient = self.field, self.ambient
+        out._span({c: dict(row) for c, row in self._rows.items()}, vectors)
+        return out
+
+    def _residue(self, v) -> dict:
+        return _reduce(self.field, _sparse(self.field, v), self._rows)
+
     def reduce(self, v):
         """Residue of v after eliminating against the basis."""
-        K = self.field
-        v = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            c = v[pc]
-            if K.is_zero(c):
-                continue
-            for j in range(self.ambient):
-                v[j] = K.sub(v[j], K.mul(c, row[j]))
-        return tuple(v)
+        return _dense(self.field, self._residue(v), self.ambient)
 
     def contains(self, v) -> bool:
-        K = self.field
-        return all(K.is_zero(a) for a in self.reduce(v))
+        return not self._residue(v)
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        K = self.field
-        res = self.reduce(v)
-        if not all(K.is_zero(a) for a in res):
+        if self._residue(v):
             return None
         return tuple(v[pc] for pc in self.pivots)
 
     def from_coords(self, cs):
         K = self.field
-        out = [K.zero] * self.ambient
-        for c, row in zip(cs, self.basis):
-            if K.is_zero(c):
-                continue
-            for j in range(self.ambient):
-                out[j] = K.add(out[j], K.mul(c, row[j]))
-        return tuple(out)
+        out = {}
+        for c, pc in zip(cs, self.pivots):
+            if not K.is_zero(c):
+                _sub_multiple(K, out, K.neg(c), self._rows[pc])
+        return _dense(K, out, self.ambient)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
@@ -315,8 +334,7 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(self.field, self.ambient,
-                        list(self.basis) + list(other.basis))
+        return self.extend(other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the nullspace of the stacked coefficient system."""
@@ -340,10 +358,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.field, self.ambient, self.basis))
-
-    def __le__(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(other.contains(v) for v in self.basis)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient} over {self.field!r})"

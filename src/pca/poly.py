@@ -103,9 +103,6 @@ class Poly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def deriv(self):
-        return Poly(self.field, pderiv(self.coeffs, self.field))
-
     def __call__(self, x):
         return peval(self.coeffs, x, self.field)
 

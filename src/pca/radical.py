@@ -4,10 +4,10 @@ Two cold routes:
 
 * characteristic 0, or characteristic p > dim(A): the radical is the kernel
   of the trace form (x, y) -> tr(L_{xy});
-* characteristic p <= dim(A): a descending chain of subspaces cut out by
-  trace-of-p-power functionals evaluated on integer lifts of the left
-  regular representation, run over the prime subfield after restriction of
-  scalars.
+* characteristic p <= dim(A): a descending chain that starts from the
+  kernel of the trace form and is cut by trace-of-p^i-power functionals
+  evaluated on integer lifts of the left regular representation, run over
+  the prime subfield after restriction of scalars.
 
 One warm route, ``radical_from_below``, for a surjection pi: A -> B whose
 target's radical is known, as between the levels of a tower.  pi maps
@@ -105,13 +105,15 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
     """Radical over a prime field F_p with p <= dim, by the descending chain
     I_{i+1} = {x in I_i : tr((Lx Ly)^(p^i)) = 0 mod p^(i+1) for all y in I_i}.
 
-    The integer traces are provably divisible by p^i on the chain, which
-    makes each condition an F_p-linear cut; non-divisibility would mean a
-    bug and is raised.  Only t mod p^(i+1) matters, and q = p^i divides
-    p^(i+1), so every product and power is reduced mod p^(i+1) and the
-    check ``t % q`` stays exact.  The Gram matrix is symmetric, because
-    tr((XY)^q) = tr((YX)^q), so only s >= r is computed; at i = 0 the trace
-    tr(XY) is the sum of X_ab Y_ba, with no matrix product."""
+    The first cut, at i = 0, is tr(Lx Ly) = tr(L_xy) mod p on all of A,
+    which is the trace form, so the chain starts from its kernel and cuts
+    for i = 1, 2, ... while p^i <= dim.  The integer traces are provably
+    divisible by p^i on the chain, which makes each later condition an
+    F_p-linear cut; non-divisibility would mean a bug and is raised.  Only
+    t mod p^(i+1) matters, and q = p^i divides p^(i+1), so every product
+    and power is reduced mod p^(i+1) and the check ``t % q`` stays exact.
+    The Gram matrix is symmetric, because tr((XY)^q) = tr((YX)^q), so only
+    s >= r is computed."""
     K = A.field
     p = K.p
     n = A.dim
@@ -131,36 +133,24 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
                             oi[j] += c * li[j]
         return [[x % m for x in row] for row in out]
 
-    space = Subspace.full(K, n)
-    ell = 0
-    while p ** (ell + 1) <= n:
-        ell += 1
-    for i in range(ell + 1):
-        if space.is_zero():
-            break
-        basis = space.basis
-        q = p ** i
+    space = _trace_form_space(A)
+    q = p          # p^i
+    while q <= n and not space.is_zero():
         m = q * p
-        mats = [lift_of(v, m) for v in basis]
-        transposed = [list(zip(*X)) for X in mats] if i == 0 else None
+        mats = [lift_of(v, m) for v in space.basis]
         d = len(mats)
         G = [[0] * d for _ in range(d)]
         for r in range(d):
             for s in range(r, d):
-                if i == 0:
-                    t = sum(x * y for X, Yt in zip(mats[r], transposed[s])
-                            for x, y in zip(X, Yt) if x)
-                else:
-                    power = _imat_pow(_imat_mul(mats[r], mats[s], m), q, m)
-                    t = sum(power[a][a] for a in range(n))
-                t %= m
+                power = _imat_pow(_imat_mul(mats[r], mats[s], m), q, m)
+                t = sum(power[a][a] for a in range(n)) % m
                 if t % q:
                     raise InternalVerificationFailed(
                         "chain trace not divisible by p^i")
                 G[r][s] = G[s][r] = t // q
         N = nullspace(Matrix(K, G, d))
-        vecs = [space.from_coords(c) for c in N.data]
-        space = Subspace(K, n, vecs)
+        space = Subspace(K, n, [space.from_coords(c) for c in N.data])
+        q = m
     return space
 
 
@@ -201,8 +191,8 @@ def _left_generators(A: FinAlg, space: Subspace):
     for v in space.basis:
         if not span.contains(v):
             gens.append(v)
-            span = Subspace(K, n, list(span.basis) + [
-                A.mul(A.basis_element(i), v) for i in range(n)])
+            span = span.extend(A.mul(A.basis_element(i), v)
+                               for i in range(n))
     return gens
 
 

@@ -347,13 +347,30 @@ def path_algebra_tower(q: QuiverSpec, K: Field, depth: int) -> Tower:
     return Tower(levels, maps, "path", meta)
 
 
+def _checked_quiver(vertices, arrows, relations) -> QuiverSpec:
+    """The QuiverSpec of quiver data from a file, as its format says:
+    vertices and paths are lists, names, path entries and coefficients
+    are strings.  Anything else is BadSpec, or a TypeError or ValueError
+    for the caller to report."""
+    paths = [p for rel in relations for _, p in rel]
+    texts = [x for xs in [vertices, *arrows, *paths] for x in xs]
+    texts += [c for rel in relations for c, _ in rel]
+    if not (all(isinstance(x, list) for x in [vertices, *paths])
+            and all(isinstance(x, str) for x in texts)):
+        raise BadSpec("quiver vertices and paths must be lists, and names,"
+                      " path entries and coefficients strings")
+    return QuiverSpec(vertices, arrows, relations)
+
+
 def quiver_of(T: Tower) -> QuiverSpec:
     if T.kind != "path" or "quiver" not in T.meta:
         raise BadSpec("tower carries no quiver description")
-    qd = T.meta["quiver"]
-    return QuiverSpec(qd["vertices"], [tuple(a) for a in qd["arrows"]],
-                      [[(c, tuple(p)) for c, p in rel]
-                       for rel in qd.get("relations", [])])
+    try:
+        qd = T.meta["quiver"]
+        return _checked_quiver(qd["vertices"], qd["arrows"],
+                               qd.get("relations", []))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BadSpec(f"malformed quiver in tower metadata: {exc}") from exc
 
 
 # -- levelwise theorem checks --------------------------------------------------
@@ -411,8 +428,7 @@ def quiver_radical_check(T: Tower, rads=None) -> bool:
             for name, src, tgt in q.arrows:
                 arrow_vecs.append(project(
                     unit_vec(K, free.dim, index[(src, (name,), tgt)])))
-        closure = (ideal_closure(lvl, arrow_vecs).space if arrow_vecs
-                   else Subspace.zero(lvl.field, lvl.dim))
+        closure = ideal_closure(lvl, arrow_vecs).space
         if closure != rads[n - 1].radical.space:
             raise TheoremViolation(
                 f"arrow ideal differs from the radical at level {n}", n)

@@ -4,6 +4,9 @@ from fractions import Fraction
 import corpus
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_linalg import dense_reduce, dense_span
 
 from pca.algebra import (Ideal, base_change, direct_product,
                          group_algebra, hom_check, ideal_closure,
@@ -16,7 +19,7 @@ from pca.errors import (ImproperIdeal, NoUnit, NotAHom, NotAnExtension,
                         NotAnIdeal, NotAssociative)
 from pca.fields import PrimeField, RationalFunctionField, Rationals, \
     SimpleExtension
-from pca.linalg import Matrix, Subspace, rank
+from pca.linalg import Matrix, Subspace, rank, vec_is_zero
 from pca.poly import Poly
 
 Q = Rationals()
@@ -277,3 +280,65 @@ def test_associativity_reverify_on_corpus():
     for _ in range(10):
         A = corpus.random_algebra(rng, rng.choice([Q, F2, F3]), 6)
         assert A.verify()
+
+
+# -- ideal checks against a per-product closure reference --------------------
+
+SIDES = ("left", "right", "twosided")
+
+
+def side_products(A, v, side):
+    for i in range(A.dim):
+        e = A.basis_element(i)
+        if side != "right":
+            yield A.mul(e, v)
+        if side != "left":
+            yield A.mul(v, e)
+
+
+def reference_is_ideal(A, basis, pivots, side):
+    """Every product of the basis with an e_i lies in the span, one
+    dense reduction per product."""
+    return all(vec_is_zero(A.field, dense_reduce(A.field, basis, pivots, w))
+               for v in basis for w in side_products(A, v, side))
+
+
+def reference_closure(A, gens, side):
+    """(basis, pivots) of the closure, adding one product at a time."""
+    K, n = A.field, A.dim
+    span = dense_span(K, gens, n)
+    grew = True
+    while grew:
+        grew = False
+        for v in span[0]:
+            for w in side_products(A, v, side):
+                if not vec_is_zero(K, dense_reduce(K, *span, w)):
+                    span = dense_span(K, list(span[0]) + [w], n)
+                    grew = True
+    return span
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+@example(seed=0)
+def test_ideal_checks_match_per_product_reference(seed):
+    # every fourth seed takes T_3, where one-sided and twosided closures
+    # differ
+    rng = random.Random(seed)
+    K = rng.choice([Q, F2, F3])
+    A = (triangular_algebra(3, K) if seed % 4 == 0
+         else corpus.random_algebra(rng, K, 5))
+    gens = [tuple(K.random(rng) if rng.random() < 0.4 else K.zero
+                  for _ in range(A.dim)) for _ in range(rng.randint(1, 2))]
+    for side in SIDES:
+        closed = ideal_closure(A, gens, side)
+        ref = reference_closure(A, gens, side)
+        assert (closed.space.basis, closed.space.pivots) == ref
+        for space in (Subspace(K, A.dim, gens), closed.space):
+            for s in SIDES:
+                ideal = Ideal(A, space, s)
+                if reference_is_ideal(A, space.basis, space.pivots, s):
+                    assert ideal.verify()
+                else:
+                    with pytest.raises(NotAnIdeal):
+                        ideal.verify()

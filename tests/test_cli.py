@@ -13,7 +13,8 @@ from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.limits import Limits
 from pca.linalg import Subspace
 from pca.radical import RadicalResult
-from pca.tower import kronecker_quiver, loop_quiver, power_series_tower
+from pca.tower import (kronecker_quiver, loop_quiver, path_algebra_tower,
+                       power_series_tower)
 
 # the submodule; ``pca.radical`` is the public function of that name
 radical_module = importlib.import_module("pca.radical")
@@ -268,6 +269,55 @@ GOOD_TOWER = fileio.tower_to_doc(power_series_tower(Q, 2))
     (("tower", "check"), "num.tower", dict(GOOD_TOWER, maps=[[[1]]])),
 ], ids=["algebra", "tower"])
 def test_non_string_scalar_is_input_error(tmp_path, argv, name, doc):
+    fileio.save_canonical(str(tmp_path / name), doc)
+    res = run_cli(*argv, name, cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
+
+
+def _loop_quiver_doc(coeffs, vertex="v"):
+    """One loop x at one vertex and the relation sum c * x*x."""
+    return {"vertices": [vertex],
+            "arrows": [{"name": "x", "src": "v", "tgt": "v"}],
+            "relations": [{"terms": [{"coeff": c, "path": ["x", "x"]}
+                                     for c in coeffs]}]}
+
+
+PATH_TOWER = fileio.tower_to_doc(path_algebra_tower(loop_quiver(), Q, 2))
+
+
+def _with_quiver_meta(quiver):
+    return dict(PATH_TOWER, meta=dict(PATH_TOWER["meta"], quiver=quiver))
+
+
+def test_quiver_text_coefficients_build(tmp_path):
+    # 1/10 + 2/10 - 3/10 = 0, so the relation is empty and x*x survives
+    fileio.save_canonical(str(tmp_path / "q.quiver"),
+                          _loop_quiver_doc(["1/10", "2/10", "-3/10"]))
+    res = run_cli("tower", "build", "--kind", "path", "--field", "Q",
+                  "--depth", "3", "--quiver", "q.quiver", "-o", "t.tower",
+                  "--json", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["results"]["level_dims"] == [1, 2, 3]
+
+
+@pytest.mark.parametrize("argv,name,doc", [
+    (("tower", "build", "--kind", "path", "--field", "Q", "--depth", "3",
+      "-o", "t.tower", "--quiver"), "q.quiver",
+     _loop_quiver_doc([0.1, 0.2, -0.3])),
+    (("tower", "build", "--kind", "path", "--field", "Q", "--depth", "3",
+      "-o", "t.tower", "--quiver"), "q.quiver",
+     dict(_loop_quiver_doc(["1"]), vertices=[["a"]], arrows=[],
+          relations=[])),
+    (("tower", "check"), "t.tower",
+     _with_quiver_meta(dict(PATH_TOWER["meta"]["quiver"],
+                            vertices=[["v"]]))),
+    (("tower", "check"), "t.tower", dict(PATH_TOWER, meta={"quiver": 5})),
+], ids=["float_coefficients", "list_vertex", "meta_list_vertex",
+        "meta_quiver_number"])
+def test_malformed_quiver_data_is_input_error(tmp_path, argv, name, doc):
     fileio.save_canonical(str(tmp_path / name), doc)
     res = run_cli(*argv, name, cwd=tmp_path)
     assert res.returncode == 1

@@ -9,7 +9,7 @@ from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
-                        solve_many, unit_vec, vec_is_zero)
+                        solve_many, unit_vec, vec_add, vec_is_zero)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -291,3 +291,76 @@ def test_kernel_stores_no_zero_products_over_zero_divisors():
     R, pivots = rref(M)
     assert pivots == (0,)
     assert R.data == ((one, xp1), (zero, zero))
+
+
+# -- Subspace against a dense reference --------------------------------------
+
+def dense_span(K, vecs, n):
+    """(basis, pivots) of the span of vecs, by the dense reference."""
+    rows, pivots = dense_rref(K, vecs, n)
+    return tuple(tuple(r) for r in rows[:len(pivots)]), tuple(pivots)
+
+
+def dense_reduce(K, basis, pivots, v):
+    """Residue of v against an RREF basis, one dense row at a time."""
+    v = list(v)
+    for row, pc in zip(basis, pivots):
+        c = v[pc]
+        if not K.is_zero(c):
+            v = [K.sub(a, K.mul(c, b)) for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def dense_combination(K, basis, cs, n):
+    out = [K.zero] * n
+    for c, row in zip(cs, basis):
+        out = [K.add(a, K.mul(c, b)) for a, b in zip(out, row)]
+    return tuple(out)
+
+
+@st.composite
+def subspace_cases(draw):
+    """(n, rows, more, probes, cs) as integer codes: a spanning list, a
+    list to extend it by, probe vectors and coordinates."""
+    n = draw(st.integers(0, 5))
+    vec = st.lists(codes, min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=5))
+    more = draw(st.lists(vec, max_size=4))
+    probes = draw(st.lists(vec, max_size=3))
+    cs = draw(st.lists(codes, min_size=n, max_size=n))
+    return n, rows, more, probes, cs
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])
+@settings(max_examples=80, deadline=None)
+@given(case=subspace_cases())
+@example(case=(3, [[1, 2, 0], [0, 0, 1]], [[0, 1, 0]], [[2, 4, 1]],
+               [1, 1, 0]))
+@example(case=(2, [], [[1, 1], [2, 2]], [[0, 3]], [0, 0]))
+def test_subspace_operations_match_dense_reference(K, case):
+    n, rows, more, probes, cs = case
+    vecs = [tuple(scalar(K, x) for x in r) for r in rows]
+    extra = [tuple(scalar(K, x) for x in r) for r in more]
+    U = Subspace(K, n, vecs)
+    basis, pivots = dense_span(K, vecs, n)
+    assert (U.basis, U.pivots) == (basis, pivots)
+    # extend and sum first, so the checks below see U's rows afterwards
+    both = dense_span(K, vecs + extra, n)
+    grown = U.extend(extra)
+    assert (grown.basis, grown.pivots) == both
+    total = U.sum(Subspace(K, n, extra))
+    assert (total.basis, total.pivots) == both
+    assert (U.basis, U.pivots) == (basis, pivots)
+    cs = tuple(scalar(K, c) for c in cs[:len(basis)])
+    member = dense_combination(K, basis, cs, n)
+    assert U.from_coords(cs) == member
+    outside = [tuple(scalar(K, x) for x in p) for p in probes]
+    for v in outside + extra + [member] + [vec_add(K, member, p)
+                                           for p in outside]:
+        residue = dense_reduce(K, basis, pivots, v)
+        assert U.reduce(v) == residue
+        inside = vec_is_zero(K, residue)
+        assert U.contains(v) == inside
+        assert U.coords(v) == (tuple(v[pc] for pc in pivots) if inside
+                               else None)
+    assert U.coords(member) == cs
