@@ -1,10 +1,10 @@
 """Finite-dimensional associative unital algebras given by structure constants.
 
 Constructors only store their fields; each type's proof is its ``verify()``,
-run on input from outside (``make_algebra``, ``hom_check``) and on computed
-results.  The constructions below are valid by construction and not
-re-proved.  All values are immutable by convention and all operations are
-pure.
+run on input from outside (``make_algebra``, ``hom_check``) and, through
+``errors._internal``, on computed results.  The constructions below are
+valid by construction and not re-proved.  All values are immutable by
+convention and all operations are pure.
 """
 
 from __future__ import annotations
@@ -62,13 +62,12 @@ class FinAlg:
     def mul(self, u, v):
         K = self.field
         acc = [K.zero] * self.dim
+        vnz = [(j, cj) for j, cj in enumerate(v) if not K.is_zero(cj)]
         for i, ci in enumerate(u):
             if K.is_zero(ci):
                 continue
             row = self.rows[i]
-            for j, cj in enumerate(v):
-                if K.is_zero(cj):
-                    continue
+            for j, cj in vnz:
                 cell = row.get(j)
                 if not cell:
                     continue

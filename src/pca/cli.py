@@ -2,11 +2,13 @@
 
 Exit codes: 0 for success, 2 for a computed negative mathematical answer
 (not separable, not semisimple, not nilpotent), 1 for unusable input or
-command line, 3 for an internal failure: a result failed its own
-verification or contradicted a theorem.  That failure prints one line,
-``pca: internal error: ...`` with the seed and the input digest, on
-stderr and nothing on stdout.  Reports are deterministic: identical
-inputs produce identical bytes.
+command line, 3 for an internal failure: a computed result failed its
+own verification or contradicted a theorem.  Every such failure is an
+``InternalVerificationFailed`` (``errors._internal`` turns a failed proof
+of a computed result into one), the only type ``main`` maps to 3.  It
+prints one line, ``pca: internal error: ...`` with the seed and the input
+digest, on stderr and nothing on stdout.  Reports are deterministic:
+identical inputs produce identical bytes.
 
 Each handler imports the algorithm modules it runs, so a command does not
 pay for the start-up of the others.
@@ -19,7 +21,7 @@ import sys
 
 from . import fileio
 from .errors import (InternalVerificationFailed, NotSemisimple, PcaError,
-                     TheoremViolation)
+                     _internal)
 
 
 def _flatten(prefix, val, lines):
@@ -222,6 +224,7 @@ def _cmd_tower_build(args):
         digest = {f: fileio.digest_file(f) for f in args.factor}
     else:
         raise PcaError(f"unknown tower kind {args.kind!r}")
+    _internal(T.verify)
     fileio.save_canonical(args.output, fileio.tower_to_doc(T))
     results = {"kind": T.kind, "depth": T.depth,
                "level_dims": [lvl.dim for lvl in T.levels],
@@ -332,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         negative, report = args.handler(args)
-    except (InternalVerificationFailed, TheoremViolation) as exc:
+    except InternalVerificationFailed as exc:
         where = f"seed {args.seed}"
         if getattr(args, "file", None):
             where += f", input {fileio.digest_file(args.file)}"

@@ -4,6 +4,11 @@ Mathematical "negative" answers (no separability idempotent, an element that
 is not nilpotent, an inconsistent linear system) are returned as values
 (``None``), never raised.  Exceptions mean the *request* was bad or an
 internal invariant broke.
+
+Each law is stated once, in its type's ``verify()``, which raises a typed
+error.  On input from outside that error is the answer.  A result the
+package computed is proved through ``_internal``, which turns any failure
+into ``InternalVerificationFailed``: a program fault, never bad input.
 """
 
 
@@ -67,33 +72,12 @@ class NotCoprime(PcaError):
     """Ideals are not pairwise coprime; args carry a witness pair."""
 
 
-class NoSolutionInconsistency(PcaError):
-    """CRT lift became inconsistent; cannot occur when the ideals are
-    pairwise coprime."""
-
-
 class NotADerivation(PcaError):
     """Map fails the Leibniz rule; args carry a witness pair."""
 
 
 class NotIdempotentModJ(PcaError):
     """Vector is not idempotent modulo the radical."""
-
-
-class NotSeparableQuotient(PcaError):
-    """Splitting requires the semisimple quotient to be separable."""
-
-
-class NotInner(PcaError):
-    """A derivation that must be inner was not; indicates a bug upstream."""
-
-
-class CoboundaryUnsolvable(PcaError):
-    """Defect system has no solution; cannot occur under the preconditions."""
-
-
-class TheoremViolation(PcaError):
-    """A levelwise theorem check failed on a tower; indicates a bug."""
 
 
 class IncompatibleCoordinates(PcaError):
@@ -111,3 +95,20 @@ class NonComposableRelation(PcaError):
 class InternalVerificationFailed(PcaError):
     """A computed result failed its own postcondition check (a bug, never
     silently returned)."""
+
+
+class TheoremViolation(InternalVerificationFailed):
+    """A levelwise theorem check failed on a tower; indicates a bug."""
+
+
+def _internal(check, *args):
+    """``check(*args)``, a proof of something the package computed
+    itself.  Any PcaError it raises is a program fault and is re-raised as
+    InternalVerificationFailed, naming the check."""
+    try:
+        return check(*args)
+    except InternalVerificationFailed:
+        raise
+    except PcaError as exc:
+        raise InternalVerificationFailed(
+            f"{check.__qualname__}: {exc.args[0]}") from exc

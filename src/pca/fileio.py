@@ -211,7 +211,9 @@ def tower_from_doc(doc: dict):
             raise BadSpec("tower metadata must be a JSON object")
     except (KeyError, TypeError, IndexError) as exc:
         raise BadSpec(f"malformed tower document: {exc}") from exc
-    return Tower(levels, maps, kind, meta)
+    T = Tower(levels, maps, kind, meta)
+    T.verify()
+    return T
 
 
 def load_tower(path: str):

@@ -4,8 +4,9 @@ The splitting A = S + J(A) is built by walking the radical filtration
 J, J^2, ..., 0 and lifting a multiplicative section through each
 square-zero layer: pick a linear lift, measure its multiplication defect,
 and absorb the defect with one linear (coboundary) solve, which is possible
-exactly because A/J is separable.  Every lifted section is re-checked for
-exact multiplicativity.
+exactly because A/J is separable.  Every lifted section is proved a unital
+algebra homomorphism, and the final splitting proved, through
+``errors._internal``.
 
 The two corrections have one sign each:
 
@@ -23,9 +24,8 @@ from __future__ import annotations
 import random
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient
-from .errors import (BadSpec, CoboundaryUnsolvable,
-                     InternalVerificationFailed, NotIdempotentModJ, NotInner,
-                     NotSeparableQuotient, AmbientMismatch)
+from .errors import (AmbientMismatch, BadSpec, InternalVerificationFailed,
+                     NotIdempotentModJ, _internal)
 from .linalg import Matrix, Subspace, nullspace, solve, solve_many
 from .radical import RadicalResult, radical
 from .separability import induced_bimodule, inner_derivation, is_separable
@@ -44,17 +44,19 @@ class Splitting:
         self.radical = radical
 
     def verify(self):
+        """The section is a unital algebra homomorphism, a right inverse
+        of the projection, and its image S is a complement of J."""
         A = self.algebra
         K = A.field
         comp = self.projection.matrix.mul(self.section.matrix)
         if comp != Matrix.identity(K, self.quotient.dim):
-            raise InternalVerificationFailed("projection o section != id")
+            raise BadSpec("projection o section != id")
         self.section.verify()
         J = self.radical.radical.space
         if self.image.intersect(J).dim != 0:
-            raise InternalVerificationFailed("S meets J")
+            raise BadSpec("S meets J")
         if self.image.sum(J).dim != A.dim:
-            raise InternalVerificationFailed("S + J != A")
+            raise BadSpec("S + J != A")
         return True
 
 
@@ -86,16 +88,16 @@ def lift_idempotent(A: FinAlg, f, rad: RadicalResult | None = None):
     return e
 
 
-def _connecting_hom(fine, fine_proj, coarse, coarse_proj) -> AlgHom:
-    """The induced surjection A/I' -> A/I for I' contained in I, computed by
-    lifting basis vectors through the finer projection."""
-    A = fine_proj.source
-    lifts = solve_many(fine_proj.matrix,
-                       [fine.basis_element(i) for i in range(fine.dim)])
-    if lifts is None:
-        raise InternalVerificationFailed("projection is not surjective")
-    cols = [coarse_proj.apply(x) for x in lifts]
-    return AlgHom(fine, coarse, Matrix(A.field, zip(*cols), fine.dim))
+def _connecting_hom(fine, ideal: Ideal, coarse_proj: AlgHom) -> AlgHom:
+    """The induced surjection A/I' -> A/I for I' = ``ideal`` contained in
+    I.  Basis element i of A/I' lifts to the unit vector at the i-th
+    non-pivot column of I', so its image is that column of the coarser
+    projection."""
+    pivots = ideal.space.pivots
+    cols = [col for c, col in enumerate(coarse_proj.matrix.columns())
+            if c not in pivots]
+    return AlgHom(fine, coarse_proj.target,
+                  Matrix(fine.field, zip(*cols), fine.dim))
 
 
 def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
@@ -108,14 +110,13 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
     quots = [quotient(A, idl) for idl in rad.filtration]
     head, head_proj = quots[0]
     if not is_separable(head):
-        raise NotSeparableQuotient("A/J is not separable")
+        raise InternalVerificationFailed("A/J is not separable")
     rng = random.Random(seed)
     q = head.dim
     section = Matrix.identity(K, q)
     for level in range(1, len(quots)):
-        fine, fine_proj = quots[level]
-        coarse, coarse_proj = quots[level - 1]
-        rho = _connecting_hom(fine, fine_proj, coarse, coarse_proj)
+        fine, _ = quots[level]
+        rho = _connecting_hom(fine, rad.filtration[level], quots[level - 1][1])
         nspace = Subspace(K, fine.dim, nullspace(rho.matrix).data)
         # linear lift of the current section through rho
         taus = solve_many(rho.matrix,
@@ -144,10 +145,6 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         taus[idx] = [K.sub(a, K.mul(winv, b))
                      for a, b in zip(taus[idx], drift)]
         tau = Matrix(K, zip(*taus), q)
-
-        def mul_cols(M, i, j, alg=fine):
-            return alg.mul(M.column(i), M.column(j))
-
         # defect and the coboundary system over the layer bimodule
         nu = nspace.dim
         tcols = tau.columns()
@@ -159,7 +156,7 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         for i in range(q):
             for j in range(q):
                 prod = head.product_basis(i, j)
-                c = fine.sub(tau.apply(prod), mul_cols(tau, i, j))
+                c = fine.sub(tau.apply(prod), fine.mul(tcols[i], tcols[j]))
                 cc = nspace.coords(c)
                 if cc is None:
                     raise InternalVerificationFailed(
@@ -179,7 +176,7 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         if nu and rows:
             sol = solve(Matrix(K, rows, nu * q), tuple(rhs))
             if sol is None:
-                raise CoboundaryUnsolvable(
+                raise InternalVerificationFailed(
                     "defect system inconsistent despite separable quotient")
             hcols = [nspace.from_coords(tuple(sol[r * q + s]
                                               for r in range(nu)))
@@ -188,16 +185,12 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
             hcols = [(K.zero,) * fine.dim for _ in range(q)]
         section = Matrix(K, zip(*[fine.sub(t, h)
                                   for t, h in zip(tcols, hcols)]), q)
-        if not all(section.apply(head.product_basis(i, j)) ==
-                   mul_cols(section, i, j)
-                   for i in range(q) for j in range(q)):
-            raise InternalVerificationFailed(
-                "corrected lift is not multiplicative")
+        _internal(AlgHom(head, fine, section).verify)
     # the last quotient is by the zero ideal, i.e. A itself coordinatewise
     sec_hom = AlgHom(head, A, section)
     image = Subspace(K, A.dim, section.columns())
     split = Splitting(A, head, head_proj, sec_hom, image, rad)
-    split.verify()
+    _internal(split.verify)
     return split
 
 
@@ -214,10 +207,7 @@ def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
     sec = AlgHom(head, A, matrix)
     split = Splitting(A, head, head_proj, sec,
                       Subspace(A.field, A.dim, matrix.columns()), rad)
-    try:
-        split.verify()
-    except InternalVerificationFailed as exc:
-        raise BadSpec(f"not a splitting of this algebra: {exc}") from exc
+    split.verify()
     return split
 
 
@@ -288,9 +278,11 @@ def malcev_conjugator(s1: Splitting, s2: Splitting):
             raise InternalVerificationFailed(
                 "section difference escapes the radical")
         dcols.append(diff)
-    u = inner_derivation(head, T, Matrix(K, zip(*dcols), head.dim))
+    u = _internal(inner_derivation, head, T,
+                  Matrix(K, zip(*dcols), head.dim))
     if u is None:
-        raise NotInner("section difference not inner: separability violated")
+        raise InternalVerificationFailed(
+            "section difference not inner: separability violated")
     omega = J.from_coords(u)
     one_minus = A.sub(A.unit, omega)
     inv = _geometric_inverse(A, omega, s1.radical.nilpotency_index)

@@ -41,7 +41,8 @@ from __future__ import annotations
 import itertools
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
-from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField)
+from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
+                     _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
                      prime_subfield)
 from .linalg import Matrix, Subspace, nullspace, rank
@@ -202,7 +203,7 @@ def _nilpotency_data(A: FinAlg, space: Subspace):
     proved an ideal once; its powers are ideals because it is, and
     J^(k+1) is spanned by x*g for x in J^k and g in G."""
     J = Ideal(A, space, "twosided")
-    J.verify()
+    _internal(J.verify)
     if space.is_zero():
         return [J], 0
     gens = _left_generators(A, space)
@@ -224,11 +225,7 @@ def _certified(A: FinAlg, space: Subspace, method: str):
     ideal, its powers fall strictly to 0, it is not all of A, and A/space
     has no radical.  Returns None when the powers stop falling; any other
     failure raises InternalVerificationFailed."""
-    try:
-        data = _nilpotency_data(A, space)
-    except Exception as exc:
-        raise InternalVerificationFailed(
-            f"radical postcondition failed: {exc}") from exc
+    data = _nilpotency_data(A, space)
     if data is None:
         return None
     filtration, index = data
@@ -300,7 +297,7 @@ def radical_oracle(A: FinAlg) -> Ideal:
     if p ** space.dim != len(good):
         raise InternalVerificationFailed("oracle set is not a subspace")
     idl = Ideal(A, space, "twosided")
-    idl.verify()
+    _internal(idl.verify)
     return idl
 
 

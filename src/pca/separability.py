@@ -21,7 +21,8 @@ with one sign, and each answer is still checked by substitution:
 from __future__ import annotations
 
 from .algebra import FinAlg, base_change
-from .errors import (BadSpec, InternalVerificationFailed, NotADerivation)
+from .errors import (BadSpec, InternalVerificationFailed, NotADerivation,
+                     _internal)
 from .fields import PrimeField, Rationals
 from .linalg import Matrix, Subspace, nullspace, solve, vec_is_zero
 from .radical import is_semisimple as _is_semisimple
@@ -359,7 +360,7 @@ def universal_derivation_check(A: FinAlg) -> bool:
             raise InternalVerificationFailed(
                 "universal derivation misses the kernel")
         dcols.append(cv)
-    u = inner_derivation(A, T, Matrix(K, zip(*dcols), n))
+    u = _internal(inner_derivation, A, T, Matrix(K, zip(*dcols), n))
     if u is None:
         return False
     ubig = kspace.from_coords(u)

@@ -5,7 +5,9 @@ system; the constructors build the standard examples (truncated power
 series, cyclic p-group algebras, truncated path algebras, finite products)
 and the check functions verify the levelwise theorems exactly: connecting
 maps send radicals onto radicals, semisimplicity is a levelwise property,
-and path-algebra radicals are generated by the arrows.
+and path-algebra radicals are generated by the arrows.  ``Tower.verify``
+checks the shape and that every connecting map is onto; it runs on tower
+files and on the towers ``pca tower build`` writes.
 
 The level radicals are computed once, by ``tower_radicals``, as the
 paper's radical of the inverse limit suggests: the first level cold, each
@@ -26,7 +28,7 @@ from .errors import (BadSpec, EmptyQuiver, IncompatibleCoordinates,
                      NonComposableRelation, NotAHom, TheoremViolation)
 from .fields import Field, check_same_field, is_prime
 from .limits import check_depth, check_dim
-from .linalg import Matrix, Subspace, rank, solve_many, unit_vec
+from .linalg import Matrix, Subspace, rank, unit_vec
 from .radical import is_semisimple, radical, radical_from_below
 
 
@@ -39,6 +41,10 @@ class Tower:
         self.maps = maps
         self.kind = kind
         self.meta = {} if meta is None else meta
+
+    def verify(self):
+        """At least one level, and one surjective map per adjacent pair,
+        connecting them."""
         if not self.levels:
             raise BadSpec("a tower needs at least one level")
         if len(self.maps) != len(self.levels) - 1:
@@ -48,6 +54,7 @@ class Tower:
                 raise BadSpec(f"map {i} does not connect levels {i+2}->{i+1}")
             if rank(h.matrix) != h.target.dim:
                 raise BadSpec(f"connecting map {i} is not surjective")
+        return True
 
     @property
     def depth(self) -> int:
@@ -270,8 +277,9 @@ def _coerce_scalar(K: Field, c):
 def _path_level(q: QuiverSpec, K: Field, n: int):
     """One truncated level kQ/(I + (arrows)^n).
 
-    Returns (level, project, paths, index, free): ``project`` maps
-    free-level vectors to level coordinates."""
+    Returns (level, project, paths, index, relations): ``project`` maps
+    free-level vectors, on the basis ``paths``, to level coordinates, and
+    ``relations`` is the relation ideal of the free level, or None."""
     paths = _paths_below(q, n)
     index = {p: i for i, p in enumerate(paths)}
     labels = ["*".join(p[1]) if p[1] else p[0] for p in paths]
@@ -296,13 +304,11 @@ def _path_level(q: QuiverSpec, K: Field, n: int):
             pos = index[(src, tuple(path), tgt)]
             vec[pos] = K.add(vec[pos], _coerce_scalar(K, coeff))
         relvecs.append(tuple(vec))
-    if relvecs:
-        level, proj = quotient(free, ideal_closure(free, relvecs))
-        project = proj.apply
-    else:
-        level = free
-        project = lambda v: tuple(v)
-    return level, project, paths, index, free
+    if not relvecs:
+        return free, tuple, paths, index, None
+    relations = ideal_closure(free, relvecs)
+    level, proj = quotient(free, relations)
+    return level, proj.apply, paths, index, relations
 
 
 def path_algebra_tower(q: QuiverSpec, K: Field, depth: int) -> Tower:
@@ -315,27 +321,19 @@ def path_algebra_tower(q: QuiverSpec, K: Field, depth: int) -> Tower:
     levels = [d[0] for d in data]
     maps = []
     for n in range(1, depth):
-        level_hi, project_hi, paths_hi, _, free_hi = data[n]
-        level_lo, project_lo, _, index_lo, free_lo = data[n - 1]
+        _, _, paths_hi, _, relations = data[n]
+        _, project_lo, _, index_lo, _ = data[n - 1]
+        pivots = relations.space.pivots if relations else ()
+        # basis element i of level n+1 lifts to the path at the i-th
+        # non-pivot column of its relations; truncation drops length n
         cols = []
-        for src, names, tgt in paths_hi:
+        for c, (src, names, tgt) in enumerate(paths_hi):
+            if c in pivots:
+                continue
+            path = [K.zero] * len(index_lo)
             if len(names) < n:
-                cols.append(unit_vec(K, free_lo.dim,
-                                     index_lo[(src, names, tgt)]))
-            else:
-                cols.append((K.zero,) * free_lo.dim)
-        trunc = Matrix(K, zip(*cols), free_hi.dim)
-        # express the induced map on quotient coordinates by lifting
-        if level_hi is free_hi:
-            lifts = [free_hi.basis_element(i) for i in range(free_hi.dim)]
-        else:
-            pm = Matrix(K, zip(*[project_hi(free_hi.basis_element(i))
-                                 for i in range(free_hi.dim)]), free_hi.dim)
-            lifts = solve_many(pm, [level_hi.basis_element(i)
-                                    for i in range(level_hi.dim)])
-            if lifts is None:
-                raise BadSpec("level projection is not surjective")
-        cols = [project_lo(trunc.apply(x)) for x in lifts]
+                path[index_lo[(src, names, tgt)]] = K.one
+            cols.append(project_lo(tuple(path)))
         maps.append(AlgHom(levels[n], levels[n - 1],
                            Matrix(K, zip(*cols), levels[n].dim)))
     rel_doc = [[[str(c) if isinstance(c, (str, int)) else K.text(c),
@@ -420,14 +418,14 @@ def quiver_radical_check(T: Tower, rads=None) -> bool:
         rads = tower_radicals(T)
     K = T.levels[0].field
     for n, lvl in enumerate(T.levels, start=1):
-        level, project, _, index, free = _path_level(q, K, n)
+        level, project, _, index, _ = _path_level(q, K, n)
         if level != lvl:
             raise BadSpec(f"level {n} does not match its quiver data")
         arrow_vecs = []
         if n >= 2:
             for name, src, tgt in q.arrows:
                 arrow_vecs.append(project(
-                    unit_vec(K, free.dim, index[(src, (name,), tgt)])))
+                    unit_vec(K, len(index), index[(src, (name,), tgt)])))
         closure = ideal_closure(lvl, arrow_vecs).space
         if closure != rads[n - 1].radical.space:
             raise TheoremViolation(

@@ -6,7 +6,8 @@ block's center is a field.  Over F_p the block count is read off
 deterministically from the fixed space of the Frobenius map on the center;
 over Q a seeded random center element is used, with a primitive-element
 degree certificate.  Orthogonality, completeness and the reassembly
-isomorphism are re-verified in exact arithmetic on every call.
+isomorphism are re-verified in exact arithmetic on every call; the
+reassembly is proved through ``errors._internal``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from __future__ import annotations
 import math
 import random
 
-from .algebra import (FinAlg, _block_minpoly, _trusted_algebra, direct_product,
-                      hom_check)
-from .errors import (InternalVerificationFailed, NoSolutionInconsistency,
-                     NotCoprime, NotSemisimple, UnsupportedField)
+from .algebra import (AlgHom, FinAlg, _block_minpoly, _trusted_algebra,
+                      direct_product)
+from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
+                     NotSemisimple, UnsupportedField, _internal)
 from .fields import PrimeField, Rationals
-from .linalg import Matrix, Subspace, nullspace, rank, solve
+from .linalg import Matrix, Subspace, nullspace, rank, solve, vec_is_zero
 from .poly import Poly, factor
 from .radical import is_semisimple
 from .fields import pdeg, pdivmod, pextgcd, pmod, pmul, pscale
@@ -60,6 +61,22 @@ def _eval_in_block(A: FinAlg, e, z, f: Poly):
     return acc
 
 
+def _check_split(A: FinAlg, parts, e):
+    """The proof that ``parts`` are orthogonal idempotents summing to e."""
+    total = A.zero_element()
+    for i, ei in enumerate(parts):
+        total = A.add(total, ei)
+        if A.mul(ei, ei) != ei:
+            raise InternalVerificationFailed(
+                "a central idempotent is not idempotent")
+        for ej in parts[:i]:
+            if not vec_is_zero(A.field, A.mul(ei, ej)):
+                raise InternalVerificationFailed(
+                    "central idempotents not orthogonal")
+    if total != e:
+        raise InternalVerificationFailed("central idempotents do not sum to e")
+
+
 def _split_by(A: FinAlg, e, z, mu: Poly):
     """Split the central idempotent e along the factors of mu = minpoly(z)."""
     K = A.field
@@ -78,17 +95,7 @@ def _split_by(A: FinAlg, e, z, mu: Poly):
             raise InternalVerificationFailed("minpoly factors not coprime")
         h = pmod(pmul(pscale(s, K.inv(d[0]), K), ghat, K), mu.coeffs, K)
         parts.append(_eval_in_block(A, e, z, Poly(K, h)))
-    total = A.zero_element()
-    for i, ei in enumerate(parts):
-        total = A.add(total, ei)
-        if A.mul(ei, ei) != ei:
-            raise InternalVerificationFailed("split produced a non-idempotent")
-        for j in range(i):
-            if not all(K.is_zero(c) for c in A.mul(ei, parts[j])):
-                raise InternalVerificationFailed(
-                    "split idempotents not orthogonal")
-    if total != e:
-        raise InternalVerificationFailed("split idempotents do not sum to e")
+    _check_split(A, parts, e)
     return parts
 
 
@@ -178,16 +185,7 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
         mu = _block_minpoly(A, e, z)
         worklist.extend(_split_by(A, e, z, mu))
 
-    # completeness and pairwise orthogonality of the final set
-    total = A.zero_element()
-    for i, ei in enumerate(final):
-        total = A.add(total, ei)
-        for j in range(i):
-            prod = A.mul(ei, final[j])
-            if not all(K.is_zero(c) for c in prod):
-                raise InternalVerificationFailed("idempotents not orthogonal")
-    if total != A.unit:
-        raise InternalVerificationFailed("idempotents do not sum to 1")
+    _check_split(A, final, A.unit)
 
     blocks = []
     spaces = []
@@ -234,7 +232,8 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
         for e, space in zip(final, spaces):
             col.extend(space.coords(A.mul(A.basis_element(i), e)))
         cols.append(col)
-    h = hom_check(Matrix(K, zip(*cols), A.dim), A, direct_product(blocks))
+    h = AlgHom(A, direct_product(blocks), Matrix(K, zip(*cols), A.dim))
+    _internal(h.verify)
     if rank(h.matrix) != A.dim:
         raise InternalVerificationFailed("reassembly map is not bijective")
 
@@ -246,11 +245,11 @@ def crt_lift(A: FinAlg, ideals, targets):
 
     Follows the inductive construction: write 1 = x + y with x in the
     intersection of the first ideals and y in the next one, then combine
-    b*y + c*x."""
+    b*y + c*x.  Mismatched arguments are BadSpec."""
     ideals = list(ideals)
     targets = [tuple(t) for t in targets]
     if len(ideals) != len(targets) or not ideals:
-        raise NoSolutionInconsistency("need matching ideals and targets")
+        raise BadSpec("need matching ideals and targets")
     K = A.field
     for idl in ideals:
         if idl.dim == A.dim:
@@ -266,7 +265,7 @@ def crt_lift(A: FinAlg, ideals, targets):
         cols = list(acc_space.basis) + list(nxt.basis)
         sol = solve(Matrix(K, zip(*cols), len(cols)), A.unit)
         if sol is None:
-            raise NoSolutionInconsistency("1 = x + y decomposition failed")
+            raise InternalVerificationFailed("1 = x + y decomposition failed")
         x = A.zero_element()
         for c, v in zip(sol[:acc_space.dim], acc_space.basis):
             x = A.add(x, A.scale(c, v))
@@ -275,5 +274,5 @@ def crt_lift(A: FinAlg, ideals, targets):
         acc_space = acc_space.intersect(nxt)
     for idl, t in zip(ideals, targets):
         if not idl.contains(A.sub(acc, t)):
-            raise NoSolutionInconsistency("lift missed a target")
+            raise InternalVerificationFailed("lift missed a target")
     return acc

@@ -5,16 +5,16 @@ import resource
 import pytest
 
 from clirun import run_cli
-from pca import cli, fileio, malcev
-from pca.algebra import (Ideal, group_algebra, make_algebra, tensor,
-                         triangular_algebra)
+from pca import cli, fileio, malcev, tower, wedderburn
+from pca.algebra import (AlgHom, Ideal, direct_product, group_algebra,
+                         make_algebra, tensor, triangular_algebra)
 from pca.errors import NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.limits import Limits
-from pca.linalg import Subspace
+from pca.linalg import Matrix, Subspace
 from pca.radical import RadicalResult
-from pca.tower import (kronecker_quiver, loop_quiver, path_algebra_tower,
-                       power_series_tower)
+from pca.tower import (Tower, kronecker_quiver, loop_quiver,
+                       path_algebra_tower, power_series_tower)
 
 # the submodule; ``pca.radical`` is the public function of that name
 radical_module = importlib.import_module("pca.radical")
@@ -214,6 +214,20 @@ def test_tower_with_non_multiplicative_map_is_rejected(fixtures):
     assert not res.stdout
 
 
+def test_tower_with_non_surjective_map_is_rejected(tmp_path):
+    # (a, b) -> (a, a) on Q x Q is unital and multiplicative, not onto
+    qxq = {"field": {"kind": "rationals"}, "dim": 2, "basis": ["a", "b"],
+           "unit": ["1", "1"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
+    doc = {"kind": "custom", "meta": {}, "levels": [qxq, qxq],
+           "maps": [[["1", "0"], ["1", "0"]]]}
+    fileio.save_canonical(str(tmp_path / "onto.tower"), doc)
+    res = run_cli("tower", "check", "onto.tower", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "not surjective" in res.stderr
+    assert not res.stdout
+
+
 QXQ = {"field": {"kind": "rationals"}, "dim": 2, "basis": ["a", "b"],
        "unit": ["1", "1"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
 # Q x Q[x]/(x^2): the radical is spanned by x, and A/J is Q x Q
@@ -259,6 +273,59 @@ def test_oracle_disagreement_raises(fixtures, monkeypatch, capsys):
     assert err == ("pca: internal error: oracle and main method disagree on "
                    "the radical (seed 7, input "
                    f"{fileio.digest_file('f2c2.alg')})\n")
+
+
+def _zero_map_tower(K, depth):
+    # the power-series tower with a connecting map that is not surjective
+    T = power_series_tower(K, depth)
+    h = T.maps[0]
+    zero = Matrix.zero(K, h.target.dim, h.source.dim)
+    return Tower(T.levels, [AlgHom(h.source, h.target, zero)], T.kind, T.meta)
+
+
+# (argv, module, name, replacement) for one injected program fault each
+INTERNAL_FAULTS = {
+    "split_coboundary_unsolvable": (
+        ("split", "t3q.alg"), malcev, "solve", lambda M, b: None),
+    "split_quotient_not_separable": (
+        ("split", "t3q.alg"), malcev, "is_separable", lambda A: False),
+    "split_layer_not_multiplicative": (
+        ("split", "t3q.alg"), malcev, "solve",
+        lambda M, b: (M.field.zero,) * M.cols),
+    "conjugate_not_inner": (
+        ("conjugate", "t3q.alg", "--s1", "s1.json", "--s2", "s2.json"),
+        malcev, "inner_derivation", lambda *args: None),
+    "wedderburn_wrong_reassembly": (
+        ("wedderburn", "qc3.alg"), wedderburn, "direct_product",
+        lambda blocks: direct_product(blocks[::-1])),
+    "wedderburn_not_orthogonal": (
+        ("wedderburn", "qc3.alg"), wedderburn, "_eval_in_block",
+        lambda A, e, z, f: e),
+    "tower_build_not_surjective": (
+        ("tower", "build", "--kind", "powerseries", "--field", "Q",
+         "--depth", "2", "-o", "t.tower"), tower, "power_series_tower",
+        _zero_map_tower),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERNAL_FAULTS))
+def test_internal_failures_exit_3(tmp_path, monkeypatch, capsys, case):
+    argv, module, name, fault = INTERNAL_FAULTS[case]
+    monkeypatch.chdir(tmp_path)
+    fileio.save_canonical("t3q.alg",
+                          fileio.algebra_to_doc(triangular_algebra(3, Q)))
+    fileio.save_canonical("qc3.alg",
+                          fileio.algebra_to_doc(group_algebra(3, Q)))
+    for seed, out in (("1", "s1.json"), ("2", "s2.json")):
+        assert cli.main(["split", "t3q.alg", "--seed", seed, "-o", out]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(module, name, fault)
+    assert cli.main(list(argv)) == 3
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("pca: internal error: ")
+    assert err.count("\n") == 1 and err.endswith(")\n")
+    assert not (tmp_path / "t.tower").exists()
 
 
 GOOD_TOWER = fileio.tower_to_doc(power_series_tower(Q, 2))

@@ -82,9 +82,11 @@ def _radical_powers():
 def _connecting_homs():
     out = []
     for A in (group_algebra(8, F2), triangular_algebra(3, Q)):
-        quots = [quotient(A, idl) for idl in radical(A).filtration]
-        for (coarse, coarse_proj), (fine, fine_proj) in zip(quots, quots[1:]):
-            out.append(_connecting_hom(fine, fine_proj, coarse, coarse_proj))
+        ideals = radical(A).filtration
+        quots = [quotient(A, idl) for idl in ideals]
+        for (_, coarse_proj), (fine, _), ideal in zip(quots, quots[1:],
+                                                      ideals[1:]):
+            out.append(_connecting_hom(fine, ideal, coarse_proj))
     return out
 
 
@@ -92,8 +94,10 @@ def _path_levels():
     out = []
     for q in (kronecker_quiver(), COMMUTING_LOOPS):
         for n in (1, 2, 3):
-            level, _, _, _, free = _path_level(q, Q, n)
-            out.extend([level, free])
+            level, _, _, _, relations = _path_level(q, Q, n)
+            out.append(level)
+            if relations is not None:
+                out.extend([relations.ambient, relations])
     return out
 
 

@@ -7,7 +7,7 @@ from pca.algebra import (base_change, direct_product, group_algebra,
                          hom_check, ideal_closure, make_algebra,
                          matrix_algebra, polynomial_quotient_algebra,
                          triangular_algebra)
-from pca.errors import NotCoprime, NotSemisimple, UnsupportedField
+from pca.errors import BadSpec, NotCoprime, NotSemisimple, UnsupportedField
 from pca.fields import PrimeField, Rationals, SimpleExtension
 from pca.linalg import Matrix, rank
 from pca.poly import Poly, factor
@@ -144,6 +144,15 @@ def test_crt_lift_not_coprime():
     I = ideal_closure(A, [A.basis_element(1)])
     with pytest.raises(NotCoprime):
         crt_lift(A, [I, I], [A.zero_element(), A.unit])
+
+
+@pytest.mark.parametrize("ideals,targets", [(1, 2), (2, 1), (0, 0)],
+                         ids=["fewer_ideals", "fewer_targets", "empty"])
+def test_crt_lift_mismatched_arguments_are_bad_spec(ideals, targets):
+    A = polynomial_quotient_algebra(Poly.from_ints(Q, [-1, 0, 1]))
+    I = ideal_closure(A, [A.sub(A.basis_element(1), A.unit)])
+    with pytest.raises(BadSpec):
+        crt_lift(A, [I] * ideals, [A.unit] * targets)
 
 
 def f4_algebra():
