@@ -172,6 +172,8 @@ class FinAlg:
 
     def __eq__(self, other):
         """Structural equality; basis labels carry no semantics."""
+        if other is self:
+            return True
         return (isinstance(other, FinAlg) and other.field == self.field
                 and other.dim == self.dim and other.unit == self.unit
                 and other.entries() == self.entries())

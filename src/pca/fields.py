@@ -62,7 +62,9 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # Dense univariate polynomial helpers over an arbitrary field object K.
 # Polynomials are tuples of scalars, low degree first, no trailing zeros.
-# These are shared by the function field, extension fields and poly module.
+# Every polynomial product and division in pca goes through them: over a
+# field, or over the Z/p^k residues of Hensel lifting (poly._Residues),
+# which for k > 1 divide only by monic polynomials.
 # ---------------------------------------------------------------------------
 
 def pnormalize(cs, K):
@@ -124,13 +126,15 @@ def pmonic(f, K):
 
 
 def pdivmod(f, g, K):
+    """Quotient and remainder of f by g; a monic g needs no inverse, so
+    this also divides over a ring such as Z/p^k."""
     if not g:
         raise DivisionByZero("polynomial division by zero")
     f = list(f)
     q = [K.zero] * max(0, len(f) - len(g) + 1)
-    inv_lc = K.inv(g[-1])
+    inv_lc = None if g[-1] == K.one else K.inv(g[-1])
     while len(f) >= len(g) and f:
-        c = K.mul(f[-1], inv_lc)
+        c = f[-1] if inv_lc is None else K.mul(f[-1], inv_lc)
         d = len(f) - len(g)
         q[d] = c
         for i, b in enumerate(g):
@@ -585,18 +589,6 @@ class SimpleExtension(Field):
         gen = [base.zero] * d
         gen[1] = base.one
         self.gen = tuple(gen)
-        # reduction table for x^d .. x^(2d-2) modulo minpoly
-        self._red = []
-        cur = pnormalize([base.neg(c) for c in minpoly[:-1]], base)
-        for _ in range(d - 1):
-            self._red.append(self._pad(cur))
-            cur = list(cur)
-            cur.insert(0, base.zero)
-            cur = pnormalize(cur, base)
-            if pdeg(cur) >= d:
-                top = cur[d]
-                cur = psub(pnormalize(cur[:d], base),
-                           pscale(minpoly[:-1], top, base), base)
 
     def _pad(self, cs):
         return tuple(cs) + tuple(self.base.zero
@@ -616,24 +608,7 @@ class SimpleExtension(Field):
 
     def mul(self, a, b):
         B = self.base
-        d = self.degree
-        prod = [B.zero] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if B.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                if B.is_zero(y):
-                    continue
-                prod[i + j] = B.add(prod[i + j], B.mul(x, y))
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            c = prod[k]
-            if B.is_zero(c):
-                continue
-            red = self._red[k - d]
-            for i in range(d):
-                out[i] = B.add(out[i], B.mul(c, red[i]))
-        return tuple(out)
+        return self._pad(pmod(pmul(a, b, B), self.minpoly, B))
 
     def inv(self, a):
         if self.is_zero(a):
@@ -642,7 +617,6 @@ class SimpleExtension(Field):
         g, s, _ = pextgcd(pnormalize(a, B), self.minpoly, B)
         if pdeg(g) != 0:
             raise BadSpec("minpoly not irreducible: gcd witness found")
-        s = pscale(s, B.inv(g[0]), B)
         return self._pad(s)
 
     def is_zero(self, a):

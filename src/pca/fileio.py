@@ -62,6 +62,8 @@ def field_to_doc(K: Field) -> dict:
 
 
 def field_from_doc(doc: dict) -> Field:
+    if not isinstance(doc, dict):
+        raise BadSpec(f"field descriptor {doc!r} is not an object")
     kind = doc.get("kind")
     if kind == "rationals":
         return Rationals()
@@ -134,6 +136,13 @@ def algebra_to_doc(A: FinAlg) -> dict:
     }
 
 
+def _index(i):
+    """A structure-constant index, which must be a JSON integer."""
+    if type(i) is not int:     # bool is a subclass of int
+        raise BadSpec(f"structure constant index {i!r} is not an integer")
+    return i
+
+
 def algebra_from_doc(doc: dict) -> FinAlg:
     try:
         K = field_from_doc(doc["field"])
@@ -142,7 +151,7 @@ def algebra_from_doc(doc: dict) -> FinAlg:
         if len(labels) != dim:
             raise BadSpec("basis label count differs from dim")
         check_dim(dim, "the algebra")
-        entries = [(i, j, k, _scalar_from_text(K, t))
+        entries = [(_index(i), _index(j), _index(k), _scalar_from_text(K, t))
                    for i, j, k, t in doc["mult"]]
         unit = vector_from_texts(K, doc["unit"]) if "unit" in doc else None
     except (KeyError, TypeError, ValueError) as exc:

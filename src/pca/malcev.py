@@ -185,8 +185,10 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
             hcols = [(K.zero,) * fine.dim for _ in range(q)]
         section = Matrix(K, zip(*[fine.sub(t, h)
                                   for t, h in zip(tcols, hcols)]), q)
-        _internal(AlgHom(head, fine, section).verify)
-    # the last quotient is by the zero ideal, i.e. A itself coordinatewise
+        if level < len(quots) - 1:
+            _internal(AlgHom(head, fine, section).verify)
+    # the last quotient is by the zero ideal, i.e. A itself coordinatewise,
+    # so split.verify proves the last layer's section
     sec_hom = AlgHom(head, A, section)
     image = Subspace(K, A.dim, section.columns())
     split = Splitting(A, head, head_proj, sec_hom, image, rad)

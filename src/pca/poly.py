@@ -3,9 +3,14 @@
 Factorization is available over Q and F_p only.  Over F_p it runs squarefree
 decomposition, distinct-degree splitting and seeded Cantor-Zassenhaus
 equal-degree splitting.  Over Q it clears denominators, reduces modulo a
-good prime, lifts the modular factorization with Hensel steps and recombines
-subsets of modular factors.  No lattice reduction: adequate for the small
-degrees this package works at.
+good prime, lifts the modular factorization with quadratic Hensel steps and
+recombines subsets of modular factors.  No lattice reduction: recombination
+is exponential in the number of modular factors, which is adequate for the
+small degrees this package works at.
+
+Every polynomial product and division here goes through the ``fields.p*``
+helpers: over a field, or over the residues Z/p^k of Hensel lifting
+(``_Residues``).
 """
 
 from __future__ import annotations
@@ -234,59 +239,42 @@ def _factor_fp(f, K, rng):
 # factorization over Q: Zassenhaus with Hensel lifting
 # ---------------------------------------------------------------------------
 
-def _ztrunc(f, m):
-    """Reduce integer coefficients into the symmetric range (-m/2, m/2]."""
-    half = m // 2
-    out = []
-    for c in f:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+class _Residues:
+    """Z/m on the symmetric range (-m/2, m/2], a ring for the fields.p*
+    helpers; inv exists only for units (ValueError otherwise)."""
 
+    zero = 0
+    one = 1
 
-def _zadd(f, g):
-    n = max(len(f), len(g))
-    out = [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-           for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    def __init__(self, m):
+        self.m = m
+        self.half = m // 2
 
+    def red(self, c):
+        c %= self.m
+        return c - self.m if c > self.half else c
 
-def _zsub(f, g):
-    return _zadd(f, [-c for c in g])
+    def add(self, a, b):
+        return self.red(a + b)
 
+    def neg(self, a):
+        return self.red(-a)
 
-def _zmul(f, g):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    def sub(self, a, b):
+        return self.red(a - b)
 
+    def mul(self, a, b):
+        return self.red(a * b)
 
-def _zdivmod_monic(f, g, m):
-    """Euclidean division by monic g, coefficients taken mod m (symmetric)."""
-    f = list(f)
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
-        c = f[-1]
-        d = len(f) - len(g)
-        q[d] = c
-        for i, b in enumerate(g):
-            f[d + i] -= c * b
-        while f and f[-1] == 0:
-            f.pop()
-    return _ztrunc(q, m), _ztrunc(f, m)
+    def inv(self, a):
+        return self.red(pow(a, -1, self.m))
+
+    def is_zero(self, a):
+        return a == 0
+
+    def poly(self, f):
+        """The coefficient list f reduced into this ring."""
+        return pnormalize([self.red(c) for c in f], self)
 
 
 def _zcontent(f):
@@ -308,15 +296,15 @@ def _zprimitive(f):
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g*h (mod m), s*g + t*h = 1 (mod m)
     to the same congruences mod m**2.  h must be monic."""
-    M = m * m
-    e = _ztrunc(_zsub(f, _zmul(g, h)), M)
-    q, r = _zdivmod_monic(_zmul(s, e), h, M)
-    G = _ztrunc(_zadd(_zadd(g, _zmul(t, e)), _zmul(q, g)), M)
-    H = _ztrunc(_zadd(h, r), M)
-    u = _ztrunc(_zsub(_zadd(_zmul(s, G), _zmul(t, H)), [1]), M)
-    c, d = _zdivmod_monic(_zmul(s, u), H, M)
-    S = _ztrunc(_zsub(s, d), M)
-    T = _ztrunc(_zsub(_zsub(t, _zmul(t, u)), _zmul(c, G)), M)
+    R = _Residues(m * m)
+    e = psub(f, pmul(g, h, R), R)
+    q, r = pdivmod(pmul(s, e, R), h, R)
+    G = padd(padd(g, pmul(t, e, R), R), pmul(q, g, R), R)
+    H = padd(h, r, R)
+    u = psub(padd(pmul(s, G, R), pmul(t, H, R), R), (1,), R)
+    c, d = pdivmod(pmul(s, u, R), H, R)
+    S = psub(s, d, R)
+    T = psub(psub(t, pmul(t, u, R), R), pmul(c, G, R), R)
     return G, H, S, T
 
 
@@ -324,40 +312,29 @@ def _hensel_lift(p, f, fac, bound):
     """Lift the mod-p factorization lc(f)*prod(fac) of f to mod p**l with
     p**l >= bound.  fac holds monic mod-p factors as int lists; returns the
     lifted factors (symmetric representation) and the modulus."""
-    ell = 1
     modulus = p
     while modulus < bound:
         modulus *= p
-        ell += 1
-    r = len(fac)
-    lc = f[-1]
-    if r == 1:
-        inv = pow(lc % modulus, -1, modulus)
-        return [_ztrunc([c * inv for c in f], modulus)], modulus
-    K = PrimeField(p)
-    k = r // 2
-    g = [lc % p]
+    R = _Residues(modulus)
+    if len(fac) == 1:
+        return [pscale(f, R.inv(f[-1]), R)], modulus
+    P = _Residues(p)
+    k = len(fac) // 2
+    g = (f[-1],)
     for fi in fac[:k]:
-        g = [c % p for c in _zmul(g, fi)]
-    h = [1]
+        g = pmul(g, fi, P)
+    h = (1,)
     for fi in fac[k:]:
-        h = [c % p for c in _zmul(h, fi)]
-    gt = pnormalize(g, K)
-    ht = pnormalize(h, K)
-    d, s, t = fields.pextgcd(gt, ht, K)
+        h = pmul(h, fi, P)
+    d, s, t = fields.pextgcd(g, h, P)
     if pdeg(d) != 0:
         raise BadSpec("modular factors not coprime")
-    c = K.inv(d[0])
-    s = _ztrunc(list(pscale(s, c, K)), p)
-    t = _ztrunc(list(pscale(t, c, K)), p)
-    g = _ztrunc(g, p)
-    h = _ztrunc(h, p)
     m = p
     while m < modulus:
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m *= m
-    left, _ = _hensel_lift(p, _ztrunc(g, modulus), fac[:k], bound)
-    right, _ = _hensel_lift(p, _ztrunc(h, modulus), fac[k:], bound)
+    left, _ = _hensel_lift(p, R.poly(g), fac[:k], bound)
+    right, _ = _hensel_lift(p, R.poly(h), fac[k:], bound)
     return left + right, modulus
 
 
@@ -382,7 +359,6 @@ def _zassenhaus(f, rng):
     norm = math.isqrt(sum(c * c for c in f)) + 1
     bound = 2 * (2 ** n) * norm * abs(f[-1]) + 1
     p = 2
-    K = None
     while True:
         p = _next_prime(p)
         if f[-1] % p == 0:
@@ -398,6 +374,7 @@ def _zassenhaus(f, rng):
     if len(modular) == 1:
         return [f]
     lifted, modulus = _hensel_lift(p, f, modular, bound)
+    R = _Residues(modulus)
     result = []
     rest = list(f)
     avail = list(range(len(lifted)))
@@ -405,9 +382,9 @@ def _zassenhaus(f, rng):
     while 2 * size <= len(avail):
         found = False
         for subset in itertools.combinations(avail, size):
-            cand = [rest[-1]]
+            cand = (rest[-1],)
             for i in subset:
-                cand = _ztrunc(_zmul(cand, lifted[i]), modulus)
+                cand = pmul(cand, lifted[i], R)
             _, cand = _zprimitive(cand)
             if not cand:
                 continue

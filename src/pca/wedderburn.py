@@ -23,7 +23,7 @@ from .fields import PrimeField, Rationals
 from .linalg import Matrix, Subspace, nullspace, rank, solve, vec_is_zero
 from .poly import Poly, factor
 from .radical import is_semisimple
-from .fields import pdeg, pdivmod, pextgcd, pmod, pmul, pscale
+from .fields import pdeg, pdivmod, pextgcd, pmod, pmul
 
 
 class BlockDecomposition:
@@ -93,7 +93,7 @@ def _split_by(A: FinAlg, e, z, mu: Poly):
         d, s, _ = pextgcd(ghat, f.coeffs, K)
         if pdeg(d) != 0:
             raise InternalVerificationFailed("minpoly factors not coprime")
-        h = pmod(pmul(pscale(s, K.inv(d[0]), K), ghat, K), mu.coeffs, K)
+        h = pmod(pmul(s, ghat, K), mu.coeffs, K)
         parts.append(_eval_in_block(A, e, z, Poly(K, h)))
     _check_split(A, parts, e)
     return parts

@@ -344,6 +344,22 @@ def test_non_string_scalar_is_input_error(tmp_path, argv, name, doc):
     assert not res.stdout
 
 
+@pytest.mark.parametrize("doc", [
+    dict(QXQ, field=5),
+    dict(QXQ, field={"kind": "extension", "base": 5,
+                     "minpoly": ["-2", "0", "1"]}),
+    dict(QXQ, mult=[[0, 0, 0, "1"], [1, 1, 0.5, "1"]]),
+    dict(QXQ, mult=[[0, 0, 0, "1"], [1, True, 1, "1"]]),
+], ids=["field_number", "extension_base_number", "index_fraction",
+        "index_true"])
+def test_malformed_algebra_document_is_input_error(tmp_path, doc):
+    fileio.save_canonical(str(tmp_path / "a.alg"), doc)
+    res = run_cli("radical", "a.alg", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert not res.stdout
+
+
 def _loop_quiver_doc(coeffs, vertex="v"):
     """One loop x at one vertex and the relation sum c * x*x."""
     return {"vertices": [vertex],

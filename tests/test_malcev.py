@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import corpus
-from pca.algebra import (group_algebra, ideal_closure, matrix_algebra,
+from pca.algebra import (AlgHom, group_algebra, ideal_closure, matrix_algebra,
                          triangular_algebra, truncated_polynomial_algebra)
 from pca.errors import NotIdempotentModJ
 from pca.fields import PrimeField, Rationals
@@ -174,3 +174,23 @@ def test_splitting_from_section_matrix_round_trip():
     s = wedderburn_splitting(T2, seed=3)
     s2 = splitting_from_section_matrix(T2, s.section.matrix)
     assert s2.image == s.image
+
+
+@pytest.mark.parametrize("A,layers", [
+    (triangular_algebra(3, Q), 2),
+    (group_algebra(8, F2), 7),
+], ids=["T3Q", "F2C8"])
+def test_splitting_proves_each_section_once(monkeypatch, A, layers):
+    # one AlgHom proof per filtration layer; the last layer's section is
+    # the splitting's own section, proved by Splitting.verify
+    calls = []
+    verify = AlgHom.verify
+
+    def counting(self):
+        calls.append(self)
+        return verify(self)
+
+    monkeypatch.setattr(AlgHom, "verify", counting)
+    wedderburn_splitting(A, seed=1)
+    assert len(radical(A).filtration) == layers + 1
+    assert len(calls) == layers

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from pca import poly
 from pca.errors import BadSpec, UnsupportedField
 from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.poly import Poly, factor, is_irreducible, poly_gcd
@@ -74,6 +76,77 @@ def test_factor_subset_recombination():
     fac = factor(f)
     assert [g.degree for g, _ in fac] == [2, 2, 2]
     assert _recompose(f, fac) == f
+
+
+def _swinnerton_dyer(radicands):
+    """The monic polynomial whose roots are all sums of +-sqrt(a)."""
+    f = Poly.x(Q)
+    for a in radicands:
+        # f(x + sqrt a) = even(x) + sqrt(a) odd(x), and the product with
+        # f(x - sqrt a) is even^2 - a odd^2
+        even = odd = Poly.zero(Q)
+        for j, c in enumerate(f.coeffs):
+            for i in range(j + 1):
+                term = Poly(Q, [Q.zero] * (j - i)
+                            + [c * math.comb(j, i) * a ** (i // 2)])
+                if i % 2:
+                    odd = odd + term
+                else:
+                    even = even + term
+        f = even * even - (odd * odd).scale(Q.from_int(a))
+    return f
+
+
+SD16 = _swinnerton_dyer([2, 3, 5, 7])
+
+
+def _int_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("f", [
+    *(Poly.from_ints(Q, [-1] + [0] * (n - 1) + [1]) for n in range(2, 31)),
+    SD16,
+    Poly.from_ints(Q, [-1, 1, 5, 1, 6]),   # (2x+1)(3x-1)(x^2+1)
+], ids=[*(f"x^{n}-1" for n in range(2, 31)), "SD16", "non_monic"])
+def test_hensel_lift_invariant(monkeypatch, f):
+    lifts = []
+    lift = poly._hensel_lift
+
+    def recording(p, g, fac, bound):
+        out = lift(p, g, fac, bound)
+        lifts.append((p, list(g), fac, bound) + out)
+        return out
+
+    monkeypatch.setattr(poly, "_hensel_lift", recording)
+    factor(f)
+    assert lifts
+    for p, g, fac, bound, lifted, modulus in lifts:
+        power = p
+        while power < bound:
+            power *= p
+        assert modulus == power
+        prod = [g[-1]]
+        for h in lifted:
+            prod = _int_mul(prod, h)
+        assert [c % modulus for c in prod] == [c % modulus for c in g]
+        assert [[c % p for c in h] for h in lifted] == [list(h) for h in fac]
+
+
+def test_swinnerton_dyer_is_irreducible(monkeypatch):
+    # it splits into 8 quadratics modulo every prime, so recombination
+    # tries every subset of up to 4 of them: 8 + 28 + 56 + 70 = 162
+    assert SD16.degree == 16
+    tried = []
+    divides = poly._zz_divides
+    monkeypatch.setattr(poly, "_zz_divides",
+                        lambda g, f: tried.append(g) or divides(g, f))
+    assert is_irreducible(SD16)
+    assert len(tried) == 162
 
 
 def test_factor_frobenius_powers():

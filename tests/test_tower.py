@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from pca.algebra import group_algebra, matrix_algebra
+from pca.algebra import FinAlg, group_algebra, matrix_algebra
 from pca.errors import (EmptyQuiver, IncompatibleCoordinates,
                         NonComposableRelation, TooLarge)
 from pca.fields import PrimeField, Rationals
@@ -161,3 +161,15 @@ def test_tower_size_limits():
         product_tower([big, big])
     with pytest.raises(TooLarge):
         path_algebra_tower(kronecker_quiver(), Q, Limits.depth + 1)
+
+
+def test_verify_compares_built_levels_by_identity(monkeypatch):
+    # a built tower's maps hold its own level objects, so Tower.verify
+    # needs no structure-constant comparison
+    T = cyclic_group_tower(2, F2, 4)
+
+    def no_entries(self):
+        raise AssertionError("entries() compared")
+
+    monkeypatch.setattr(FinAlg, "entries", no_entries)
+    assert T.verify()
