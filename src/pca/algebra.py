@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
 from .fields import Field, SimpleExtension, check_same_field
-from .linalg import (Matrix, Subspace, nullspace, rank, solve, unit_vec,
-                     vec_add, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, _eliminate, _reduce, nullspace, rank,
+                     solve, unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 from .poly import Poly
 
 
@@ -24,7 +24,7 @@ class FinAlg:
     tuple of (k, scalar) pairs; e_i * e_j = sum_k c * e_k.
     """
 
-    __slots__ = ("field", "dim", "labels", "rows", "unit", "_ltrace")
+    __slots__ = ("field", "dim", "labels", "rows", "unit", "_ltrace", "_gens")
 
     def __init__(self, field: Field, labels, rows, unit):
         self.field = field
@@ -41,6 +41,7 @@ class FinAlg:
                         acc = field.add(acc, c)
             trace.append(acc)
         self._ltrace = tuple(trace)
+        self._gens = None
 
     # -- element arithmetic -------------------------------------------------
 
@@ -119,16 +120,70 @@ class FinAlg:
 
     # -- validation ---------------------------------------------------------
 
-    def verify(self):
-        """Check associativity on all basis triples and the unit laws.
+    def generators(self):
+        """Basis indices G such that the right-nested products
+        g1 (g2 (... (gk x))), with every gi in G, k >= 0 and x either 1 or
+        in G, span the algebra; found once and cached.
 
-        (e_i e_j) e_k and e_i (e_j e_k) are expanded straight from the
-        sparse rows, and the triples are tried in (i, j, k) order, so the
-        first failing triple is the one reported."""
+        Greedy: start from span{1}; add the first basis element outside
+        the span to G and to the span (e_g itself, not e_g 1, so the span
+        grows even where the unit law fails), extend the span by the
+        products g w until it stops growing, and repeat.  Each batch of
+        products is one carried-on elimination."""
+        if self._gens is not None:
+            return self._gens
+        K, n, rows = self.field, self.dim, self.rows
+        add, mul = K.add, K.mul
+
+        def left(g, w):
+            # e_g * w for a sparse word w, as a dense vector
+            acc = [K.zero] * n
+            row = rows[g]
+            for j, c in w.items():
+                for k, d in row.get(j, ()):
+                    acc[k] = add(acc[k], mul(c, d))
+            return acc
+
+        piv = {}
+
+        def grow(vectors):
+            # the span's new pivot rows, as words, after adding vectors
+            old = set(piv)
+            _eliminate(K, vectors, n, piv)
+            return [dict(piv[c]) for c in piv if c not in old]
+
+        words = grow([self.unit])
+        gens = []
+        for i in range(n):
+            if len(piv) == n:
+                break
+            if not _reduce(K, {i: K.one}, piv):
+                continue
+            gens.append(i)
+            todo = [(i, w) for w in words]
+            fresh = grow([self.basis_element(i)])
+            while fresh:
+                words += fresh
+                todo += [(g, w) for w in fresh for g in gens]
+                fresh = grow([left(g, w) for g, w in todo])
+                todo = []
+        self._gens = tuple(gens)
+        return self._gens
+
+    def _unit_failure(self):
+        """The first basis index where a unit law fails, or None."""
+        for i in range(self.dim):
+            e = self.basis_element(i)
+            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                return i
+        return None
+
+    def _failing_triple(self, middles):
+        """The first (i, j, k) in (i, j, k) order, with j in ``middles``,
+        where (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides are
+        expanded straight from the sparse rows."""
         K = self.field
         n = self.dim
-        if len(self.unit) != n:
-            raise BadSpec("unit vector has wrong length")
         rows = self.rows
         add, mul, is_zero = K.add, K.mul, K.is_zero
 
@@ -143,7 +198,7 @@ class FinAlg:
 
         for i in range(n):
             ri = rows[i]
-            for j in range(n):
+            for j in middles:
                 pij = ri.get(j, ())
                 rj = rows[j]
                 for k in range(n):
@@ -151,14 +206,34 @@ class FinAlg:
                     right = expand((c, ri.get(m, ()))
                                    for m, c in rj.get(k, ()))
                     if left != right:
-                        raise NotAssociative(
-                            f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})",
-                            (i, j, k))
-        for i in range(n):
-            e = self.basis_element(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                raise NoUnit(f"unit law fails on basis element {i}")
-        return True
+                        return i, j, k
+        return None
+
+    def _generator_proof(self):
+        """True when the unit laws hold and so do the triples (e_i, g, e_k)
+        for every g in ``generators()`` (Light's associativity test)."""
+        return (self._unit_failure() is None
+                and self._failing_triple(self.generators()) is None)
+
+    def verify(self):
+        """Check the unit laws and associativity.
+
+        Light's test: the m with (x m) y = x (m y) for all x, y form a
+        subspace closed under products, and it holds 1 once the unit laws
+        do.  The right-nested words over ``generators()`` span the
+        algebra, so the unit laws and the n^2 |G| triples (e_i, g, e_k)
+        prove associativity.  On any failure the full (i, j, k) scan runs,
+        so the first failing triple is the one reported, and
+        NotAssociative comes before NoUnit."""
+        if len(self.unit) != self.dim:
+            raise BadSpec("unit vector has wrong length")
+        if self._generator_proof():
+            return True
+        bad = self._failing_triple(range(self.dim))
+        if bad is not None:
+            i, j, k = bad
+            raise NotAssociative(f"(e{i}*e{j})*e{k} != e{i}*(e{j}*e{k})", bad)
+        raise NoUnit(f"unit law fails on basis element {self._unit_failure()}")
 
     def entries(self):
         """Sorted sparse structure-constant entries (i, j, k, scalar)."""
@@ -434,8 +509,9 @@ class Ideal:
         self.sidedness = sidedness
 
     def verify(self):
-        """Check closure under the declared multiplications by the basis,
-        by one elimination of the basis products (``_closure_step``)."""
+        """Check closure under the declared multiplications by the
+        algebra's generators, by one elimination of the products
+        (``_closure_step``)."""
         if _closure_step(self.ambient, self.space,
                          self.sidedness).dim != self.dim:
             raise NotAnIdeal(f"subspace is not a {self.sidedness} ideal")
@@ -464,13 +540,17 @@ class Ideal:
 
 
 def _closure_step(a: FinAlg, space: Subspace, sidedness) -> Subspace:
-    """space extended by the products of its basis with every e_i, on the
-    declared sides.  The space is such an ideal exactly when the step
-    leaves its dimension unchanged."""
+    """space extended by the products of its basis with every g in
+    ``a.generators()``, on the declared sides.  In an associative unital
+    algebra the elements that map the space into itself by left (or
+    right) multiplication form a subalgebra holding 1 and G, hence all of
+    it; so the space is such an ideal exactly when the step leaves its
+    dimension unchanged."""
+    gens = [a.basis_element(g) for g in a.generators()]
+
     def products():
         for v in space.basis:
-            for i in range(a.dim):
-                e = a.basis_element(i)
+            for e in gens:
                 if sidedness != "right":
                     yield a.mul(e, v)
                 if sidedness != "left":
@@ -508,19 +588,30 @@ class AlgHom:
         self.target = target
         self.matrix = matrix
 
-    def verify(self):
+    def _failing_pair(self, rights):
+        """The first (i, j), with j in ``rights``, where
+        phi(e_i e_j) != phi(e_i) phi(e_j), or None."""
         src, tgt, M = self.source, self.target, self.matrix
-        if M.apply(src.unit) != tgt.unit:
-            raise NotAHom("phi(1) != 1")
         cols = M.columns()
         for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = M.apply(src.product_basis(i, j))
-                rhs = tgt.mul(cols[i], cols[j])
-                if lhs != rhs:
-                    raise NotAHom(
-                        f"phi(e{i}*e{j}) != phi(e{i})*phi(e{j})", (i, j))
-        return True
+            for j in rights:
+                if M.apply(src.product_basis(i, j)) != tgt.mul(cols[i],
+                                                              cols[j]):
+                    return i, j
+        return None
+
+    def verify(self):
+        """phi(1) = 1 and phi(e_i g) = phi(e_i) phi(g) for every basis
+        element e_i and every g in ``source.generators()``.  With source
+        and target associative, the b with phi(x b) = phi(x) phi(b) for
+        all x form a subalgebra holding 1 and G, hence all of the source.
+        On a failure the full (i, j) scan names the first failing pair."""
+        if self.matrix.apply(self.source.unit) != self.target.unit:
+            raise NotAHom("phi(1) != 1")
+        if self._failing_pair(self.source.generators()) is None:
+            return True
+        i, j = self._failing_pair(range(self.source.dim))
+        raise NotAHom(f"phi(e{i}*e{j}) != phi(e{i})*phi(e{j})", (i, j))
 
     def apply(self, v):
         return self.matrix.apply(v)

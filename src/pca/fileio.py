@@ -148,6 +148,11 @@ def algebra_from_doc(doc: dict) -> FinAlg:
         K = field_from_doc(doc["field"])
         dim = doc["dim"]
         labels = doc["basis"]
+        if type(dim) is not int:     # bool is a subclass of int
+            raise BadSpec(f"dim {dim!r} is not an integer")
+        if not (isinstance(labels, list)
+                and all(isinstance(lab, str) for lab in labels)):
+            raise BadSpec("basis must be a list of strings")
         if len(labels) != dim:
             raise BadSpec("basis label count differs from dim")
         check_dim(dim, "the algebra")

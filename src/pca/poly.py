@@ -338,9 +338,23 @@ def _hensel_lift(p, f, fac, bound):
     return left + right, modulus
 
 
+def _zz_value(f, a):
+    """f(a) for an integer polynomial f, coefficients from the constant."""
+    v = 0
+    for c in reversed(f):
+        v = v * a + c
+    return v
+
+
 def _zz_divides(g, f):
     """Exact divisibility test of primitive integer polynomials, with the
-    quotient when it divides."""
+    quotient when it divides.  By Gauss's lemma g then divides f in Z[x],
+    so g(a) divides f(a) for every integer a; a candidate that fails this
+    at a = 2, -2 or 3 is rejected before the division over Q."""
+    for a in (2, -2, 3):
+        ga = _zz_value(g, a)
+        if ga and _zz_value(f, a) % ga:
+            return None
     QQ = Rationals()
     fq = tuple(Fraction(c) for c in f)
     gq = tuple(Fraction(c) for c in g)

@@ -7,7 +7,10 @@ Two cold routes:
 * characteristic p <= dim(A): a descending chain that starts from the
   kernel of the trace form and is cut by trace-of-p^i-power functionals
   evaluated on integer lifts of the left regular representation, run over
-  the prime subfield after restriction of scalars.
+  the prime subfield after restriction of scalars.  Its integer matrix
+  products pack each row of the right factor into one Python integer, so
+  a product row is n multiply-adds; a power squares from the matrix
+  itself, and the last product of tr(X^q) is taken on the diagonal only.
 
 One warm route, ``radical_from_below``, for a surjection pi: A -> B whose
 target's radical is known, as between the levels of a tower.  pi maps
@@ -39,6 +42,7 @@ test suite to pin the fast routes down.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
@@ -76,30 +80,45 @@ def _trace_form_space(A: FinAlg) -> Subspace:
 
 
 def _imat_mul(a, b, m):
-    """Product of two square integer matrices, reduced mod m."""
+    """Product of two square integer matrices with entries in [0, m),
+    reduced mod m.  Each row of b is packed into one integer, in slots
+    wide enough for a sum of n products below m^2, so a product row is n
+    integer multiply-adds and one unpacking."""
     n = len(a)
+    width = (n * (m - 1) ** 2).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    slots = [1 << s for s in shifts]
+    packed = [sum(map(mul, row, slots)) for row in b]
     out = []
     for ai in a:
-        oi = [0] * n
-        for k, c in enumerate(ai):
-            if c:
-                bk = b[k]
-                for j in range(n):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-        out.append([x % m for x in oi])
+        acc = sum(map(mul, ai, packed))
+        out.append([(acc >> s & mask) % m for s in shifts])
     return out
 
 
 def _imat_pow(a, e, m):
-    n = len(a)
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    while e > 0:
+    """a^e mod m for e >= 1, by repeated squaring from a itself, with no
+    squaring past the highest bit of e."""
+    out = None
+    while True:
         if e & 1:
-            out = _imat_mul(out, a, m)
-        a = _imat_mul(a, a, m)
+            out = a if out is None else _imat_mul(out, a, m)
         e >>= 1
-    return out
+        if not e:
+            return out
+        a = _imat_mul(a, a, m)
+
+
+def _trace_pow(x, e, m):
+    """tr(x^e) mod m for e >= 2.  The last product of the power is taken on
+    the diagonal only, in O(n^2): tr(h h) with h = x^(e/2) for even e, and
+    tr(x^(e-1) x) for odd e."""
+    if e % 2:
+        a, b = _imat_pow(x, e - 1, m), x
+    else:
+        a = b = _imat_pow(x, e // 2, m)
+    return sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*b))) % m
 
 
 def _char_p_chain_space(A: FinAlg) -> Subspace:
@@ -143,8 +162,7 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
         G = [[0] * d for _ in range(d)]
         for r in range(d):
             for s in range(r, d):
-                power = _imat_pow(_imat_mul(mats[r], mats[s], m), q, m)
-                t = sum(power[a][a] for a in range(n)) % m
+                t = _trace_pow(_imat_mul(mats[r], mats[s], m), q, m)
                 if t % q:
                     raise InternalVerificationFailed(
                         "chain trace not divisible by p^i")

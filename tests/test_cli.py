@@ -360,6 +360,23 @@ def test_malformed_algebra_document_is_input_error(tmp_path, doc):
     assert not res.stdout
 
 
+Q1 = {"field": {"kind": "rationals"}, "dim": 1, "basis": ["1"],
+      "unit": ["1"], "mult": [[0, 0, 0, "1"]]}
+
+
+@pytest.mark.parametrize("doc", [
+    dict(Q1, dim=True),
+    dict(Q1, dim=1.0),
+    dict(Q1, basis="1"),
+], ids=["dim_true", "dim_float", "basis_string"])
+def test_malformed_dim_or_basis_is_input_error(tmp_path, doc):
+    fileio.save_canonical(str(tmp_path / "a.alg"), doc)
+    res = run_cli("radical", "a.alg", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert not res.stdout
+
+
 def _loop_quiver_doc(coeffs, vertex="v"):
     """One loop x at one vertex and the relation sum c * x*x."""
     return {"vertices": [vertex],

@@ -149,6 +149,43 @@ def test_swinnerton_dyer_is_irreducible(monkeypatch):
     assert len(tried) == 162
 
 
+def _random_primitive(rng):
+    """A primitive integer polynomial of degree 1 to 4, now and then times
+    x - 2, x + 2 or x - 3, where the divisibility pretest evaluates."""
+    g = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+    g.append(rng.choice([-3, -2, -1, 1, 2, 3, 5]))
+    if rng.random() < 0.4:
+        g = _int_mul(g, rng.choice([[-2, 1], [2, 1], [-3, 1]]))
+    _, g = poly._zprimitive(g)
+    return g
+
+
+def test_divisibility_pretest_keeps_true_factors():
+    rng = random.Random(11)
+    for _ in range(400):
+        g, h = _random_primitive(rng), _random_primitive(rng)
+        if rng.random() < 0.3:
+            h = _int_mul(h, _random_primitive(rng))
+        assert poly._zz_divides(g, _int_mul(g, h)) == h
+
+
+def test_divisibility_pretest_rejects_before_dividing(monkeypatch):
+    # every recombination candidate of SD16 fails g(a) | f(a) at a = 2,
+    # -2 or 3, so none of them needs the division over Q
+    tried = []
+    divides = poly._zz_divides
+    monkeypatch.setattr(poly, "_zz_divides",
+                        lambda g, f: tried.append((g, f)) or divides(g, f))
+    assert is_irreducible(SD16)
+
+    def no_division(*args):
+        raise AssertionError("candidate reached the division over Q")
+
+    monkeypatch.setattr(poly, "pdivmod", no_division)
+    assert len(tried) == 162
+    assert all(divides(g, f) is None for g, f in tried)
+
+
 def test_factor_frobenius_powers():
     # x^9 - x^3 = x^3 (x-1)^3 (x+1)^3 over F3
     f = Poly.from_ints(F3, [0, 0, 0, -1, 0, 0, 0, 0, 0, 1])

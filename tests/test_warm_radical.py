@@ -10,6 +10,11 @@ associativity proof, each against a slower reference kept here.
 * ``FinAlg.verify`` expands both sides of associativity from the sparse
   rows; the reference multiplies dense vectors, and both must give the same
   answer and the same first failing triple.
+* Light's test: ``FinAlg.generators`` must be the plain greedy generating
+  set, and the proofs on it (associativity, ideal closure, homomorphisms)
+  must accept and reject exactly as the scans over every basis element.
+* The char-p chain's packed integer products, powers and traces must equal
+  naive triple loops, and give the same radical space.
 """
 
 import importlib
@@ -19,10 +24,11 @@ import pytest
 
 import corpus
 from pca import fileio
-from pca.algebra import (AlgHom, _trusted_algebra, direct_product,
-                         group_algebra, matrix_algebra, tensor,
-                         triangular_algebra, truncated_polynomial_algebra)
-from pca.errors import NoUnit, NotAssociative
+from pca.algebra import (AlgHom, Ideal, _trusted_algebra, direct_product,
+                         group_algebra, ideal_closure, matrix_algebra,
+                         quotient, tensor, triangular_algebra,
+                         truncated_polynomial_algebra)
+from pca.errors import NoUnit, NotAHom, NotAnIdeal, NotAssociative
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import Matrix, Subspace, solve
@@ -38,6 +44,7 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = SimpleExtension(F3, (1, 0, 1), name="i")     # F_3[i]/(i^2 + 1)
+F4 = SimpleExtension(F2, (1, 1, 1), name="w")     # F_2[w]/(w^2 + w + 1)
 F2T = RationalFunctionField(2)
 
 
@@ -266,3 +273,215 @@ def test_sparse_verify_matches_dense_reference(K):
         outcomes.add(expected if expected is None else expected[0])
     # the perturbations reach the accepting and both rejecting answers
     assert outcomes == {None, NotAssociative, NoUnit}
+
+
+# -- Light's test: proofs on a generating set --------------------------------
+
+def _light_bases(K, rng):
+    """Associative unital tables in their natural and a rebased basis."""
+    bases = [group_algebra(3, K), truncated_polynomial_algebra(K, 4),
+             triangular_algebra(2, K), matrix_algebra(2, K),
+             tensor(truncated_polynomial_algebra(K, 2), group_algebra(2, K)),
+             direct_product([truncated_polynomial_algebra(K, 2),
+                             group_algebra(2, K)])]
+    return bases + [_rebased(rng, A) for A in bases]
+
+
+def _reference_generators(A):
+    """The greedy G on Subspace: from span{1}, take each basis element
+    outside the span in turn, and close the span under left
+    multiplication by G after each."""
+    K, n = A.field, A.dim
+    gens = []
+    span = Subspace(K, n, [A.unit])
+    for i in range(n):
+        e = A.basis_element(i)
+        if span.contains(e):
+            continue
+        gens.append(i)
+        span = span.extend([e])
+        while True:
+            bigger = span.extend(A.mul(A.basis_element(g), w)
+                                 for g in gens for w in span.basis)
+            if bigger.dim == span.dim:
+                break
+            span = bigger
+    assert span.dim == n
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9, F2T], ids=["Q", "F5", "F9", "F2t"])
+def test_generator_search_is_the_greedy_one(K):
+    # perturbed tables include ones whose unit law fails, where adding
+    # e_g 1 to the span instead of e_g gives another G
+    rng = random.Random(71)
+    bases = _light_bases(K, rng)
+    for _ in range(60):
+        A = _perturbed(rng, rng.choice(bases))
+        assert A.generators() == _reference_generators(A)
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9, F2T], ids=["Q", "F5", "F9", "F2t"])
+def test_generator_proof_matches_full_scan(K):
+    rng = random.Random(72)
+    bases = _light_bases(K, rng)
+    outcomes = set()
+    for _ in range(80):
+        A = _perturbed(rng, rng.choice(bases))
+        proved = A._generator_proof()
+        assert proved == (_dense_verify(A) is None)
+        outcomes.add(proved)
+    assert outcomes == {True, False}
+    # the proof is short where the table is generated by few elements
+    assert len(group_algebra(16, K).generators()) == 1
+
+
+def _reference_closure(A, vectors, sidedness):
+    """The closure of the span of ``vectors`` under multiplication by every
+    basis element on the declared sides."""
+    space = Subspace(A.field, A.dim, vectors)
+    while True:
+        prods = []
+        for v in space.basis:
+            for i in range(A.dim):
+                e = A.basis_element(i)
+                if sidedness != "right":
+                    prods.append(A.mul(e, v))
+                if sidedness != "left":
+                    prods.append(A.mul(v, e))
+        bigger = space.extend(prods)
+        if bigger.dim == space.dim:
+            return space
+        space = bigger
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9], ids=["Q", "F5", "F9"])
+def test_ideal_closure_on_generators_matches_every_basis_element(K):
+    rng = random.Random(73)
+    bases = _light_bases(K, rng) + [group_algebra(9, K)]
+    for _ in range(60):
+        A = rng.choice(bases)
+        side = rng.choice(["left", "right", "twosided"])
+        vectors = [tuple(K.random(rng) if rng.random() < 0.4 else K.zero
+                         for _ in range(A.dim))
+                   for _ in range(rng.randint(1, 2))]
+        expected = _reference_closure(A, vectors, side)
+        assert ideal_closure(A, vectors, side).space == expected
+        # a random subspace is proved an ideal exactly when it is closed
+        space = Subspace(K, A.dim, vectors)
+        try:
+            proved = Ideal(A, space, side).verify()
+        except NotAnIdeal:
+            proved = False
+        assert proved == (expected == space)
+
+
+def _unital_perturbation(rng, h):
+    """h's matrix plus v f, with f a functional that vanishes on the
+    source's unit, so the map stays unital."""
+    K, src = h.source.field, h.source
+    f = [K.random(rng) for _ in range(src.dim)]
+    t = next(i for i, c in enumerate(src.unit) if not K.is_zero(c))
+    rest = K.zero
+    for i, (a, u) in enumerate(zip(f, src.unit)):
+        if i != t:
+            rest = K.add(rest, K.mul(a, u))
+    f[t] = K.neg(K.div(rest, src.unit[t]))
+    v = [K.random(rng) for _ in range(h.target.dim)]
+    data = [[K.add(x, K.mul(v[r], f[c])) for c, x in enumerate(row)]
+            for r, row in enumerate(h.matrix.data)]
+    return AlgHom(src, h.target, Matrix(K, data, src.dim))
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9], ids=["Q", "F5", "F9"])
+def test_hom_proof_on_generators_rejects_non_multiplicative_maps(K):
+    rng = random.Random(74)
+    homs = []
+    for A in _light_bases(K, rng):
+        homs.append(AlgHom(A, A, Matrix.identity(K, A.dim)))
+        J = radical(A).radical
+        if not J.is_zero():
+            homs.append(quotient(A, J)[1])
+    outcomes = set()
+    for _ in range(60):
+        h = rng.choice(homs)
+        if rng.random() < 0.7:
+            h = _unital_perturbation(rng, h)
+        full = h._failing_pair(range(h.source.dim))
+        try:
+            proved = h.verify()
+        except NotAHom as err:
+            proved = False
+            assert err.args[1] == full
+        assert proved == (full is None)
+        assert (h._failing_pair(h.source.generators()) is None) == proved
+        outcomes.add(proved)
+    assert outcomes == {True, False}
+
+
+# -- the char-p chain's integer kernel -----------------------------------------
+
+def _naive_imat_mul(a, b, m):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) % m for j in range(n)]
+            for i in range(n)]
+
+
+def _worst_case_matrix(rng, n, m):
+    """Entries in [0, m), about half of them m - 1, with one row and one
+    column all m - 1, so some product entry reaches n (m - 1)^2."""
+    a = [[m - 1 if rng.random() < 0.5 else rng.randrange(m)
+          for _ in range(n)] for _ in range(n)]
+    a[0] = [m - 1] * n
+    for row in a:
+        row[-1] = m - 1
+    return a
+
+
+@pytest.mark.parametrize("m", [4, 8, 9, 27, 64])
+def test_packed_imat_mul_matches_naive(m):
+    rng = random.Random(m)
+    for n in (1, 2, 3, 5, 8, 16, 31, 32):
+        a, b = _worst_case_matrix(rng, n, m), _worst_case_matrix(rng, n, m)
+        assert radical_module._imat_mul(a, b, m) == _naive_imat_mul(a, b, m)
+        assert radical_module._imat_mul(a, a, m) == _naive_imat_mul(a, a, m)
+
+
+@pytest.mark.parametrize("m", [4, 9, 64])
+def test_imat_power_and_trace_match_repeated_products(m):
+    rng = random.Random(100 + m)
+    a = _worst_case_matrix(rng, 6, m)
+    power = a
+    for e in range(1, 18):
+        assert radical_module._imat_pow(a, e, m) == power
+        if e >= 2:
+            assert radical_module._trace_pow(a, e, m) == \
+                sum(power[i][i] for i in range(6)) % m
+        power = _naive_imat_mul(power, a, m)
+
+
+def _old_trace_pow(x, e, m):
+    """tr(x^e) mod m by squaring from the identity on naive products."""
+    n = len(x)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    while e:
+        if e & 1:
+            out = _naive_imat_mul(out, x, m)
+        x = _naive_imat_mul(x, x, m)
+        e >>= 1
+    return sum(out[i][i] for i in range(n)) % m
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rebased(random.Random(75), group_algebra(16, F2)),
+    lambda: group_algebra(9, F3),
+    lambda: group_algebra(4, F4),
+], ids=["F2C16_dense", "F3C9", "F4C4"])
+def test_char_p_chain_space_matches_naive_kernel(make, monkeypatch):
+    A = make()
+    space, method = radical_module._radical_space(A)
+    assert method == "char_p_chain"
+    monkeypatch.setattr(radical_module, "_imat_mul", _naive_imat_mul)
+    monkeypatch.setattr(radical_module, "_trace_pow", _old_trace_pow)
+    assert radical_module._radical_space(A) == (space, method)
+    assert space.dim == A.dim - 1
