@@ -623,10 +623,6 @@ class AlgHom:
         return AlgHom(inner.source, self.target,
                       self.matrix.mul(inner.matrix))
 
-    def image(self) -> Subspace:
-        return Subspace(self.target.field, self.target.dim,
-                        self.matrix.columns())
-
     def __eq__(self, other):
         return (isinstance(other, AlgHom) and other.source == self.source
                 and other.target == self.target and other.matrix == self.matrix)

@@ -42,13 +42,14 @@ test suite to pin the fast routes down.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 
 from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
                      _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
-                     prime_subfield)
+                     base_tower, prime_subfield)
 from .linalg import Matrix, Subspace, nullspace, rank
 
 
@@ -191,11 +192,7 @@ def _radical_space(A: FinAlg):
     E = A.field
     vecs = [up(w) for w in wspace.basis]
     space = Subspace(E, A.dim, vecs)
-    deg = 1
-    F = E
-    while isinstance(F, SimpleExtension):
-        deg *= F.degree
-        F = F.base
+    deg = math.prod(F.degree for F in base_tower(E)[:-1])
     if space.dim * deg != wspace.dim:
         raise InternalVerificationFailed(
             "restricted radical is not an extension-field subspace")

@@ -1,8 +1,15 @@
 """Separability idempotents, bimodules and inner derivations.
 
 Separability is decided by pure linear algebra: solve m(p) = 1 together
-with (a (x) 1) p = p (1 (x) a) for all basis a in the dim^2 unknowns of
-p in A (x) A.  "Not separable" is the value None, certified by an
+with (a (x) 1) p = p (1 (x) a) in the dim^2 unknowns of p in A (x) A.
+The second law is stated only for a = e_g with g in the generating set
+G = ``A.generators()``, as (L_g (x) I - I (x) R_g) p = 0.  Nothing is lost:
+for a fixed p, the a with (a (x) 1) p = p (1 (x) a) form a subspace that
+holds 1 and is closed under products, as
+(ab (x) 1) p = (a (x) 1) p (1 (x) b) = p (1 (x) ab), and a subalgebra that
+holds G is all of A.  So the system on G has the solutions of the system
+on every basis element, hence the same RREF and the same canonical
+solution.  "Not separable" is the value None, certified by an
 inconsistent linear system.  Every solution is re-verified by direct
 substitution before being returned.
 
@@ -67,20 +74,6 @@ def _tensor_mul_right(A: FinAlg, v, i: int):
     return tuple(out)
 
 
-def _mult_map(A: FinAlg, v):
-    """m(v) for v in A (x) A."""
-    K = A.field
-    n = A.dim
-    out = [K.zero] * n
-    for st, c in enumerate(v):
-        if K.is_zero(c):
-            continue
-        s, t = divmod(st, n)
-        for k, cc in A.rows[s].get(t, ()):
-            out[k] = K.add(out[k], K.mul(c, cc))
-    return tuple(out)
-
-
 def _mult_rows(A: FinAlg):
     """The rows of the matrix of m: A (x) A -> A, one per basis element."""
     K = A.field
@@ -94,60 +87,44 @@ def _mult_rows(A: FinAlg):
 
 
 def verify_sep_idempotent(A: FinAlg, coeffs) -> bool:
-    """Both defining equations, checked by direct substitution."""
-    if _mult_map(A, coeffs) != A.unit:
+    """m(p) = 1, and (e_g (x) 1) p = p (1 (x) e_g) for every g in
+    ``A.generators()``, by direct substitution.  The a with
+    (a (x) 1) p = p (1 (x) a) form a subalgebra holding 1, so holding G
+    they are all of A."""
+    N = A.dim * A.dim
+    if Matrix(A.field, _mult_rows(A), N).apply(coeffs) != A.unit:
         return False
-    K = A.field
-    for i in range(A.dim):
-        left = _tensor_mul_left(A, i, coeffs)
-        right = _tensor_mul_right(A, coeffs, i)
-        if left != right:
-            return False
-    return True
+    return all(_tensor_mul_left(A, g, coeffs) ==
+               _tensor_mul_right(A, coeffs, g) for g in A.generators())
 
 
 def sep_idempotent(A: FinAlg):
-    """Solve for a separability idempotent; None certifies there is none."""
+    """Solve for a separability idempotent; None certifies there is none.
+
+    The system is m(p) = 1 and, for each g in G = ``A.generators()``,
+    (L_g (x) I - I (x) R_g) p = 0: its row for the coefficient of
+    e_h (x) e_k holds L_g[h][s] at column s n + k, minus R_g[k][t] at
+    column h n + t.  The a with (a (x) 1) p = p (1 (x) a) form a subalgebra
+    holding 1, so the equations on G have the solutions of those on every
+    basis element; the system's RREF, and the canonical solution read off
+    it, are the same."""
     K = A.field
     n = A.dim
     N = n * n
-    rows = {}
-
-    def add_row(row, rhs):
-        key = (tuple(row), rhs)
-        rows.setdefault(key, None)
-
-    # m(p) = 1
-    for k, row in enumerate(_mult_rows(A)):
-        add_row(row, A.unit[k])
-    # (e_i (x) 1) p - p (1 (x) e_i) = 0, coefficient of e_g (x) e_h
-    for i in range(n):
-        cols = {}
-        for s in range(n):
-            for g, c in A.rows[i].get(s, ()):
-                for t in range(n):
-                    cols.setdefault((g, t), {}).setdefault(s * n + t, [])\
-                        .append(c)
-        for t in range(n):
-            for h, c in A.rows[t].get(i, ()):
-                for s in range(n):
-                    cols.setdefault((s, h), {}).setdefault(s * n + t, [])\
-                        .append(K.neg(c))
-        for (g, h), terms in sorted(cols.items()):
-            row = [K.zero] * N
-            nonzero = False
-            for st, cs in terms.items():
-                acc = K.zero
-                for c in cs:
-                    acc = K.add(acc, c)
-                row[st] = acc
-                if not K.is_zero(acc):
-                    nonzero = True
-            if nonzero:
-                add_row(row, K.zero)
-    mat = [list(row) for row, _ in rows]
-    rhs = [r for _, r in rows]
-    sol = solve(Matrix(K, mat, N), tuple(rhs))
+    rows = _mult_rows(A)
+    rhs = list(A.unit)
+    for g in A.generators():
+        e = A.basis_element(g)
+        R = A.right_mult_matrix(e).data
+        for h, lrow in enumerate(A.left_mult_matrix(e).data):
+            lo = h * n
+            for k, rrow in enumerate(R):
+                row = [K.zero] * N
+                row[k::n] = lrow
+                row[lo:lo + n] = map(K.sub, row[lo:lo + n], rrow)
+                rows.append(row)
+                rhs.append(K.zero)
+    sol = solve(Matrix(K, rows, N), tuple(rhs))
     if sol is None:
         return None
     if not verify_sep_idempotent(A, sol):
@@ -364,10 +341,7 @@ def universal_derivation_check(A: FinAlg) -> bool:
     if u is None:
         return False
     ubig = kspace.from_coords(u)
-    one_one = [K.zero] * (n * n)
-    for s in range(n):
-        for t in range(n):
-            one_one[s * n + t] = K.mul(A.unit[s], A.unit[t])
+    one_one = [K.mul(a, b) for a in A.unit for b in A.unit]
     if not verify_sep_idempotent(A, tuple(K.add(a, b)
                                           for a, b in zip(one_one, ubig))):
         raise InternalVerificationFailed(

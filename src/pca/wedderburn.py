@@ -42,13 +42,15 @@ class BlockDecomposition:
 
 
 def center(A: FinAlg) -> Subspace:
-    """{z : z e_i = e_i z for all i}, one nullspace computation."""
+    """{z : z e_g = e_g z for all g in G}, one nullspace computation of
+    the stacked L_g - R_g, g in G = ``A.generators()``.  The a that commute
+    with a fixed z form a subalgebra holding 1, so z commutes with G
+    exactly when it commutes with all of A: the center itself."""
     K = A.field
     rows = []
-    for i in range(A.dim):
-        L = A.left_mult_matrix(A.basis_element(i))
-        R = A.right_mult_matrix(A.basis_element(i))
-        rows.extend(L.sub(R).data)
+    for g in A.generators():
+        e = A.basis_element(g)
+        rows.extend(A.left_mult_matrix(e).sub(A.right_mult_matrix(e)).data)
     return Subspace(K, A.dim, nullspace(Matrix(K, rows, A.dim)).data)
 
 

@@ -12,7 +12,7 @@ from pca.algebra import (base_change, direct_product, group_algebra,
 from pca.errors import BadSpec, InternalVerificationFailed, NotADerivation
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import Matrix, Subspace
+from pca.linalg import Matrix, Subspace, nullspace, solve
 from pca.poly import Poly
 from pca.radical import is_semisimple
 from pca.separability import (Bimodule, base_change_semisimple_check,
@@ -21,6 +21,8 @@ from pca.separability import (Bimodule, base_change_semisimple_check,
                               nilpotent_witness, sep_idempotent,
                               universal_derivation_check,
                               verify_sep_idempotent)
+from pca.wedderburn import center
+from test_warm_radical import F9, _light_bases, _rebased
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -289,3 +291,76 @@ def test_perfect_field_equivalence():
     for _ in range(15):
         A = corpus.random_algebra(rng, rng.choice([Q, F2, F3, F5]), 5)
         assert is_separable(A) == is_semisimple(A)
+
+
+# -- the separability system and the center on a generating set --------------
+
+def _reference_sep_idempotent(A):
+    """The canonical solution of m(p) = 1 and (e_i (x) 1) p = p (1 (x) e_i)
+    for every basis element e_i, built column by column from the products
+    of basis elements, or None when there is none."""
+    K, n = A.field, A.dim
+    N = n * n
+
+    def column(i, s, t):
+        # (e_i (x) 1)(e_s (x) e_t) - (e_s (x) e_t)(1 (x) e_i)
+        col = [K.zero] * N
+        for h, c in enumerate(A.product_basis(i, s)):
+            col[h * n + t] = K.add(col[h * n + t], c)
+        for k, c in enumerate(A.product_basis(t, i)):
+            col[s * n + k] = K.sub(col[s * n + k], c)
+        return col
+
+    cols = []
+    for st in range(N):
+        s, t = divmod(st, n)
+        col = list(A.product_basis(s, t))
+        for i in range(n):
+            col += column(i, s, t)
+        cols.append(col)
+    rhs = list(A.unit) + [K.zero] * (n * N)
+    return solve(Matrix(K, zip(*cols), N), tuple(rhs))
+
+
+def _reference_center(A):
+    """The center, from L_i - R_i stacked over every basis element."""
+    K, n = A.field, A.dim
+    rows = []
+    for i in range(n):
+        e = A.basis_element(i)
+        rows.extend(A.left_mult_matrix(e).sub(A.right_mult_matrix(e)).data)
+    return Subspace(K, n, nullspace(Matrix(K, rows, n)).data)
+
+
+def _generator_corpus(K):
+    """Light's bases over K, or, for K None, QC_6, M_2(Q), T_3(Q), F_2C_4
+    and F_2(t)[x]/(x^2 - t); each in its natural and a rebased basis."""
+    rng = random.Random(81)
+    if K is not None:
+        return _light_bases(K, rng)
+    named = [group_algebra(6, Q), matrix_algebra(2, Q),
+             triangular_algebra(3, Q), group_algebra(4, F2), insep_algebra()]
+    return named + [_rebased(rng, A) for A in named]
+
+
+GENERATOR_FIELDS = pytest.mark.parametrize(
+    "K", [Q, F5, F9, F2T, None], ids=["Q", "F5", "F9", "F2t", "named"])
+
+
+@GENERATOR_FIELDS
+def test_sep_idempotent_on_generators_matches_every_basis_element(K):
+    separable = set()
+    for A in _generator_corpus(K):
+        want = _reference_sep_idempotent(A)
+        p = sep_idempotent(A)
+        assert (None if p is None else p.tensor_coeffs) == want
+        separable.add(want is not None)
+    assert separable == {True, False}
+
+
+@GENERATOR_FIELDS
+def test_center_on_generators_matches_every_basis_element(K):
+    for A in _generator_corpus(K):
+        assert center(A) == _reference_center(A)
+    # M_2 needs two generators, and its center is the scalars
+    assert len(matrix_algebra(2, Q).generators()) >= 2
