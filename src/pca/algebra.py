@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
 from .fields import Field, SimpleExtension, check_same_field
-from .linalg import (Matrix, Subspace, _eliminate, _reduce, nullspace, rank,
-                     solve, unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, nullspace, rank, solve, unit_vec,
+                     vec_add, vec_scale, vec_sub, zero_vec)
 from .poly import Poly
 
 
@@ -24,7 +24,7 @@ class FinAlg:
     tuple of (k, scalar) pairs; e_i * e_j = sum_k c * e_k.
     """
 
-    __slots__ = ("field", "dim", "labels", "rows", "unit", "_ltrace", "_gens")
+    __slots__ = ("field", "dim", "labels", "rows", "unit", "_gens")
 
     def __init__(self, field: Field, labels, rows, unit):
         self.field = field
@@ -32,15 +32,6 @@ class FinAlg:
         self.dim = len(self.labels)
         self.rows = rows
         self.unit = tuple(unit)
-        trace = []
-        for i in range(self.dim):
-            acc = field.zero
-            for k in range(self.dim):
-                for kk, c in self.rows[i].get(k, ()):
-                    if kk == k:
-                        acc = field.add(acc, c)
-            trace.append(acc)
-        self._ltrace = tuple(trace)
         self._gens = None
 
     # -- element arithmetic -------------------------------------------------
@@ -109,15 +100,6 @@ class FinAlg:
                     col[k] = K.add(col[k], K.mul(cj, c))
         return Matrix(K, zip(*cols), self.dim)
 
-    def trace_left_mult(self, u):
-        K = self.field
-        acc = K.zero
-        for ci, t in zip(u, self._ltrace):
-            if K.is_zero(ci) or K.is_zero(t):
-                continue
-            acc = K.add(acc, K.mul(ci, t))
-        return acc
-
     # -- validation ---------------------------------------------------------
 
     def generators(self):
@@ -125,48 +107,25 @@ class FinAlg:
         g1 (g2 (... (gk x))), with every gi in G, k >= 0 and x either 1 or
         in G, span the algebra; found once and cached.
 
-        Greedy: start from span{1}; add the first basis element outside
-        the span to G and to the span (e_g itself, not e_g 1, so the span
-        grows even where the unit law fails), extend the span by the
-        products g w until it stops growing, and repeat.  Each batch of
-        products is one carried-on elimination."""
+        Greedy: from span{1}, add the first basis element e_g outside the
+        span to G, close the span with e_g (not e_g 1, so it grows even
+        where the unit law fails) under left multiplication by G, and
+        repeat.  The span is closed under the earlier generators, so one
+        ``Subspace.extend`` by e_g and the products e_g w does it."""
         if self._gens is not None:
             return self._gens
-        K, n, rows = self.field, self.dim, self.rows
-        add, mul = K.add, K.mul
-
-        def left(g, w):
-            # e_g * w for a sparse word w, as a dense vector
-            acc = [K.zero] * n
-            row = rows[g]
-            for j, c in w.items():
-                for k, d in row.get(j, ()):
-                    acc[k] = add(acc[k], mul(c, d))
-            return acc
-
-        piv = {}
-
-        def grow(vectors):
-            # the span's new pivot rows, as words, after adding vectors
-            old = set(piv)
-            _eliminate(K, vectors, n, piv)
-            return [dict(piv[c]) for c in piv if c not in old]
-
-        words = grow([self.unit])
-        gens = []
-        for i in range(n):
-            if len(piv) == n:
+        gens, lefts = [], []
+        span = Subspace(self.field, self.dim, [self.unit])
+        for i in range(self.dim):
+            if span.dim == self.dim:
                 break
-            if not _reduce(K, {i: K.one}, piv):
+            e = self.basis_element(i)
+            if span.contains(e):
                 continue
             gens.append(i)
-            todo = [(i, w) for w in words]
-            fresh = grow([self.basis_element(i)])
-            while fresh:
-                words += fresh
-                todo += [(g, w) for w in fresh for g in gens]
-                fresh = grow([left(g, w) for g, w in todo])
-                todo = []
+            lefts.append(_mult_map(self, i, "left"))
+            span = span.extend([e] + [self.mul(e, w) for w in span.basis],
+                               lefts)
         self._gens = tuple(gens)
         return self._gens
 
@@ -276,21 +235,15 @@ def _build_rows(field: Field, dim: int, entries):
 
 
 def _solve_unit(probe: FinAlg):
-    field = probe.field
-    dim = probe.dim
-    eqs = []
-    rhs = []
-    for j in range(dim):
-        lcol = [probe.mul(probe.basis_element(i), probe.basis_element(j))
-                for i in range(dim)]
-        rcol = [probe.mul(probe.basis_element(j), probe.basis_element(i))
-                for i in range(dim)]
-        for k in range(dim):
-            eqs.append([lcol[i][k] for i in range(dim)])
-            rhs.append(field.one if j == k else field.zero)
-            eqs.append([rcol[i][k] for i in range(dim)])
-            rhs.append(field.one if j == k else field.zero)
-    u = solve(Matrix(field, eqs, dim), tuple(rhs))
+    """The u with u e_j = e_j = e_j u for every j, from the matrices of
+    the right and left multiplications by e_j."""
+    eqs, rhs = [], []
+    for j in range(probe.dim):
+        e = probe.basis_element(j)
+        for M in (probe.right_mult_matrix(e), probe.left_mult_matrix(e)):
+            eqs += M.data
+            rhs += e
+    u = solve(Matrix(probe.field, eqs, probe.dim), tuple(rhs))
     if u is None:
         raise NoUnit("multiplication table admits no two-sided unit")
     return u
@@ -509,10 +462,10 @@ class Ideal:
         self.sidedness = sidedness
 
     def verify(self):
-        """Check closure under the declared multiplications by the
-        algebra's generators, by one elimination of the products
-        (``_closure_step``)."""
-        if _closure_step(self.ambient, self.space,
+        """Check closure under the declared multiplications: closing the
+        basis under ``_mult_maps`` must add nothing, and then costs one
+        product per basis row and map, in one elimination."""
+        if ideal_closure(self.ambient, self.space.basis,
                          self.sidedness).dim != self.dim:
             raise NotAnIdeal(f"subspace is not a {self.sidedness} ideal")
         return True
@@ -539,35 +492,36 @@ class Ideal:
         return f"Ideal(dim {self.dim}, {self.sidedness})"
 
 
-def _closure_step(a: FinAlg, space: Subspace, sidedness) -> Subspace:
-    """space extended by the products of its basis with every g in
-    ``a.generators()``, on the declared sides.  In an associative unital
-    algebra the elements that map the space into itself by left (or
-    right) multiplication form a subalgebra holding 1 and G, hence all of
-    it; so the space is such an ideal exactly when the step leaves its
-    dimension unchanged."""
-    gens = [a.basis_element(g) for g in a.generators()]
+def _mult_maps(a: FinAlg, sidedness) -> list:
+    """The multiplications by e_g, g in ``a.generators()``, on the declared
+    sides.  The x with x S in S (or S x in S) form a subalgebra holding 1,
+    so a subspace S closed under these maps is closed under all of ``a``."""
+    return [_mult_map(a, g, side) for g in a.generators()
+            for side in ("left", "right") if sidedness in (side, "twosided")]
 
-    def products():
-        for v in space.basis:
-            for e in gens:
-                if sidedness != "right":
-                    yield a.mul(e, v)
-                if sidedness != "left":
-                    yield a.mul(v, e)
-    return space.extend(products())
+
+def _mult_map(a: FinAlg, g: int, side):
+    """w -> e_g w (left) or w e_g (right) on a {index: scalar} dict w, as
+    ``Subspace.extend`` applies its maps; the image is a dense vector."""
+    K, rows = a.field, a.rows
+
+    def apply(w):
+        acc = [K.zero] * a.dim
+        for i, c in w.items():
+            for k, d in (rows[g].get(i, ()) if side == "left"
+                         else rows[i].get(g, ())):
+                acc[k] = K.add(acc[k], K.mul(c, d))
+        return acc
+    return apply
 
 
 def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:
     """Smallest subspace containing the generators and closed under the
-    declared actions, by closure steps until the dimension stops
-    growing."""
-    space = Subspace(a.field, a.dim, list(generators))
-    while True:
-        bigger = _closure_step(a, space, sidedness)
-        if bigger.dim == space.dim:
-            return Ideal(a, space, sidedness)
-        space = bigger
+    declared actions: one ``Subspace.extend`` of the zero space by the
+    generators under ``_mult_maps``."""
+    space = Subspace.zero(a.field, a.dim).extend(
+        generators, _mult_maps(a, sidedness))
+    return Ideal(a, space, sidedness)
 
 
 # -- homomorphisms ------------------------------------------------------------
@@ -665,23 +619,15 @@ def quotient(a: FinAlg, ideal: Ideal):
     K = a.field
     space = ideal.space
     keep = [c for c in range(a.dim) if c not in space.pivots]
-    qdim = len(keep)
 
     def project(v):
         red = space.reduce(v)
         return tuple(red[c] for c in keep)
 
-    def lift(w):
-        out = [K.zero] * a.dim
-        for c, x in zip(keep, w):
-            out[c] = x
-        return tuple(out)
-
     entries = []
-    for i in range(qdim):
-        for j in range(qdim):
-            prod = project(a.mul(lift(unit_vec(K, qdim, i)),
-                                 lift(unit_vec(K, qdim, j))))
+    for i, ci in enumerate(keep):
+        for j, cj in enumerate(keep):
+            prod = project(a.product_basis(ci, cj))
             for k, c in enumerate(prod):
                 if not K.is_zero(c):
                     entries.append((i, j, k, c))

@@ -8,6 +8,10 @@ the systems the algorithms build (the separability system above all) have
 a few nonzeros per row.  A ``Subspace`` keeps the kernel's pivot rows, so
 its reductions, coordinates and sums are the kernel's own row step, and
 ``Subspace.extend`` carries an elimination on instead of starting over.
+Given linear maps, ``extend`` also feeds each map's image of every pivot
+row it adds back into that elimination, so growing a span until the maps
+send it into itself (a generating set, an ideal closure, A*v) is one
+carried-on elimination that applies each map once per added row.
 The reduced row echelon form of a matrix is unique, so the kernel's
 results do not depend on the order in which it visits rows or on how it
 stores them.  Division is exact; "no solution" is a value (None), not an
@@ -267,18 +271,25 @@ class Subspace:
         self.ambient = ambient
         self._span({}, vectors)
 
-    def _span(self, rows: dict, vectors):
-        """Store the span of the pivot rows ``rows`` and ``vectors``."""
+    def _span(self, rows: dict, vectors, maps=()):
+        """Store the span of the pivot rows ``rows``, ``vectors`` and the
+        images under ``maps`` of every pivot row added on the way."""
+        K, n = self.field, self.ambient
+
         def sized(vectors):
-            for v in vectors:
-                v = tuple(v)
-                if len(v) != self.ambient:
+            for v in map(tuple, vectors):
+                if len(v) != n:
                     raise AmbientMismatch("vector length != ambient dimension")
                 yield v
-        self._rows, _ = _eliminate(self.field, sized(vectors), self.ambient,
-                                   rows)
-        self.pivots = tuple(sorted(self._rows))
-        self.basis = tuple(_dense_rows(self.field, self._rows, self.ambient))
+        mapped = set(rows)
+        _eliminate(K, sized(vectors), n, rows)
+        while maps and len(rows) > len(mapped):
+            fresh = [dict(rows[c]) for c in rows if c not in mapped]
+            mapped = set(rows)
+            _eliminate(K, sized(f(v) for v in fresh for f in maps), n, rows)
+        self._rows = rows
+        self.pivots = tuple(sorted(rows))
+        self.basis = tuple(_dense_rows(K, rows, n))
 
     @classmethod
     def zero(cls, field: Field, ambient: int):
@@ -296,12 +307,19 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def extend(self, vectors) -> "Subspace":
-        """The span of this space and ``vectors``, carrying on the
-        elimination from a copy of the stored pivot rows."""
+    def extend(self, vectors, maps=()) -> "Subspace":
+        """The span of this space, ``vectors`` and the image under each of
+        the linear ``maps`` of every pivot row the call adds, carrying on
+        the elimination from a copy of the stored pivot rows.  A map takes
+        a row as a ``{index: nonzero scalar}`` dict and returns its image
+        as a sequence of ``ambient`` scalars.  Each map is applied once to
+        each added row, so the result is the smallest space holding this
+        one and ``vectors`` and closed under ``maps`` whenever this space
+        already was."""
         out = Subspace.__new__(Subspace)
         out.field, out.ambient = self.field, self.ambient
-        out._span({c: dict(row) for c, row in self._rows.items()}, vectors)
+        out._span({c: dict(row) for c, row in self._rows.items()}, vectors,
+                  maps)
         return out
 
     def _residue(self, v) -> dict:

@@ -27,9 +27,11 @@ InternalVerificationFailed rather than returning a wrong answer.
 
 The powers of an ideal J come from generators.  J^k is a right ideal, so
 J^k (A g) = J^k g, and J^(k+1) = span{x g : x in J^k, g in G} for any G
-with A G spanning J; a greedy G costs at most dim(J) * dim(A) products,
-once.  This holds for every twosided ideal, nilpotent or not, so a
-non-nilpotent J' is seen when its powers stop falling.  The shortcut
+with A G spanning J.  This holds for every twosided ideal, nilpotent or
+not, so a non-nilpotent J' is seen when its powers stop falling.  A
+greedy G grows A G one A v at a time, closing the span under left
+multiplication by the algebra's generating set G_A, so it costs
+|G_A| * dim(J) products, once.  The shortcut
 J^(k+1) = J^k V, with V a complement of J^2 in J, is not used: it holds
 only once J is known to be nilpotent.  For J = N x E with N nilpotent
 and E = E^2 nonzero, V may be taken inside N x 0; then J V lies in
@@ -45,7 +47,8 @@ import itertools
 import math
 from operator import mul
 
-from .algebra import AlgHom, FinAlg, Ideal, quotient, restrict_scalars
+from .algebra import (AlgHom, FinAlg, Ideal, _mult_maps, quotient,
+                      restrict_scalars)
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
                      _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
@@ -72,9 +75,15 @@ def _check_field_supported(A: FinAlg):
 
 
 def _trace_form_space(A: FinAlg) -> Subspace:
-    K = A.field
-    n = A.dim
-    T = [[A.trace_left_mult(A.product_basis(i, j)) for j in range(n)]
+    """The kernel of the trace form, read off the trace vector
+    t[k] = tr(L_{e_k}), the sum over m of the e_m coefficient of e_k e_m:
+    tr(L_{e_i e_j}) is t applied to e_i e_j."""
+    K, n = A.field, A.dim
+    t = [K.zero] * n
+    for k, row in enumerate(A.rows):
+        for m, cell in row.items():
+            t[k] = K.add(t[k], dict(cell).get(m, K.zero))
+    T = [Matrix(K, [A.product_basis(i, j) for j in range(n)], n).apply(t)
          for i in range(n)]
     # x in kernel iff sum_i x_i T[i][j] = 0 for all j
     return Subspace(K, n, nullspace(Matrix(K, zip(*T), n)).data)
@@ -200,15 +209,16 @@ def _radical_space(A: FinAlg):
 
 
 def _left_generators(A: FinAlg, space: Subspace):
-    """A greedy G among the basis of an ideal J such that A*G spans J."""
-    K, n = A.field, A.dim
+    """A greedy G among the basis of an ideal J such that A*G spans J.
+    The span so far is a left ideal, so adding A*v is one ``extend`` by v
+    under the left multiplications by the algebra's generators."""
+    lefts = _mult_maps(A, "left")
     gens = []
-    span = Subspace.zero(K, n)
+    span = Subspace.zero(A.field, A.dim)
     for v in space.basis:
         if not span.contains(v):
             gens.append(v)
-            span = span.extend(A.mul(A.basis_element(i), v)
-                               for i in range(n))
+            span = span.extend([v], lefts)
     return gens
 
 

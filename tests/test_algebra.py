@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_linalg import dense_reduce, dense_span
 
+from pca import algebra
 from pca.algebra import (Ideal, base_change, direct_product,
                          group_algebra, hom_check, ideal_closure,
                          is_surjective, kernel, make_algebra, matrix_algebra,
@@ -156,6 +157,31 @@ def test_ideal_closure_examples():
         ((Fraction(0), Fraction(1), Fraction(0)),)
     P4 = truncated_polynomial_algebra(Q, 4)
     assert ideal_closure(P4, [P4.basis_element(1)]).dim == 3
+
+
+def test_ideal_closure_maps_each_added_row_once(monkeypatch):
+    # (x) in Q[x]/(x^10) is spanned by x, ..., x^9; G = {x}, so the
+    # closure has two maps, x* and *x, and adds nine rows, each of which
+    # every map sees once: no map is applied to a row twice
+    A = truncated_polynomial_algebra(Q, 10)
+    assert A.generators() == (1,)
+    calls = []
+    mult_maps = algebra._mult_maps
+
+    def counted_maps(a, sidedness):
+        def count(t, f):
+            def apply(w):
+                calls[t] += 1
+                return f(w)
+            return apply
+        maps = mult_maps(a, sidedness)
+        calls.extend([0] * len(maps))
+        return [count(t, f) for t, f in enumerate(maps)]
+    monkeypatch.setattr(algebra, "_mult_maps", counted_maps)
+    closed = ideal_closure(A, [A.basis_element(1)])
+    assert closed.space == Subspace(Q, 10, [A.basis_element(i)
+                                            for i in range(1, 10)])
+    assert calls == [closed.dim, closed.dim]
 
 
 def test_ideal_validation():

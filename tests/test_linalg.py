@@ -364,3 +364,79 @@ def test_subspace_operations_match_dense_reference(K, case):
         assert U.coords(v) == (tuple(v[pc] for pc in pivots) if inside
                                else None)
     assert U.coords(member) == cs
+
+
+# -- closure under linear maps -----------------------------------------------
+
+def dense_apply(K, M, v):
+    """M v for a list of rows M, one dense row at a time."""
+    out = []
+    for row in M:
+        acc = K.zero
+        for a, x in zip(row, v):
+            acc = K.add(acc, K.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def dense_closure(K, vecs, mats, n):
+    """(basis, pivots) of the smallest span holding vecs and closed under
+    every matrix in mats: add every image of the whole basis, again and
+    again, until the span stops growing."""
+    span = dense_span(K, vecs, n)
+    while True:
+        images = [dense_apply(K, M, b) for b in span[0] for M in mats]
+        bigger = dense_span(K, list(span[0]) + images, n)
+        if len(bigger[1]) == len(span[1]):
+            return span
+        span = bigger
+
+
+@st.composite
+def closure_cases(draw):
+    """(n, mats, start, more) as integer codes: up to two n x n matrices,
+    the vectors whose closure is the starting space, and the vectors to
+    extend it by."""
+    n = draw(st.integers(0, 5))
+    vec = st.lists(codes, min_size=n, max_size=n)
+    mats = draw(st.lists(st.lists(vec, min_size=n, max_size=n), max_size=2))
+    start = draw(st.lists(vec, max_size=2))
+    more = draw(st.lists(vec, max_size=3))
+    return n, mats, start, more
+
+
+SHIFT = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])
+@settings(max_examples=80, deadline=None)
+@given(case=closure_cases())
+# one vector under a shift: each round of images adds one row
+@example(case=(4, [SHIFT], [], [[1, 0, 0, 0]]))
+# two added rows in one batch, only the first of which has a new image
+@example(case=(3, [[[0, 0, 0], [0, 0, 0], [1, 0, 0]]], [],
+               [[1, 0, 0], [0, 1, 0]]))
+# a closed starting space that the images of the new rows leave
+@example(case=(4, [SHIFT], [[0, 0, 1, 0]], [[1, 0, 0, 0]]))
+def test_extend_under_maps_matches_fixpoint_reference(K, case):
+    n, mats, start, more = case
+    mats = [[[scalar(K, x) for x in row] for row in M] for M in mats]
+    start = [tuple(scalar(K, x) for x in v) for v in start]
+    more = [tuple(scalar(K, x) for x in v) for v in more]
+    calls = [0] * len(mats)
+
+    def counted(t, M):
+        # extend hands each map a row as a {index: nonzero scalar} dict
+        def apply(row):
+            calls[t] += 1
+            assert not any(K.is_zero(x) for x in row.values())
+            return dense_apply(K, M, [row.get(j, K.zero) for j in range(n)])
+        return apply
+    U = Subspace(K, n, dense_closure(K, start, mats, n)[0])
+    grown = U.extend(more, [counted(t, M) for t, M in enumerate(mats)])
+    assert (grown.basis, grown.pivots) == dense_closure(K, start + more,
+                                                        mats, n)
+    # each map saw each added row once, and nothing else
+    assert calls == [grown.dim - U.dim] * len(mats)
+    # without maps, extend is the plain span
+    assert U.extend(more, []) == U.extend(more)

@@ -1,8 +1,10 @@
 """The package's public names and what a command imports."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,24 @@ def test_every_public_name_resolves():
         getattr(pca, "no_such_name")
     with pytest.raises(ImportError):
         exec("from pca import no_such_name", {})
+
+
+def test_no_module_imports_a_private_linalg_name():
+    # the elimination kernel's rows and row step stay inside linalg;
+    # other modules grow spans through Subspace
+    src = Path(pca.__file__).parent
+    leaks = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module in ("linalg", "pca.linalg")):
+                leaks += [(path.name, a.name) for a in node.names
+                          if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "linalg"
+                  and node.attr.startswith("_")):
+                leaks.append((path.name, node.attr))
+    assert leaks == []

@@ -15,6 +15,8 @@ associativity proof, each against a slower reference kept here.
   must accept and reject exactly as the scans over every basis element.
 * The char-p chain's packed integer products, powers and traces must equal
   naive triple loops, and give the same radical space.
+* The trace form's kernel, read off the trace vector, must equal the
+  kernel of the traces of the left multiplication matrices.
 """
 
 import importlib
@@ -32,10 +34,12 @@ from pca.errors import NoUnit, NotAHom, NotAnIdeal, NotAssociative
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import Matrix, Subspace, solve
-from pca.radical import _nilpotency_data, radical, radical_from_below
+from pca.radical import (_nilpotency_data, _trace_form_space, radical,
+                         radical_from_below)
 from pca.tower import (QuiverSpec, Tower, cyclic_group_tower,
                        kronecker_quiver, loop_quiver, path_algebra_tower,
                        power_series_tower, product_tower, tower_radicals)
+from test_linalg import dense_nullspace
 
 radical_module = importlib.import_module("pca.radical")
 
@@ -160,6 +164,28 @@ def _radical_corpus():
 
 
 CORPUS = _radical_corpus()
+
+
+def _reference_trace_form_space(A):
+    """The kernel of [tr(L_{e_i e_j})], each trace summed off the diagonal
+    of a left multiplication matrix."""
+    K, n = A.field, A.dim
+
+    def trace(M):
+        acc = K.zero
+        for i in range(n):
+            acc = K.add(acc, M.data[i][i])
+        return acc
+    T = [[trace(A.left_mult_matrix(A.mul(A.basis_element(i),
+                                         A.basis_element(j))))
+          for j in range(n)] for i in range(n)]
+    return Subspace(K, n, dense_nullspace(K, Matrix(K, zip(*T), n)))
+
+
+@pytest.mark.parametrize("A", CORPUS, ids=[f"{i}-dim{A.dim}"
+                                           for i, A in enumerate(CORPUS)])
+def test_trace_form_space_equals_reference(A):
+    assert _trace_form_space(A) == _reference_trace_form_space(A)
 
 
 @pytest.mark.parametrize("A", CORPUS, ids=[f"{i}-dim{A.dim}"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pca import wedderburn
 from pca.algebra import (base_change, direct_product, group_algebra,
                          hom_check, ideal_closure, make_algebra,
                          matrix_algebra, polynomial_quotient_algebra,
@@ -71,6 +72,26 @@ def test_idempotents_orthogonal_and_complete():
             for j in range(i):
                 assert A.mul(e, dec.idempotents[j]) == A.zero_element()
         assert total == A.unit
+
+
+@pytest.mark.parametrize("make", [
+    lambda: group_algebra(12, Q), lambda: group_algebra(10, F3),
+    lambda: direct_product([group_algebra(3, Q), matrix_algebra(2, Q)])],
+    ids=["QC12", "F3C10", "QC3xM2Q"])
+def test_each_split_is_checked_once_and_the_leaves_not_again(make,
+                                                             monkeypatch):
+    # each _split_by proves its parts; the leaves of the split tree are
+    # then orthogonal and complete without a final check of the whole set
+    calls = {"_split_by": 0, "_check_split": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(wedderburn, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(wedderburn, name, counted)
+    A = make()
+    dec = central_idempotents(A)
+    assert len(dec.idempotents) > 1
+    assert calls["_check_split"] == calls["_split_by"] > 0
 
 
 def test_two_seeds_same_block_multiset():
