@@ -5,7 +5,8 @@ rational function field F_p(t), and simple extensions base[x]/(minpoly).
 Scalars are plain hashable Python values kept in a canonical form, so
 ``==`` is semantic equality:
 
-* rationals        -> ``fractions.Fraction`` in lowest terms
+* rationals        -> ``int`` when integral, else ``fractions.Fraction``
+                      in lowest terms
 * F_p              -> ``int`` in [0, p)
 * F_p(t)           -> ``RatFunc`` (reduced fraction, monic denominator)
 * simple extension -> tuple of base scalars of length deg(minpoly)
@@ -244,44 +245,71 @@ class Field:
         return not self.__eq__(other)
 
 
+# the rational scalar grammar: an integer, or an integer over a positive one
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _canonical_q(r: Fraction):
+    """The canonical Q scalar of a Fraction: an int when it is integral."""
+    return r._numerator if r._denominator == 1 else r
+
+
 class Rationals(Field):
-    """The field of rational numbers; scalars are Fraction values."""
+    """The field of rational numbers.
+
+    A scalar is an ``int`` when it is integral and a ``Fraction`` in lowest
+    terms with denominator > 1 otherwise, so integral work runs on machine
+    integers.  ``int`` and ``Fraction`` compare, hash and print alike, and
+    no operation returns a float.
+    """
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
+    # add, sub and mul run in every inner loop, so they test for an
+    # integral Fraction inline instead of calling _canonical_q
     def add(self, a, b):
-        return a + b
+        r = a + b
+        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+            else r
 
     def neg(self, a):
         return -a
 
     def sub(self, a, b):
-        return a - b
+        r = a - b
+        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+            else r
 
     def mul(self, a, b):
-        return a * b
+        r = a * b
+        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+            else r
 
     def inv(self, a):
         if not a:
             raise DivisionByZero("1/0 in Q")
-        return 1 / a
+        return _canonical_q(Fraction(1, a) if type(a) is int else 1 / a)
 
     def div(self, a, b):
         if not b:
             raise DivisionByZero("division by zero in Q")
-        return a / b
+        return _canonical_q(Fraction(a, b) if type(a) is int is type(b)
+                            else a / b)
 
     def is_zero(self, a):
         return not a
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
+        m = _RATIONAL_RE.fullmatch(text.strip())
+        if m is None:
+            raise BadSpec(f"bad rational scalar {text!r}")
         try:
-            return Fraction(text.strip())
+            return _canonical_q(Fraction(int(m[1]), int(m[2] or 1)))
         except (ValueError, ZeroDivisionError) as exc:
             raise BadSpec(f"bad rational scalar {text!r}") from exc
 
@@ -289,7 +317,8 @@ class Rationals(Field):
         return str(a)
 
     def random(self, rng, height=5):
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+        return _canonical_q(Fraction(rng.randint(-height, height),
+                                     rng.randint(1, height)))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from . import fields
 from .errors import BadSpec, UnsupportedField
@@ -355,13 +354,10 @@ def _zz_divides(g, f):
         ga = _zz_value(g, a)
         if ga and _zz_value(f, a) % ga:
             return None
-    QQ = Rationals()
-    fq = tuple(Fraction(c) for c in f)
-    gq = tuple(Fraction(c) for c in g)
-    q, r = pdivmod(fq, gq, QQ)
+    q, r = pdivmod(f, g, Rationals())
     if r:
         return None
-    return [int(c) for c in q]
+    return list(q)
 
 
 def _zassenhaus(f, rng):
@@ -453,7 +449,7 @@ def _factor_qq(f, K, rng):
         zf = [int(c * den) for c in g]
         _, zf = _zprimitive(zf)
         for zfac in _zassenhaus(zf, rng):
-            qfac = pmonic(tuple(Fraction(c) for c in zfac), K)
+            qfac = pmonic(tuple(zfac), K)
             out.append((qfac, m))
     return out
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import resource
+from pathlib import Path
 
 import pytest
 
@@ -533,3 +534,21 @@ def test_oversized_input_is_refused(tmp_path, argv):
     assert "Traceback" not in res.stderr
     assert not res.stdout
     assert not (tmp_path / "t.tower").exists()
+
+
+# Q scalars outside README's grammar ("a" or "a/b"): exponents, decimals
+# and underscores, in the structure constants and the unit of a 1-dim
+# algebra over Q and over Q(sqrt 2).  Each table is a valid algebra if the
+# scalars are read as Python's Fraction reads them.
+HOSTILE_SCALARS = sorted((Path(__file__).parent / "hostile").glob("*.alg"))
+
+
+@pytest.mark.parametrize("command", ["radical", "sepidem"])
+@pytest.mark.parametrize("path", HOSTILE_SCALARS, ids=lambda p: p.stem)
+def test_hostile_scalar_is_input_error(tmp_path, path, command):
+    res = run_cli(command, str(path), cwd=tmp_path, timeout=20,
+                  preexec_fn=_cap_memory)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "Traceback" not in res.stderr
+    assert not res.stdout

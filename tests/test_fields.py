@@ -2,13 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pca.algebra import polynomial_quotient_algebra
 from pca.errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension, check_same_field, is_prime,
                         prime_subfield)
 from pca.limits import Limits
-from pca.poly import Poly
+from pca.linalg import Matrix, rref
+from pca.poly import Poly, factor
+from pca.radical import radical
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -19,6 +24,95 @@ F2T = RationalFunctionField(2)
 
 def test_rational_add():
     assert Q.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+
+
+def _is_canonical(x):
+    """A canonical Q scalar: an int when integral, otherwise a Fraction
+    with denominator > 1; never a float or a bool."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _canonical(r: Fraction):
+    return r.numerator if r.denominator == 1 else r
+
+
+# any rational, also as a Fraction with denominator 1
+ANY_RATIONAL = st.integers(-10 ** 30, 10 ** 30) | st.fractions()
+RATIONAL = st.fractions(max_denominator=12).map(_canonical)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=ANY_RATIONAL, b=ANY_RATIONAL)
+def test_rational_ops_return_canonical_scalars(a, b):
+    fa, fb = Fraction(a), Fraction(b)
+    results = [(Q.add(a, b), fa + fb), (Q.sub(a, b), fa - fb),
+               (Q.mul(a, b), fa * fb), (Q.from_int(fa.numerator),
+                                        Fraction(fa.numerator)),
+               (Q.zero, Fraction(0)), (Q.one, Fraction(1))]
+    if fb:
+        results.append((Q.div(a, b), fa / fb))
+        results.append((Q.inv(b), 1 / fb))
+    for got, want in results:
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("3", 3), ("-4/6", Fraction(-2, 3)), (" 6/3 ", 2), ("+7", 7),
+    ("0/5", 0), ("-0", 0), ("1" + "0" * 40, 10 ** 40)])
+def test_rational_parse_gives_canonical_scalars(text, value):
+    got = Q.parse(text)
+    assert got == value and _is_canonical(got)
+
+
+# README's grammar is "a" or "a/b"; exponents, decimals, underscores and
+# non-ASCII digits are refused before any arithmetic is done on them
+@pytest.mark.parametrize("text", [
+    "1e5", "1e999999999", "1.5", ".5", "1_000", "0x10", "1/ 2", "1/-2",
+    "1/0", "", "+", "1/2/3", "\u0663", "9" * 5000])
+def test_rational_parse_refuses_text_outside_the_grammar(text):
+    with pytest.raises(BadSpec):
+        Q.parse(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(RATIONAL, min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_rref_over_q_holds_canonical_scalars(rows):
+    R, _ = rref(Matrix(Q, rows, len(rows[0])))
+    assert all(_is_canonical(c) for row in R.data for c in row)
+
+
+POLY = st.lists(RATIONAL, min_size=2, max_size=4).filter(lambda cs: cs[-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys=st.lists(POLY, min_size=1, max_size=3))
+def test_factor_over_q_holds_canonical_scalars(polys):
+    f = Poly.one(Q)
+    for cs in polys:
+        f = f * Poly(Q, cs)
+    fac = factor(f)
+    prod = Poly(Q, (f.lc(),))
+    for g, m in fac:
+        assert all(_is_canonical(c) for c in g.coeffs)
+        for _ in range(m):
+            prod = prod * g
+    assert prod.coeffs == f.coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(g=POLY, h=POLY)
+def test_radical_over_q_holds_canonical_scalars(g, h):
+    # Q[x]/(g^2 h) has a nonzero radical, and a non-monic g or h puts
+    # fractions in its structure constants
+    A = polynomial_quotient_algebra(Poly(Q, g) * Poly(Q, g) * Poly(Q, h))
+    res = radical(A)
+    assert res.radical.dim > 0
+    spaces = [res.radical.space] + [J.space for J in res.filtration]
+    assert all(_is_canonical(c) for c in A.unit)
+    assert all(_is_canonical(c) for *_, c in A.entries())
+    assert all(_is_canonical(c) for U in spaces for v in U.basis for c in v)
 
 
 def test_prime_field_inverse():
