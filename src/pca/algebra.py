@@ -14,7 +14,6 @@ from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
 from .fields import Field, SimpleExtension, check_same_field
 from .linalg import (Matrix, Subspace, nullspace, rank, solve, unit_vec,
                      vec_add, vec_scale, vec_sub, zero_vec)
-from .poly import Poly
 
 
 class FinAlg:
@@ -652,6 +651,7 @@ def _block_minpoly(a: FinAlg, e, z) -> Poly:
         powers.append(nxt)
         span = span.extend([nxt])
     sol = solve(Matrix(K, zip(*powers), len(powers)), nxt)
+    from .poly import Poly
     return Poly(K, [K.neg(c) for c in sol] + [K.one])
 
 

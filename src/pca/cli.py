@@ -10,14 +10,15 @@ prints one line, ``pca: internal error: ...`` with the seed and the input
 digest, on stderr and nothing on stdout.  Reports are deterministic:
 identical inputs produce identical bytes.
 
-Each handler imports the algorithm modules it runs, so a command does not
-pay for the start-up of the others.
+The command line is read against one table, ``COMMANDS``, which also
+gives the usage text.  Each handler imports the algorithm modules it runs,
+so a command does not pay for the start-up of the others.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from . import fileio
 from .errors import (InternalVerificationFailed, NotSemisimple, PcaError,
@@ -216,14 +217,12 @@ def _cmd_tower_build(args):
         q = fileio.load_quiver(args.quiver)
         T = path_algebra_tower(q, K, args.depth)
         digest = fileio.digest_file(args.quiver)
-    elif args.kind == "product":
+    else:                               # "product", the last kind
         if not args.factor:
             raise PcaError("product towers need at least one --factor")
         factors = [fileio.load_algebra(f) for f in args.factor]
         T = product_tower(factors, args.depth)
         digest = {f: fileio.digest_file(f) for f in args.factor}
-    else:
-        raise PcaError(f"unknown tower kind {args.kind!r}")
     _internal(T.verify)
     fileio.save_canonical(args.output, fileio.tower_to_doc(T))
     results = {"kind": T.kind, "depth": T.depth,
@@ -249,91 +248,116 @@ def _cmd_tower_check(args):
     return False, _report("tower check", digest, args.seed, results, verified)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 like other bad input; 2 is a negative answer."""
+# -- the command line ---------------------------------------------------------
 
-    def error(self, message):
-        self.exit(1, f"pca: error: {message}\n")
+REQUIRED = object()
+
+# command -> (handler, positionals, options).  An option is (names, kind,
+# default): kind is "flag", "str", "int", "append" (a repeatable str) or the
+# tuple of its allowed values, and a default of REQUIRED makes it required.
+# Its value lands under its last name without the dashes.
+COMMON = [("--json", "flag", False), ("--seed", "int", 0)]
+COMMANDS = {
+    "radical": (_cmd_radical, ["file"], [("--oracle", "flag", False)]),
+    "wedderburn": (_cmd_wedderburn, ["file"], []),
+    "septest": (_cmd_septest, ["file"], []),
+    "sepidem": (_cmd_sepidem, ["file"], []),
+    "nilpotent": (_cmd_nilpotent, ["file"], [("--element", "str", REQUIRED)]),
+    "split": (_cmd_split, ["file"], [("-o/--output", "str", None)]),
+    "conjugate": (_cmd_conjugate, ["file"], [("--s1", "str", REQUIRED),
+                                             ("--s2", "str", REQUIRED)]),
+    "tower build": (_cmd_tower_build, [], [
+        ("--kind", ("powerseries", "cyclicgroup", "path", "product"),
+         REQUIRED),
+        ("--field", "str", REQUIRED), ("--depth", "int", REQUIRED),
+        ("--quiver", "str", None), ("--prime", "int", None),
+        ("--factor", "append", None), ("-o/--output", "str", REQUIRED)]),
+    "tower check": (_cmd_tower_check, ["file"], []),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized inner steps (default 0)")
-    parser = _Parser(
-        prog="pca",
-        description="Exact structure theory for finite-dimensional "
-                    "associative algebras and their towers.")
-    subs = parser.add_subparsers(dest="command", required=True)
+def _dest(names):
+    return names.split("/")[-1].lstrip("-")
 
-    p = subs.add_parser("radical", parents=[common],
-                        help="Jacobson radical of an algebra file")
-    p.add_argument("file")
-    p.add_argument("--oracle", action="store_true",
-                   help="use the brute-force enumeration instead")
-    p.set_defaults(handler=_cmd_radical)
 
-    p = subs.add_parser("wedderburn", parents=[common],
-                        help="block decomposition of a semisimple algebra")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_wedderburn)
+def _synopsis(positionals, options):
+    words = [p.upper() for p in positionals]
+    for names, kind, default in options:
+        meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                else "" if kind == "flag" else _dest(names).upper())
+        word = f"{names} {meta}".strip()
+        words.append(word if default is REQUIRED else f"[{word}]"
+                     + ("..." if kind == "append" else ""))
+    return " ".join(words)
 
-    p = subs.add_parser("septest", parents=[common],
-                        help="decide separability")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_septest)
 
-    p = subs.add_parser("sepidem", parents=[common],
-                        help="compute a separability idempotent")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_sepidem)
+def usage() -> str:
+    return "".join([
+        f"usage: pca COMMAND ... {_synopsis([], COMMON)}\n\ncommands:\n",
+        *(f"  pca {name} {_synopsis(pos, opts)}\n"
+          for name, (_, pos, opts) in COMMANDS.items()),
+        "\n--json prints the machine-readable report; --seed (default 0) "
+        "seeds the randomized inner steps.\n"])
 
-    p = subs.add_parser("nilpotent", parents=[common],
-                        help="nilpotency witness of an element")
-    p.add_argument("file")
-    p.add_argument("--element", required=True,
-                   help="comma-separated scalar coordinates")
-    p.set_defaults(handler=_cmd_nilpotent)
 
-    p = subs.add_parser("split", parents=[common],
-                        help="Wedderburn-Malcev splitting")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", help="write the splitting document here")
-    p.set_defaults(handler=_cmd_split)
-
-    p = subs.add_parser("conjugate", parents=[common],
-                        help="conjugator between two splittings")
-    p.add_argument("file")
-    p.add_argument("--s1", required=True)
-    p.add_argument("--s2", required=True)
-    p.set_defaults(handler=_cmd_conjugate)
-
-    tower = subs.add_parser("tower", help="build and check towers")
-    tsubs = tower.add_subparsers(dest="tower_command", required=True)
-    p = tsubs.add_parser("build", parents=[common])
-    p.add_argument("--kind", required=True,
-                   choices=["powerseries", "cyclicgroup", "path", "product"])
-    p.add_argument("--field", required=True, help="Q, F<p> or F<p>(t)")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--quiver", help="quiver file for path towers")
-    p.add_argument("--prime", type=int, help="prime for cyclicgroup towers")
-    p.add_argument("--factor", action="append",
-                   help="algebra file for product towers (repeatable)")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(handler=_cmd_tower_build)
-    p = tsubs.add_parser("check", parents=[common])
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_tower_check)
-
-    return parser
+def parse_args(argv):
+    """The values ``argv`` gives its command, read against COMMANDS, with
+    the command's ``handler``; a usage error raises PcaError."""
+    name = " ".join(argv[:2] if argv[:1] == ["tower"] else argv[:1])
+    if name not in COMMANDS:
+        raise PcaError((f"unknown command {name!r}" if name else "no command")
+                       + "; choose from " + ", ".join(COMMANDS))
+    handler, positionals, options = COMMANDS[name]
+    options = COMMON + options
+    by_name = {n: opt for opt in options for n in opt[0].split("/")}
+    values = {_dest(names): default for names, _, default in options}
+    given, words = [], iter(argv[len(name.split()):])
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        flag, eq, value = word.partition("=")
+        if flag not in by_name:
+            raise PcaError(f"unrecognized arguments: {word}")
+        names, kind, _ = by_name[flag]
+        if kind == "flag" and eq:
+            raise PcaError(f"argument {flag}: takes no value")
+        if kind != "flag" and not eq:
+            value = next(words, None)
+            # a negative number is a value, any other dashed word an option
+            if value is None or value[:1] == "-" and not value[1:2].isdigit():
+                raise PcaError(f"argument {flag}: expected one argument")
+        if kind == "int":
+            try:
+                value = int(value)
+            except ValueError:
+                raise PcaError(f"argument {flag}: invalid int value: "
+                               f"{value!r}") from None
+        elif isinstance(kind, tuple) and value not in kind:
+            raise PcaError(f"argument {flag}: invalid choice: {value!r} "
+                           f"(choose from {', '.join(kind)})")
+        dest = _dest(names)
+        values[dest] = (True if kind == "flag" else value if kind != "append"
+                        else (values[dest] or []) + [value])
+    if len(given) > len(positionals):
+        raise PcaError("unrecognized arguments: "
+                       + " ".join(given[len(positionals):]))
+    values.update(zip(positionals, given))
+    missing = positionals[len(given):] + [
+        names for names, _, _ in options if values[_dest(names)] is REQUIRED]
+    if missing:
+        raise PcaError("the following arguments are required: "
+                       + ", ".join(missing))
+    return SimpleNamespace(handler=handler, **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        return 0
     try:
+        args = parse_args(argv)
         negative, report = args.handler(args)
     except InternalVerificationFailed as exc:
         where = f"seed {args.seed}"

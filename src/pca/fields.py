@@ -18,9 +18,8 @@ through floating point.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .errors import BadSpec, DivisionByZero, FieldMismatch
+from .errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
 from .limits import check_degree
 
 
@@ -249,9 +248,25 @@ class Field:
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _canonical_q(r: Fraction):
-    """The canonical Q scalar of a Fraction: an int when it is integral."""
+def _canonical_q(r):
+    """The canonical Q scalar of a ``Fraction``: an int when it is integral."""
     return r._numerator if r._denominator == 1 else r
+
+
+# ``fractions.Fraction``, imported by _ratio on the first quotient that is
+# not integral: integral and F_p work never load ``fractions``
+_Fraction = None
+
+
+def _ratio(n: int, d: int):
+    """The canonical Q scalar n/d of ints n and d != 0."""
+    q, r = divmod(n, d)
+    if not r:
+        return q
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(n, d)
 
 
 class Rationals(Field):
@@ -271,7 +286,7 @@ class Rationals(Field):
     # integral Fraction inline instead of calling _canonical_q
     def add(self, a, b):
         r = a + b
-        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+        return r._numerator if type(r) is not int and r._denominator == 1 \
             else r
 
     def neg(self, a):
@@ -279,24 +294,24 @@ class Rationals(Field):
 
     def sub(self, a, b):
         r = a - b
-        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+        return r._numerator if type(r) is not int and r._denominator == 1 \
             else r
 
     def mul(self, a, b):
         r = a * b
-        return r._numerator if type(r) is Fraction and r._denominator == 1 \
+        return r._numerator if type(r) is not int and r._denominator == 1 \
             else r
 
     def inv(self, a):
         if not a:
             raise DivisionByZero("1/0 in Q")
-        return _canonical_q(Fraction(1, a) if type(a) is int else 1 / a)
+        return _ratio(1, a) if type(a) is int else _canonical_q(1 / a)
 
     def div(self, a, b):
         if not b:
             raise DivisionByZero("division by zero in Q")
-        return _canonical_q(Fraction(a, b) if type(a) is int is type(b)
-                            else a / b)
+        return (_ratio(a, b) if type(a) is int is type(b)
+                else _canonical_q(a / b))
 
     def is_zero(self, a):
         return not a
@@ -309,16 +324,19 @@ class Rationals(Field):
         if m is None:
             raise BadSpec(f"bad rational scalar {text!r}")
         try:
-            return _canonical_q(Fraction(int(m[1]), int(m[2] or 1)))
+            return _ratio(int(m[1]), int(m[2])) if m[2] else int(m[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise BadSpec(f"bad rational scalar {text!r}") from exc
 
     def text(self, a):
-        return str(a)
+        try:
+            return str(a)
+        except ValueError:      # past int's digit limit for str()
+            raise TooLarge("a rational scalar has too many digits to write "
+                           "out") from None
 
     def random(self, rng, height=5):
-        return _canonical_q(Fraction(rng.randint(-height, height),
-                                     rng.randint(1, height)))
+        return _ratio(rng.randint(-height, height), rng.randint(1, height))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)

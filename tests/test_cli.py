@@ -190,16 +190,95 @@ def test_reports_are_byte_identical(fixtures, argv):
     assert first.stdout == second.stdout
 
 
+BUILD = ("tower", "build", "--kind", "powerseries", "--field", "Q",
+         "--depth", "2", "-o", "t.tower")
+
+
+def _without(argv, option):
+    """``argv`` less ``option`` and its value."""
+    i = argv.index(option)
+    return argv[:i] + argv[i + 2:]
+
+
 @pytest.mark.parametrize("argv", [
     ("radical",),
     ("radical", "t2q.alg", "--bogus"),
     ("radical", "t2q.alg", "--no-verify"),
+    # no command, an unknown one, and tower without build or check
+    (), ("bogus", "t2q.alg"), ("tower",), ("tower", "bogus"),
+    # a flag given a value, an option missing its value, and the prefix
+    # of an option name, which is not an option
+    ("radical", "t2q.alg", "--oracle=1"),
+    ("radical", "t2q.alg", "--seed"),
+    ("nilpotent", "t2q.alg", "--element", "--json"),
+    ("radical", "f2c2.alg", "--orac"),
+    # ints that do not parse, and a kind that is not a choice
+    ("radical", "t2q.alg", "--seed", "x"),
+    ("radical", "t2q.alg", "--seed=1.5"),
+    BUILD[:7] + ("two",) + BUILD[8:],
+    BUILD[:3] + ("cyclicgroup",) + BUILD[4:] + ("--prime", "p"),
+    BUILD[:3] + ("bogus",) + BUILD[4:],
+    # each required option missing
+    ("nilpotent", "t2q.alg"),
+    ("conjugate", "t2q.alg", "--s2", "s.json"),
+    ("conjugate", "t2q.alg", "--s1", "s.json"),
+    _without(BUILD, "--kind"), _without(BUILD, "--field"),
+    _without(BUILD, "--depth"), _without(BUILD, "-o"),
+    # a missing file and an extra one
+    ("tower", "check"),
+    ("radical", "t2q.alg", "qc3.alg"),
+    BUILD + ("t2q.alg",),
 ])
 def test_usage_errors_are_input_errors(fixtures, argv):
     res = run_cli(*argv, cwd=fixtures)
     assert res.returncode == 1
     assert res.stderr.startswith("pca: error:")
+    assert "Traceback" not in res.stderr
     assert not res.stdout
+    assert not (fixtures / "t.tower").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("-h",), ("radical", "--help"),
+    ("tower", "build", "--help"), ("tower", "check", "t.tower", "-h"),
+])
+def test_help_prints_the_usage(argv):
+    res = run_cli(*argv)
+    assert res.returncode == 0
+    assert not res.stderr
+    assert res.stdout.startswith("usage: pca")
+    for command in ("radical", "wedderburn", "septest", "sepidem",
+                    "nilpotent", "split", "conjugate", "tower build",
+                    "tower check"):
+        assert f"pca {command} " in res.stdout
+
+
+@pytest.mark.parametrize("argvs", [
+    [("split", "t2q.alg", "--seed", "3", "--json", "-o", "out"),
+     ("split", "t2q.alg", "--seed=3", "--json", "--output=out"),
+     ("split", "--json", "-o", "out", "--seed", "3", "t2q.alg")],
+    [("radical", "f2c2.alg", "--oracle", "--seed", "-2"),
+     ("radical", "--seed=-2", "--oracle", "f2c2.alg")],
+    [("tower", "build", "--kind", "product", "--field", "Q", "--depth", "2",
+      "--factor", "t2q.alg", "--factor", "qc3.alg", "-o", "out", "--json"),
+     ("tower", "build", "--factor=t2q.alg", "--json", "--depth=2", "-o",
+      "out", "--kind=product", "--factor", "qc3.alg", "--field", "Q")],
+], ids=["split", "radical", "product_tower"])
+def test_option_spellings_give_identical_reports(fixtures, tmp_path, argvs):
+    for name in ("t2q.alg", "qc3.alg", "f2c2.alg"):
+        (tmp_path / name).write_bytes((fixtures / name).read_bytes())
+    outputs = set()
+    for argv in argvs:
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        out = tmp_path / "out"
+        outputs.add((res.stdout, out.read_bytes() if out.exists() else b""))
+        out.unlink(missing_ok=True)
+    assert len(outputs) == 1
+    stdout, _ = outputs.pop()
+    if argvs[0][0] == "tower":
+        # both factors, in order: T_2(Q) then QC_3
+        assert json.loads(stdout)["results"]["level_dims"] == [3, 6]
 
 
 def test_tower_with_non_multiplicative_map_is_rejected(fixtures):
@@ -548,6 +627,23 @@ HOSTILE_SCALARS = sorted((Path(__file__).parent / "hostile").glob("*.alg"))
 def test_hostile_scalar_is_input_error(tmp_path, path, command):
     res = run_cli(command, str(path), cwd=tmp_path, timeout=20,
                   preexec_fn=_cap_memory)
+    assert res.returncode == 1
+    assert res.stderr.startswith("pca: error:")
+    assert "Traceback" not in res.stderr
+    assert not res.stdout
+
+
+def test_result_past_the_digit_limit_is_input_error(tmp_path):
+    # e*e = 10^4000 e, so the unit is 10^-4000 e and the separability
+    # idempotent is 10^-8000 e (x) e: more digits than str() of an int
+    # writes by default
+    big = "1" + "0" * 4000
+    doc = {"field": {"kind": "rationals"}, "dim": 1, "basis": ["e"],
+           "unit": [f"1/{big}"], "mult": [[0, 0, 0, big]]}
+    fileio.save_canonical(str(tmp_path / "big.alg"), doc)
+    res = run_cli("radical", "big.alg", cwd=tmp_path, timeout=20)
+    assert res.returncode == 0, res.stderr
+    res = run_cli("sepidem", "big.alg", cwd=tmp_path, timeout=20)
     assert res.returncode == 1
     assert res.stderr.startswith("pca: error:")
     assert "Traceback" not in res.stderr

@@ -11,34 +11,54 @@ import pytest
 import pca
 from clirun import cli_env
 from pca import fileio
-from pca.algebra import group_algebra
-from pca.fields import PrimeField
+from pca.algebra import group_algebra, matrix_algebra
+from pca.fields import PrimeField, Rationals
 
-# modules that ``pca radical`` must not load: the record classes are plain
-# classes, and each command imports only the algorithms it runs
+# modules that ``pca radical`` over F_2 must not load: the record classes
+# are plain classes, each command imports only the algorithms it runs, the
+# command line is read without argparse (and its gettext and locale), and
+# F_p work needs neither ``fractions`` (nor its decimal) nor polynomials
 NOT_LOADED = ("dataclasses", "inspect", "pca.wedderburn", "pca.separability",
-              "pca.malcev", "pca.tower")
+              "pca.malcev", "pca.tower", "argparse", "gettext", "locale",
+              "fractions", "decimal", "pca.poly")
 
 PROBE = """
 import json, sys
 from pca import cli
-code = cli.main(["radical", "f2c4.alg", "--json"])
+code = cli.main([*sys.argv[1:], "a.alg", "--json"])
 print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def test_radical_command_loads_only_what_it_runs(tmp_path):
-    f2c4 = group_algebra(4, PrimeField(2))
-    fileio.save_canonical(str(tmp_path / "f2c4.alg"),
-                          fileio.algebra_to_doc(f2c4))
-    res = subprocess.run([sys.executable, "-c", PROBE], cwd=tmp_path,
-                         env=cli_env(), capture_output=True, text=True,
-                         timeout=60)
+def _modules_after(tmp_path, command, algebra):
+    """The modules loaded by a process that runs ``pca command`` to a
+    successful report on ``algebra``."""
+    fileio.save_canonical(str(tmp_path / "a.alg"),
+                          fileio.algebra_to_doc(algebra))
+    res = subprocess.run([sys.executable, "-c", PROBE, command],
+                         cwd=tmp_path, env=cli_env(), capture_output=True,
+                         text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     code, modules = json.loads(res.stdout.splitlines()[-1])
     assert code == 0
+    return modules
+
+
+def test_radical_command_loads_only_what_it_runs(tmp_path):
+    modules = _modules_after(tmp_path, "radical",
+                             group_algebra(4, PrimeField(2)))
     assert "pca.radical" in modules
     assert [m for m in NOT_LOADED if m in modules] == []
+
+
+def test_integral_rationals_do_not_load_fractions(tmp_path):
+    # the separability idempotent of M_2(Q) is sum_j e_j1 (x) e_1j: every
+    # scalar from the file to the report is an integer
+    modules = _modules_after(tmp_path, "sepidem",
+                             matrix_algebra(2, Rationals()))
+    assert "pca.separability" in modules
+    assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
+        == []
 
 
 def test_every_public_name_resolves():
