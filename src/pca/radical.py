@@ -4,13 +4,16 @@ Two cold routes:
 
 * characteristic 0, or characteristic p > dim(A): the radical is the kernel
   of the trace form (x, y) -> tr(L_{xy});
-* characteristic p <= dim(A): a descending chain that starts from the
-  kernel of the trace form and is cut by trace-of-p^i-power functionals
-  evaluated on integer lifts of the left regular representation, run over
-  the prime subfield after restriction of scalars.  Its integer matrix
-  products pack each row of the right factor into one Python integer, so
-  a product row is n multiply-adds; a power squares from the matrix
-  itself, and the last product of tr(X^q) is taken on the diagonal only.
+* characteristic p <= dim(A): the descending chain of Cohen, Ivanyos and
+  Wales (J. Pure Appl. Algebra 117-118, 1997), run over the prime subfield
+  after restriction of scalars.  It starts from the kernel of the trace
+  form and cuts each level by one linear functional,
+  g_i(x) = tr(L~x^(p^i)) / p^i mod p on an integer lift L~x of the left
+  regular representation, so a level costs one trace power per basis row
+  of the space it cuts.  Its integer matrix products pack each row of the
+  right factor into one Python integer, so a product row is n
+  multiply-adds; a power squares from the matrix itself, and the last
+  product of tr(X^q) is taken on the diagonal only.
 
 One warm route, ``radical_from_below``, for a surjection pi: A -> B whose
 target's radical is known, as between the levels of a tower.  pi maps
@@ -74,19 +77,27 @@ def _check_field_supported(A: FinAlg):
             "radical over F_p(t) and its extensions is not supported")
 
 
+def _form_kernel(A: FinAlg, phi) -> Subspace:
+    """{x : phi(x y) = 0 for all y in A}, for the linear functional phi given
+    by its values phi[k] on the basis: phi(e_i e_j) is phi applied to the
+    product row e_i e_j."""
+    K, n = A.field, A.dim
+    T = [Matrix(K, [A.product_basis(i, j) for j in range(n)], n).apply(phi)
+         for i in range(n)]
+    # x in kernel iff sum_i x_i T[i][j] = 0 for all j
+    return Subspace(K, n, nullspace(Matrix(K, zip(*T), n)).data)
+
+
 def _trace_form_space(A: FinAlg) -> Subspace:
     """The kernel of the trace form, read off the trace vector
     t[k] = tr(L_{e_k}), the sum over m of the e_m coefficient of e_k e_m:
     tr(L_{e_i e_j}) is t applied to e_i e_j."""
-    K, n = A.field, A.dim
-    t = [K.zero] * n
+    K = A.field
+    t = [K.zero] * A.dim
     for k, row in enumerate(A.rows):
         for m, cell in row.items():
             t[k] = K.add(t[k], dict(cell).get(m, K.zero))
-    T = [Matrix(K, [A.product_basis(i, j) for j in range(n)], n).apply(t)
-         for i in range(n)]
-    # x in kernel iff sum_i x_i T[i][j] = 0 for all j
-    return Subspace(K, n, nullspace(Matrix(K, zip(*T), n)).data)
+    return _form_kernel(A, t)
 
 
 def _imat_mul(a, b, m):
@@ -132,53 +143,37 @@ def _trace_pow(x, e, m):
 
 
 def _char_p_chain_space(A: FinAlg) -> Subspace:
-    """Radical over a prime field F_p with p <= dim, by the descending chain
-    I_{i+1} = {x in I_i : tr((Lx Ly)^(p^i)) = 0 mod p^(i+1) for all y in I_i}.
+    """Radical over a prime field F_p with p <= dim, by the chain of Cohen,
+    Ivanyos and Wales: I_0 is the kernel of the trace form, and for each
+    q = p^i <= dim, I_i = {x in I_(i-1) : g_i(x y) = 0 for all y in A} with
+    g_i(x) = tr(L~x^q) / q mod p, L~x any integer lift of L_x.
 
-    The first cut, at i = 0, is tr(Lx Ly) = tr(L_xy) mod p on all of A,
-    which is the trace form, so the chain starts from its kernel and cuts
-    for i = 1, 2, ... while p^i <= dim.  The integer traces are provably
-    divisible by p^i on the chain, which makes each later condition an
-    F_p-linear cut; non-divisibility would mean a bug and is raised.  Only
-    t mod p^(i+1) matters, and q = p^i divides p^(i+1), so every product
-    and power is reduced mod p^(i+1) and the check ``t % q`` stays exact.
-    The Gram matrix is symmetric, because tr((XY)^q) = tr((YX)^q), so only
-    s >= r is computed."""
+    They show that I_(i-1) is an ideal on which tr(L~x^q) is divisible by
+    q and g_i is F_p-linear and does not depend on the lift, and that the
+    last level, p^l <= dim < p^(l+1), is J(A).  Every v in I_(i-1) is the
+    sum of v[c] b_c over the RREF basis rows b_c, c a pivot column, so phi
+    with phi[c] = g_i(b_c) there and 0 elsewhere agrees with g_i on
+    I_(i-1), which holds x e_j for x in it: the level is I_(i-1) cut by
+    the kernel of x, y -> phi(x y).  It costs dim(I_(i-1)) trace powers,
+    not the dim(I_(i-1))^2 / 2 of the form on pairs of rows.  L_b, with
+    F_p entries in [0, p), is its own lift; products are reduced mod
+    p^(i+1), which keeps ``t % q`` exact.  A trace that is not divisible
+    would mean a bug and is raised, and ``_certified`` proves the result."""
     K = A.field
     p = K.p
     n = A.dim
-    lifts = [[list(row) for row in A.left_mult_matrix(
-        A.basis_element(i)).data] for i in range(n)]
-
-    def lift_of(v, m):
-        out = [[0] * n for _ in range(n)]
-        for r, c in enumerate(v):
-            if c:
-                lr = lifts[r]
-                for i in range(n):
-                    if any(lr[i]):
-                        oi = out[i]
-                        li = lr[i]
-                        for j in range(n):
-                            oi[j] += c * li[j]
-        return [[x % m for x in row] for row in out]
-
     space = _trace_form_space(A)
     q = p          # p^i
     while q <= n and not space.is_zero():
         m = q * p
-        mats = [lift_of(v, m) for v in space.basis]
-        d = len(mats)
-        G = [[0] * d for _ in range(d)]
-        for r in range(d):
-            for s in range(r, d):
-                t = _trace_pow(_imat_mul(mats[r], mats[s], m), q, m)
-                if t % q:
-                    raise InternalVerificationFailed(
-                        "chain trace not divisible by p^i")
-                G[r][s] = G[s][r] = t // q
-        N = nullspace(Matrix(K, G, d))
-        space = Subspace(K, n, [space.from_coords(c) for c in N.data])
+        phi = [0] * n
+        for b, pc in zip(space.basis, space.pivots):
+            t = _trace_pow(A.left_mult_matrix(b).data, q, m)
+            if t % q:
+                raise InternalVerificationFailed(
+                    "chain trace not divisible by p^i")
+            phi[pc] = t // q
+        space = space.intersect(_form_kernel(A, phi))
         q = m
     return space
 

@@ -615,6 +615,18 @@ def test_oversized_input_is_refused(tmp_path, argv):
     assert not (tmp_path / "t.tower").exists()
 
 
+def test_cold_radical_of_f2c64_is_fast(tmp_path):
+    # the char-p chain on F_2 C_64 makes 6 levels of at most 64 trace powers
+    fileio.save_canonical(str(tmp_path / "f2c64.alg"),
+                          fileio.algebra_to_doc(group_algebra(64, F2)))
+    res = run_cli("radical", "f2c64.alg", "--json", cwd=tmp_path,
+                  timeout=30, preexec_fn=_cap_memory)
+    assert res.returncode == 0
+    results = json.loads(res.stdout)["results"]
+    assert results["radical_dim"] == 63
+    assert results["nilpotency_index"] == 64
+
+
 # Q scalars outside README's grammar ("a" or "a/b"): exponents, decimals
 # and underscores, in the structure constants and the unit of a 1-dim
 # algebra over Q and over Q(sqrt 2).  Each table is a valid algebra if the

@@ -15,6 +15,11 @@ associativity proof, each against a slower reference kept here.
   must accept and reject exactly as the scans over every basis element.
 * The char-p chain's packed integer products, powers and traces must equal
   naive triple loops, and give the same radical space.
+* The char-p chain, one trace power per basis row of each level, must give
+  the space of the pairwise chain, one trace power per pair of rows; it
+  must make no more trace powers than the rows it cuts; and on rebased
+  random F_2 and F_3 algebras the radical must equal the brute-force
+  oracle.
 * The trace form's kernel, read off the trace vector, must equal the
   kernel of the traces of the left multiplication matrices.
 """
@@ -23,6 +28,8 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from pca import fileio
@@ -35,7 +42,7 @@ from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import Matrix, Subspace, solve
 from pca.radical import (_nilpotency_data, _trace_form_space, radical,
-                         radical_from_below)
+                         radical_from_below, radical_oracle)
 from pca.tower import (QuiverSpec, Tower, cyclic_group_tower,
                        kronecker_quiver, loop_quiver, path_algebra_tower,
                        power_series_tower, product_tower, tower_radicals)
@@ -511,3 +518,79 @@ def test_char_p_chain_space_matches_naive_kernel(make, monkeypatch):
     monkeypatch.setattr(radical_module, "_trace_pow", _old_trace_pow)
     assert radical_module._radical_space(A) == (space, method)
     assert space.dim == A.dim - 1
+
+
+def _reference_char_p_chain_space(A):
+    """The chain cut at each level q = p^i <= dim by the Gram matrix
+    tr((L~x L~y)^q) / q mod p on the pairs of basis rows of the current
+    space, each lift L~x the combination of the basis elements' lifts."""
+    K, n = A.field, A.dim
+    p = K.p
+    lifts = [[list(row) for row in A.left_mult_matrix(
+        A.basis_element(i)).data] for i in range(n)]
+
+    def lift_of(v, m):
+        out = [[0] * n for _ in range(n)]
+        for r, c in enumerate(v):
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] += c * lifts[r][i][j]
+        return [[x % m for x in row] for row in out]
+
+    space = _trace_form_space(A)
+    q = p
+    while q <= n and not space.is_zero():
+        m = q * p
+        mats = [lift_of(v, m) for v in space.basis]
+        d = len(mats)
+        G = [[0] * d for _ in range(d)]
+        for r in range(d):
+            for s in range(r, d):
+                t = radical_module._trace_pow(
+                    radical_module._imat_mul(mats[r], mats[s], m), q, m)
+                assert t % q == 0
+                G[r][s] = G[s][r] = t // q
+        space = Subspace(K, n, [space.from_coords(c) for c in
+                                dense_nullspace(K, Matrix(K, G, d))])
+        q = m
+    return space
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rebased(random.Random(75), group_algebra(16, F2)),
+    lambda: group_algebra(32, F2),
+    lambda: group_algebra(27, F3),
+    lambda: triangular_algebra(6, F2),
+    lambda: group_algebra(4, F4),
+], ids=["F2C16_dense", "F2C32", "F3C27", "T6F2", "F4C4"])
+def test_char_p_chain_space_equals_pairwise_reference(make, monkeypatch):
+    # F4C4 reaches the chain through restriction of scalars to F_2
+    A = make()
+    space, method = radical_module._radical_space(A)
+    assert method == "char_p_chain"
+    monkeypatch.setattr(radical_module, "_char_p_chain_space",
+                        _reference_char_p_chain_space)
+    assert radical_module._radical_space(A) == (space, method)
+
+
+def test_char_p_chain_makes_one_trace_power_per_row(monkeypatch):
+    calls = []
+    trace_pow = radical_module._trace_pow
+
+    def counted(x, e, m):
+        calls.append(e)
+        return trace_pow(x, e, m)
+    monkeypatch.setattr(radical_module, "_trace_pow", counted)
+    radical(group_algebra(16, F2))
+    # levels q = 2, 4, 8, 16, each cutting a space of dimension <= 16
+    assert len(calls) <= 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_radical_equals_oracle_on_rebased_algebras(seed):
+    # p^dim <= 2^7 keeps the oracle's p^(2 dim) products under a second
+    rng = random.Random(seed)
+    K = rng.choice([F2, F3])
+    A = _rebased(rng, corpus.random_algebra(rng, K, 7 if K is F2 else 4))
+    assert radical(A).radical.space == radical_oracle(A).space
