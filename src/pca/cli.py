@@ -13,10 +13,18 @@ identical inputs produce identical bytes.
 The command line is read against one table, ``COMMANDS``, which also
 gives the usage text.  Each handler imports the algorithm modules it runs,
 so a command does not pay for the start-up of the others.
+
+``main`` answers one command and returns its exit code; it can be called
+in process any number of times.  ``run`` is the process entry, which both
+``python -m pca`` and the installed ``pca`` script call: it runs ``main``,
+flushes the report, turns a closed stdout into a ``pca: error:`` line and
+spares the exiting interpreter its full garbage collections.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import sys
 from types import SimpleNamespace
 
@@ -372,5 +380,39 @@ def main(argv=None) -> int:
     return 2 if negative else 0
 
 
+def run(argv=None) -> int:
+    """``main`` as a whole process: returns the exit code for ``sys.exit``.
+
+    A reader that closed stdout before the report was written makes its
+    write or flush raise ``BrokenPipeError``.  Then fd 1 is pointed at
+    ``os.devnull``, as the Python documentation's note on SIGPIPE does, so
+    that the interpreter's own flush at exit stays silent, and the process
+    prints one ``pca: error:`` line and exits 1.
+
+    Last, ``gc.freeze()`` moves every object the collector tracks into its
+    permanent generation, so the full collections that interpreter
+    finalization runs skip them.  Nothing else of the exit changes: module
+    teardown, the flush of stdout and stderr and the ``atexit`` handlers
+    all still run, and ``pca`` defines no ``__del__``, weakref finalizer or
+    ``atexit`` hook whose call could be lost.  (``os._exit`` would save a
+    little more, but it skips ``atexit`` and the flush of open files.)
+    The saving grows with the objects alive at exit, most of which ``site``
+    creates.  Only a process about to end may freeze: in a long-lived
+    process a frozen object is never collected, so in-process callers use
+    ``main``.
+    """
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"pca: error: cannot write the report: {exc}", file=sys.stderr)
+        code = 1
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

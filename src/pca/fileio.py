@@ -7,8 +7,8 @@ parse is the identity on every well-formed document.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sys
 
 from .algebra import FinAlg, hom_check, make_algebra
 from .errors import BadSpec
@@ -17,6 +17,18 @@ from .fields import (Field, PrimeField, RationalFunctionField, Rationals,
 from .limits import check_depth, check_dim
 from .linalg import Matrix
 
+# The interpreter's own SHA-256, not hashlib's: importing hashlib loads
+# OpenSSL (_hashlib) and _blake2, which costs ten times the built-in module
+# at every start-up.  The module is chosen by version, since a failed import
+# walks sys.path; hashlib serves only builds that leave the module out.
+try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
+
 
 def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"),
@@ -24,7 +36,9 @@ def canonical_dumps(doc) -> str:
 
 
 def digest_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    """``"sha256:"`` and the hex SHA-256 of ``data``, the same digest as
+    ``hashlib.sha256``."""
+    return "sha256:" + sha256(data).hexdigest()
 
 
 def digest_file(path: str) -> str:

@@ -1,11 +1,16 @@
+import gc
 import importlib
+import io
 import json
+import os
 import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from clirun import run_cli
+from clirun import cli_env, run_cli
 from pca import cli, fileio, malcev, tower, wedderburn
 from pca.algebra import (AlgHom, Ideal, direct_product, group_algebra,
                          make_algebra, tensor, triangular_algebra)
@@ -660,3 +665,81 @@ def test_result_past_the_digit_limit_is_input_error(tmp_path):
     assert res.stderr.startswith("pca: error:")
     assert "Traceback" not in res.stderr
     assert not res.stdout
+
+
+# -- the process entry --------------------------------------------------------
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["fails_at_write", "fails_at_flush"])
+def test_closed_stdout_is_one_error_line(fixtures, unbuffered):
+    # unbuffered, the report's write in main raises; buffered, the flush
+    # after main does
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)              # the reader is gone before the report
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "pca", "radical",
+                                 "t2q.alg"], cwd=fixtures, env=env,
+                                stdout=write, stderr=subprocess.PIPE,
+                                text=True)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err.startswith("pca: error:")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+RUN_CASES = [(("radical", "t2q.alg", "--json"), 0),
+             (("radical", "missing.alg"), 1),
+             (("septest", "insep.alg", "--json"), 2)]
+
+
+@pytest.mark.parametrize("argv,code", RUN_CASES, ids=["0", "1", "2"])
+def test_main_never_freezes(fixtures, monkeypatch, argv, code):
+    monkeypatch.chdir(fixtures)
+    frozen = gc.get_freeze_count()
+    assert cli.main(list(argv)) == code
+    assert gc.get_freeze_count() == frozen
+
+
+class _Recorded(io.StringIO):
+    """A text stream that logs each write and flush, as ``<name>.write``
+    and ``<name>.flush``, to a list it shares."""
+
+    def __init__(self, name, events):
+        super().__init__()
+        self.name, self.events = name, events
+
+    def write(self, text):
+        self.events.append(f"{self.name}.write")
+        return super().write(text)
+
+    def flush(self):
+        self.events.append(f"{self.name}.flush")
+        super().flush()
+
+
+@pytest.mark.parametrize("argv,code", RUN_CASES, ids=["0", "1", "2"])
+def test_run_freezes_once_after_the_report(fixtures, monkeypatch, argv,
+                                           code):
+    monkeypatch.chdir(fixtures)
+    events = []
+    out, err = _Recorded("out", events), _Recorded("err", events)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append(
+        ("freeze", out.getvalue(), err.getvalue())))
+    assert cli.run(list(argv)) == code
+    freezes = [e for e in events if e[0] == "freeze"]
+    assert len(freezes) == 1
+    assert events[-2:] == ["out.flush", freezes[0]]
+    _, report, error = freezes[0]
+    assert (report, error) == (out.getvalue(), err.getvalue())
+    if code == 1:
+        assert not report and error.startswith("pca: error:")
+    else:
+        assert json.loads(report)["command"] == argv[0] and not error

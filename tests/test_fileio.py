@@ -1,7 +1,10 @@
+import hashlib
 import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 from pca import fileio
@@ -28,6 +31,19 @@ def all_fields():
     yield F2T
     yield SimpleExtension(Q, Poly.from_ints(Q, [1, 1, 1]).coeffs, name="w")
     yield SimpleExtension(F2T, (F2T.neg(F2T.t), F2T.zero, F2T.one))
+
+
+# any bytes, and bytes repeated past 64 KiB, so the digest spans many blocks
+DIGEST_INPUTS = st.binary() | st.binary(min_size=1, max_size=64).map(
+    lambda b: b * (2 ** 16 // len(b) + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=DIGEST_INPUTS)
+@example(data=b"")
+def test_digest_is_hashlib_sha256(data):
+    assert (fileio.digest_bytes(data)
+            == "sha256:" + hashlib.sha256(data).hexdigest())
 
 
 @pytest.mark.parametrize("K", list(all_fields()),

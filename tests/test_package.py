@@ -16,11 +16,14 @@ from pca.fields import PrimeField, Rationals
 
 # modules that ``pca radical`` over F_2 must not load: the record classes
 # are plain classes, each command imports only the algorithms it runs, the
-# command line is read without argparse (and its gettext and locale), and
-# F_p work needs neither ``fractions`` (nor its decimal) nor polynomials
+# command line is read without argparse (and its gettext and locale), F_p
+# work needs neither ``fractions`` (nor its decimal) nor polynomials, and
+# the input digest comes from the interpreter's own SHA-256, not from
+# hashlib (with OpenSSL and blake2)
 NOT_LOADED = ("dataclasses", "inspect", "pca.wedderburn", "pca.separability",
               "pca.malcev", "pca.tower", "argparse", "gettext", "locale",
-              "fractions", "decimal", "pca.poly")
+              "fractions", "decimal", "pca.poly", "hashlib", "_hashlib",
+              "_blake2")
 
 PROBE = """
 import json, sys
@@ -59,6 +62,16 @@ def test_integral_rationals_do_not_load_fractions(tmp_path):
     assert "pca.separability" in modules
     assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
         == []
+
+
+def test_both_launchers_enter_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(pca.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["pca"] == "pca.cli:run"
+    main_module = (Path(pca.__file__).parent / "__main__.py").read_text()
+    assert "sys.exit(run())" in main_module
 
 
 def test_every_public_name_resolves():
