@@ -75,29 +75,12 @@ class FinAlg:
         return tuple(out)
 
     def left_mult_matrix(self, u) -> Matrix:
-        K = self.field
-        cols = [[K.zero] * self.dim for _ in range(self.dim)]
-        for i, ci in enumerate(u):
-            if K.is_zero(ci):
-                continue
-            for j, cell in self.rows[i].items():
-                col = cols[j]
-                for k, c in cell:
-                    col[k] = K.add(col[k], K.mul(ci, c))
-        return Matrix(K, zip(*cols), self.dim)
+        return Matrix.from_map(self.field, self.dim,
+                               _mult_map(self, u, "left"))
 
     def right_mult_matrix(self, u) -> Matrix:
-        K = self.field
-        cols = [[K.zero] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            col = cols[i]
-            row = self.rows[i]
-            for j, cj in enumerate(u):
-                if K.is_zero(cj):
-                    continue
-                for k, c in row.get(j, ()):
-                    col[k] = K.add(col[k], K.mul(cj, c))
-        return Matrix(K, zip(*cols), self.dim)
+        return Matrix.from_map(self.field, self.dim,
+                               _mult_map(self, u, "right"))
 
     # -- validation ---------------------------------------------------------
 
@@ -110,7 +93,7 @@ class FinAlg:
         span to G, close the span with e_g (not e_g 1, so it grows even
         where the unit law fails) under left multiplication by G, and
         repeat.  The span is closed under the earlier generators, so one
-        ``Subspace.extend`` by e_g and the products e_g w does it."""
+        ``Subspace.extend`` by e_g and the span's image under L_g does it."""
         if self._gens is not None:
             return self._gens
         gens, lefts = [], []
@@ -122,9 +105,8 @@ class FinAlg:
             if span.contains(e):
                 continue
             gens.append(i)
-            lefts.append(_mult_map(self, i, "left"))
-            span = span.extend([e] + [self.mul(e, w) for w in span.basis],
-                               lefts)
+            lefts.append(_mult_map(self, e, "left"))
+            span = span.extend([e, *span.image(lefts[-1:]).basis], lefts)
         self._gens = tuple(gens)
         return self._gens
 
@@ -495,23 +477,30 @@ def _mult_maps(a: FinAlg, sidedness) -> list:
     """The multiplications by e_g, g in ``a.generators()``, on the declared
     sides.  The x with x S in S (or S x in S) form a subalgebra holding 1,
     so a subspace S closed under these maps is closed under all of ``a``."""
-    return [_mult_map(a, g, side) for g in a.generators()
+    return [_mult_map(a, a.basis_element(g), side) for g in a.generators()
             for side in ("left", "right") if sidedness in (side, "twosided")]
 
 
-def _mult_map(a: FinAlg, g: int, side):
-    """w -> e_g w (left) or w e_g (right) on a {index: scalar} dict w, as
-    ``Subspace.extend`` applies its maps; the image is a dense vector."""
+def _mult_map(a: FinAlg, v, side):
+    """The sparse columns of L_v (left) or R_v (right), the map format of
+    ``linalg``: column j holds the (k, scalar) pairs of v e_j or e_j v.
+    For a basis element e_g, L_g's columns are ``a.rows[g]`` itself."""
     K, rows = a.field, a.rows
-
-    def apply(w):
-        acc = [K.zero] * a.dim
-        for i, c in w.items():
-            for k, d in (rows[g].get(i, ()) if side == "left"
-                         else rows[i].get(g, ())):
-                acc[k] = K.add(acc[k], K.mul(c, d))
-        return acc
-    return apply
+    add, mul, is_zero = K.add, K.mul, K.is_zero
+    nz = [(i, c) for i, c in enumerate(v) if not is_zero(c)]
+    if side == "left" and len(nz) == 1 and nz[0][1] == K.one:
+        return rows[nz[0][0]]
+    acc = {}
+    for i, c in nz:
+        cells = (rows[i].items() if side == "left" else
+                 [(j, row[i]) for j, row in enumerate(rows) if i in row])
+        for j, cell in cells:
+            col = acc.setdefault(j, {})
+            for k, d in cell:
+                x = mul(c, d)
+                col[k] = add(col[k], x) if k in col else x
+    return {j: tuple([(k, x) for k, x in col.items() if not is_zero(x)])
+            for j, col in acc.items()}
 
 
 def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:

@@ -8,10 +8,13 @@ the systems the algorithms build (the separability system above all) have
 a few nonzeros per row.  A ``Subspace`` keeps the kernel's pivot rows, so
 its reductions, coordinates and sums are the kernel's own row step, and
 ``Subspace.extend`` carries an elimination on instead of starting over.
-Given linear maps, ``extend`` also feeds each map's image of every pivot
-row it adds back into that elimination, so growing a span until the maps
-send it into itself (a generating set, an ideal closure, A*v) is one
-carried-on elimination that applies each map once per added row.
+A linear map is given by its sparse columns, a mapping from j to the
+nonzero (k, scalar) pairs of the image of e_j; only ``_apply_map``
+applies one, to a kernel row, so images stay sparse.  ``Subspace.image``
+spans the images of a space's pivot rows, and ``Subspace.extend`` feeds
+each map's image of every pivot row it adds back into its elimination:
+growing a span until the maps send it into itself (a generating set, an
+ideal closure, A*v) is one elimination applying each map once per row.
 The reduced row echelon form of a matrix is unique, so the kernel's
 results do not depend on the order in which it visits rows or on how it
 stores them.  Division is exact; "no solution" is a value (None), not an
@@ -74,6 +77,15 @@ class Matrix:
     @classmethod
     def zero(cls, field: Field, rows: int, cols: int):
         return cls(field, [zero_vec(field, cols) for _ in range(rows)], cols)
+
+    @classmethod
+    def from_map(cls, field: Field, n: int, cols):
+        """The n x n matrix of the map with the sparse columns ``cols``."""
+        data = [[field.zero] * n for _ in range(n)]
+        for j, col in cols.items():
+            for k, c in col:
+                data[k][j] = c
+        return cls(field, data, n)
 
     def column(self, j: int):
         return tuple(row[j] for row in self.data)
@@ -153,6 +165,18 @@ def _sparse(K: Field, v) -> dict:
     return {j: a for j, a in enumerate(v) if not K.is_zero(a)}
 
 
+def _apply_map(K: Field, cols, row: dict) -> dict:
+    """The image of a kernel row under the map with sparse columns
+    ``cols``, as a zero-free kernel row."""
+    add, mul = K.add, K.mul
+    out = {}
+    for j, x in row.items():
+        for k, c in cols.get(j, ()):
+            v = mul(x, c)
+            out[k] = add(out[k], v) if k in out else v
+    return {k: v for k, v in out.items() if not K.is_zero(v)}
+
+
 def _dense(K: Field, row: dict, n: int) -> tuple:
     out = [K.zero] * n
     for j, a in row.items():
@@ -170,8 +194,9 @@ def _reduce(K: Field, row: dict, piv: dict) -> dict:
 
 
 def _eliminate(field: Field, rows, ncols, piv=None):
-    """Gauss-Jordan elimination of dense rows, carried on from the pivot
-    rows ``piv`` (updated in place) when given; returns (piv, rest).
+    """Gauss-Jordan elimination of the ``{col: value}`` rows ``rows``
+    (``_sparse`` of dense ones), carried on from the pivot rows ``piv``
+    (updated in place) when given; returns (piv, rest).
 
     ``piv`` maps each pivot column to its ``{col: value}`` row, kept fully
     reduced: monic at its pivot, nothing left of it, and zeros in every
@@ -183,8 +208,8 @@ def _eliminate(field: Field, rows, ncols, piv=None):
     K = field
     piv = {} if piv is None else piv
     rest = []
-    for dense in rows:
-        row = _reduce(K, _sparse(K, dense), piv)
+    for row in rows:
+        row = _reduce(K, row, piv)
         lead = min((j for j in row if j < ncols), default=None)
         if lead is None:
             if row:
@@ -209,27 +234,24 @@ def _dense_rows(K: Field, piv: dict, n: int) -> list:
 def rref(M: Matrix):
     """Reduced row echelon form and the pivot columns."""
     K = M.field
-    piv, _ = _eliminate(K, M.data, M.cols)
+    piv, _ = _eliminate(K, [_sparse(K, r) for r in M.data], M.cols)
     rows = _dense_rows(K, piv, M.cols)
     rows += [zero_vec(K, M.cols)] * (M.rows - len(rows))
     return Matrix(K, rows, M.cols), tuple(sorted(piv))
 
 
 def rank(M: Matrix) -> int:
-    return len(_eliminate(M.field, M.data, M.cols)[0])
+    K = M.field
+    return len(_eliminate(K, [_sparse(K, r) for r in M.data], M.cols)[0])
 
 
 def nullspace(M: Matrix) -> Matrix:
     """Canonical basis (RREF rows) of {x : M x = 0}."""
     K = M.field
-    piv, _ = _eliminate(K, M.data, M.cols)
-    basis = []
-    for fc in (c for c in range(M.cols) if c not in piv):
-        v = [K.zero] * M.cols
-        v[fc] = K.one
-        for pc, row in piv.items():
-            v[pc] = K.neg(row.get(fc, K.zero))
-        basis.append(v)
+    piv, _ = _eliminate(K, [_sparse(K, r) for r in M.data], M.cols)
+    basis = [{fc: K.one, **{pc: K.neg(row[fc]) for pc, row in piv.items()
+                            if fc in row}}
+             for fc in range(M.cols) if fc not in piv]
     return Matrix(K, _dense_rows(K, _eliminate(K, basis, M.cols)[0],
                                  M.cols), M.cols)
 
@@ -246,7 +268,8 @@ def solve_many(M: Matrix, bs) -> list | None:
     Returns None if any system is inconsistent."""
     K = M.field
     bs = [tuple(b) for b in bs]
-    rows = [list(row) + [b[i] for b in bs] for i, row in enumerate(M.data)]
+    rows = [_sparse(K, list(row) + [b[i] for b in bs])
+            for i, row in enumerate(M.data)]
     piv, rest = _eliminate(K, rows, M.cols)
     if rest:      # a zero row with a nonzero tail
         return None
@@ -269,27 +292,35 @@ class Subspace:
     def __init__(self, field: Field, ambient: int, vectors):
         self.field = field
         self.ambient = ambient
-        self._span({}, vectors)
+        self._span({}, self._checked_rows(vectors))
 
-    def _span(self, rows: dict, vectors, maps=()):
-        """Store the span of the pivot rows ``rows``, ``vectors`` and the
-        images under ``maps`` of every pivot row added on the way."""
+    def _checked_rows(self, vectors):
+        for v in map(tuple, vectors):
+            if len(v) != self.ambient:
+                raise AmbientMismatch("vector length != ambient dimension")
+            yield _sparse(self.field, v)
+
+    def _span(self, rows: dict, new, maps=()):
+        """Store the span of the pivot rows ``rows``, the kernel rows
+        ``new`` and the images under ``maps`` of every pivot row added on
+        the way; a batch's images are formed before it is eliminated."""
         K, n = self.field, self.ambient
-
-        def sized(vectors):
-            for v in map(tuple, vectors):
-                if len(v) != n:
-                    raise AmbientMismatch("vector length != ambient dimension")
-                yield v
         mapped = set(rows)
-        _eliminate(K, sized(vectors), n, rows)
+        _eliminate(K, new, n, rows)
         while maps and len(rows) > len(mapped):
-            fresh = [dict(rows[c]) for c in rows if c not in mapped]
+            new = [_apply_map(K, f, rows[c]) for c in rows if c not in mapped
+                   for f in maps]
             mapped = set(rows)
-            _eliminate(K, sized(f(v) for v in fresh for f in maps), n, rows)
+            _eliminate(K, new, n, rows)
         self._rows = rows
         self.pivots = tuple(sorted(rows))
         self.basis = tuple(_dense_rows(K, rows, n))
+
+    def _new(self, rows: dict, new, maps=()) -> "Subspace":
+        out = Subspace.__new__(Subspace)
+        out.field, out.ambient = self.field, self.ambient
+        out._span(rows, new, maps)
+        return out
 
     @classmethod
     def zero(cls, field: Field, ambient: int):
@@ -308,19 +339,19 @@ class Subspace:
         return not self.basis
 
     def extend(self, vectors, maps=()) -> "Subspace":
-        """The span of this space, ``vectors`` and the image under each of
-        the linear ``maps`` of every pivot row the call adds, carrying on
-        the elimination from a copy of the stored pivot rows.  A map takes
-        a row as a ``{index: nonzero scalar}`` dict and returns its image
-        as a sequence of ``ambient`` scalars.  Each map is applied once to
-        each added row, so the result is the smallest space holding this
-        one and ``vectors`` and closed under ``maps`` whenever this space
-        already was."""
-        out = Subspace.__new__(Subspace)
-        out.field, out.ambient = self.field, self.ambient
-        out._span({c: dict(row) for c, row in self._rows.items()}, vectors,
-                  maps)
-        return out
+        """The span of this space, ``vectors`` and the images under the
+        linear ``maps`` of every pivot row the call adds, carrying on the
+        elimination from a copy of the pivot rows.  Each map is applied once
+        to each added row, so the result is the smallest space holding this
+        one and ``vectors`` and closed under ``maps`` if this one was."""
+        return self._new({c: dict(row) for c, row in self._rows.items()},
+                         self._checked_rows(vectors), maps)
+
+    def image(self, maps) -> "Subspace":
+        """The span of the images of this space's pivot rows under the
+        linear ``maps`` (sparse columns, as for ``extend``)."""
+        return self._new({}, [_apply_map(self.field, f, row)
+                              for row in self._rows.values() for f in maps])
 
     def _residue(self, v) -> dict:
         return _reduce(self.field, _sparse(self.field, v), self._rows)

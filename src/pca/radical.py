@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 from operator import mul
 
-from .algebra import (AlgHom, FinAlg, Ideal, _mult_maps, quotient,
-                      restrict_scalars)
+from .algebra import (AlgHom, FinAlg, Ideal, _mult_map, _mult_maps,
+                      quotient, restrict_scalars)
 from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
                      _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
@@ -78,14 +79,15 @@ def _check_field_supported(A: FinAlg):
 
 
 def _form_kernel(A: FinAlg, phi) -> Subspace:
-    """{x : phi(x y) = 0 for all y in A}, for the linear functional phi given
-    by its values phi[k] on the basis: phi(e_i e_j) is phi applied to the
-    product row e_i e_j."""
+    """{x : phi(x y) = 0 for all y in A}, for the linear functional phi
+    with values phi[k] on the basis, read off the structure constants."""
     K, n = A.field, A.dim
-    T = [Matrix(K, [A.product_basis(i, j) for j in range(n)], n).apply(phi)
-         for i in range(n)]
-    # x in kernel iff sum_i x_i T[i][j] = 0 for all j
-    return Subspace(K, n, nullspace(Matrix(K, zip(*T), n)).data)
+    # x in kernel iff sum_i x_i phi(e_i e_j) = 0 for all j: row j, column i
+    T = [[K.zero] * n for _ in range(n)]
+    for i, row in enumerate(A.rows):
+        for j, cell in row.items():
+            T[j][i] = reduce(K.add, [K.mul(c, phi[k]) for k, c in cell])
+    return Subspace(K, n, nullspace(Matrix(K, T, n)).data)
 
 
 def _trace_form_space(A: FinAlg) -> Subspace:
@@ -221,20 +223,17 @@ def _nilpotency_data(A: FinAlg, space: Subspace):
     """Filtration J, J^2, ..., 0 and the nilpotency index, or None when
     the powers stop falling, that is, when J is not nilpotent.  J is
     proved an ideal once; its powers are ideals because it is, and
-    J^(k+1) is spanned by x*g for x in J^k and g in G."""
+    J^(k+1) is the image of J^k under the right multiplications by G."""
     J = Ideal(A, space, "twosided")
     _internal(J.verify)
     if space.is_zero():
         return [J], 0
-    gens = _left_generators(A, space)
+    rights = [_mult_map(A, g, "right") for g in _left_generators(A, space)]
     filtration = [J]
-    cur = space
-    while not cur.is_zero():
-        nxt = Subspace(A.field, A.dim,
-                       [A.mul(x, g) for x in cur.basis for g in gens])
-        if nxt.dim >= cur.dim:
+    while not filtration[-1].is_zero():
+        cur = filtration[-1].space.image(rights)
+        if cur.dim >= filtration[-1].dim:
             return None
-        cur = nxt
         filtration.append(Ideal(A, cur, "twosided"))
     # the list holds J, J^2, ..., J^m with J^m the first zero power
     return filtration, len(filtration)
@@ -299,19 +298,13 @@ def radical_oracle(A: FinAlg) -> Ideal:
     if not isinstance(K, PrimeField):
         raise UnsupportedField("the oracle enumerates prime-field algebras")
     p = K.p
-    if p ** A.dim > 2 ** 16:
-        raise TooLarge(f"{p}^{A.dim} elements is beyond the oracle bound")
+    if p ** (2 * A.dim) > 2 ** 16:
+        raise TooLarge(f"the oracle tests up to {p}^{2 * A.dim} pairs of "
+                       "elements, beyond its bound of 2^16")
     elements = list(itertools.product(range(p), repeat=A.dim))
-    good = []
-    for x in elements:
-        ok = True
-        for y in elements:
-            u = A.sub(A.unit, A.mul(y, x))
-            if rank(A.left_mult_matrix(u)) != A.dim:
-                ok = False
-                break
-        if ok:
-            good.append(x)
+    good = [x for x in elements
+            if all(rank(A.left_mult_matrix(A.sub(A.unit, A.mul(y, x))))
+                   == A.dim for y in elements)]
     space = Subspace(K, A.dim, good)
     # the set lies in its span, so it is the span iff the sizes agree
     if p ** space.dim != len(good):
@@ -336,11 +329,9 @@ def maximal_twosided_intersection(A: FinAlg) -> Ideal:
     dec = central_idempotents(Aq)
     K = A.field
     inter = Subspace.full(K, A.dim)
-    one = Aq.unit
     for e in dec.idempotents:
-        comp = Subspace(K, Aq.dim,
-                        [Aq.mul(Aq.basis_element(i), Aq.sub(one, e))
-                         for i in range(Aq.dim)])
+        comp = Subspace.full(K, Aq.dim).image(
+            [_mult_map(Aq, Aq.sub(Aq.unit, e), "right")])
         inter = inter.intersect(_preimage(pi, comp))
     if inter != rr.radical.space:
         raise InternalVerificationFailed(

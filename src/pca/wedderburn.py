@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 import random
 
-from .algebra import (AlgHom, FinAlg, _block_minpoly, _trusted_algebra,
-                      direct_product)
+from .algebra import (AlgHom, FinAlg, _block_minpoly, _mult_map,
+                      _trusted_algebra, direct_product)
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
 from .fields import PrimeField, Rationals
@@ -101,11 +101,6 @@ def _split_by(A: FinAlg, e, z, mu: Poly):
     return parts
 
 
-def _center_of_idempotent(A: FinAlg, zc: Subspace, e):
-    """Basis of Z(A)e."""
-    return Subspace(A.field, A.dim, [A.mul(v, e) for v in zc.basis])
-
-
 def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     """Over F_p: Frobenius fixed space of Z(A)e counts the blocks; any
     non-scalar fixed element splits (its minpoly divides x^p - x)."""
@@ -178,7 +173,7 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
     final = []
     while worklist:
         e = worklist.pop()
-        ze = _center_of_idempotent(A, zc, e)
+        ze = zc.image([_mult_map(A, e, "right")])
         if ze.dim == 1:
             final.append(e)
             continue
@@ -196,8 +191,7 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
     spaces = []
     data = []
     for e in final:
-        space = Subspace(K, A.dim,
-                         [A.mul(A.basis_element(i), e) for i in range(A.dim)])
+        space = Subspace.full(K, A.dim).image([_mult_map(A, e, "right")])
         labels = [A.labels[p] for p in space.pivots]
         entries = []
         for i in range(space.dim):
@@ -231,12 +225,9 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
     data = [data[t] for t in order]
 
     # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
-    cols = []
-    for i in range(A.dim):
-        col = []
-        for e, space in zip(final, spaces):
-            col.extend(space.coords(A.mul(A.basis_element(i), e)))
-        cols.append(col)
+    cols = [[c for e, space in zip(final, spaces)
+             for c in space.coords(A.mul(A.basis_element(i), e))]
+            for i in range(A.dim)]
     h = AlgHom(A, direct_product(blocks), Matrix(K, zip(*cols), A.dim))
     _internal(h.verify)
     if rank(h.matrix) != A.dim:

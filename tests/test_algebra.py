@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_linalg import dense_reduce, dense_span
 
-from pca import algebra
+from pca import algebra, linalg
 from pca.algebra import (Ideal, base_change, direct_product,
                          group_algebra, hom_check, ideal_closure,
                          is_surjective, kernel, make_algebra, matrix_algebra,
@@ -165,22 +165,24 @@ def test_ideal_closure_maps_each_added_row_once(monkeypatch):
     # every map sees once: no map is applied to a row twice
     A = truncated_polynomial_algebra(Q, 10)
     assert A.generators() == (1,)
-    calls = []
+    maps, calls = [], []
     mult_maps = algebra._mult_maps
+    apply_map = linalg._apply_map
 
-    def counted_maps(a, sidedness):
-        def count(t, f):
-            def apply(w):
-                calls[t] += 1
-                return f(w)
-            return apply
-        maps = mult_maps(a, sidedness)
-        calls.extend([0] * len(maps))
-        return [count(t, f) for t, f in enumerate(maps)]
-    monkeypatch.setattr(algebra, "_mult_maps", counted_maps)
+    def captured_maps(a, sidedness):
+        maps[:] = mult_maps(a, sidedness)
+        calls[:] = [0] * len(maps)
+        return maps
+
+    def counted(K, cols, row):
+        calls[[id(f) for f in maps].index(id(cols))] += 1
+        return apply_map(K, cols, row)
+    monkeypatch.setattr(algebra, "_mult_maps", captured_maps)
+    monkeypatch.setattr(linalg, "_apply_map", counted)
     closed = ideal_closure(A, [A.basis_element(1)])
     assert closed.space == Subspace(Q, 10, [A.basis_element(i)
                                             for i in range(1, 10)])
+    assert len(maps) == 2
     assert calls == [closed.dim, closed.dim]
 
 

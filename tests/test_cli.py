@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from clirun import cli_env, run_cli
 from pca import cli, fileio, malcev, tower, wedderburn
 from pca.algebra import (AlgHom, Ideal, direct_product, group_algebra,
-                         make_algebra, tensor, triangular_algebra)
+                         make_algebra, tensor, triangular_algebra,
+                         truncated_polynomial_algebra)
 from pca.errors import NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.limits import Limits
@@ -67,6 +69,21 @@ def test_radical_oracle_flag(fixtures):
     report = json.loads(res.stdout)
     assert report["results"]["method"] == "brute_force"
     assert report["results"]["radical_basis"] == [["1", "1"]]
+
+
+def test_oracle_refuses_more_pairs_than_its_bound(tmp_path):
+    # F_2[x]/(x^9) has 2^9 elements, and the oracle tests pairs of them:
+    # 2^18 pairs is past its bound of 2^16, so it is refused at once
+    # rather than left to run 2^18 rank computations
+    fileio.save_canonical(str(tmp_path / "x9.alg"), fileio.algebra_to_doc(
+        truncated_polynomial_algebra(F2, 9)))
+    start = time.perf_counter()
+    res = run_cli("radical", "x9.alg", "--oracle", cwd=tmp_path, timeout=10)
+    took = time.perf_counter() - start
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith("pca: error:")
+    assert len(res.stderr.splitlines()) == 1 and "2^18" in res.stderr
+    assert took < 2
 
 
 def test_septest_negative_exit_code(fixtures):

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pca import linalg
 from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
@@ -379,6 +381,18 @@ def dense_apply(K, M, v):
     return tuple(out)
 
 
+def sparse_columns(K, M):
+    """The map format of ``Subspace``: column j of the square matrix M as
+    its (k, nonzero scalar) pairs, with no entry for a zero column."""
+    cols = {}
+    for j in range(len(M)):
+        col = tuple((k, row[j]) for k, row in enumerate(M)
+                    if not K.is_zero(row[j]))
+        if col:
+            cols[j] = col
+    return cols
+
+
 def dense_closure(K, vecs, mats, n):
     """(basis, pivots) of the smallest span holding vecs and closed under
     every matrix in mats: add every image of the whole basis, again and
@@ -423,20 +437,44 @@ def test_extend_under_maps_matches_fixpoint_reference(K, case):
     mats = [[[scalar(K, x) for x in row] for row in M] for M in mats]
     start = [tuple(scalar(K, x) for x in v) for v in start]
     more = [tuple(scalar(K, x) for x in v) for v in more]
-    calls = [0] * len(mats)
+    maps = [sparse_columns(K, M) for M in mats]
+    assert [Matrix.from_map(K, n, f).data for f in maps] == \
+        [tuple(map(tuple, M)) for M in mats]
+    calls = [0] * len(maps)
+    apply_map = linalg._apply_map
 
-    def counted(t, M):
+    def counted(field, cols, row):
         # extend hands each map a row as a {index: nonzero scalar} dict
-        def apply(row):
-            calls[t] += 1
-            assert not any(K.is_zero(x) for x in row.values())
-            return dense_apply(K, M, [row.get(j, K.zero) for j in range(n)])
-        return apply
+        calls[[id(f) for f in maps].index(id(cols))] += 1
+        assert not any(K.is_zero(x) for x in row.values())
+        return apply_map(field, cols, row)
     U = Subspace(K, n, dense_closure(K, start, mats, n)[0])
-    grown = U.extend(more, [counted(t, M) for t, M in enumerate(mats)])
+    with mock.patch.object(linalg, "_apply_map", counted):
+        grown = U.extend(more, maps)
     assert (grown.basis, grown.pivots) == dense_closure(K, start + more,
                                                         mats, n)
     # each map saw each added row once, and nothing else
-    assert calls == [grown.dim - U.dim] * len(mats)
+    assert calls == [grown.dim - U.dim] * len(maps)
     # without maps, extend is the plain span
     assert U.extend(more, []) == U.extend(more)
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])
+@settings(max_examples=80, deadline=None)
+@given(case=closure_cases())
+# the image of the last pivot row is the only one outside the others'
+@example(case=(3, [[[0, 0, 0], [0, 0, 0], [0, 0, 1]]], [[1, 0, 0]],
+               [[0, 0, 1]]))
+# a shift sends one basis row to zero and the other out of the space
+@example(case=(4, [SHIFT], [[1, 0, 0, 0], [0, 0, 0, 1]], []))
+def test_image_matches_dense_reference(K, case):
+    n, mats, start, more = case
+    mats = [[[scalar(K, x) for x in row] for row in M] for M in mats]
+    vecs = [tuple(scalar(K, x) for x in v) for v in start + more]
+    U = Subspace(K, n, vecs)
+    image = U.image([sparse_columns(K, M) for M in mats])
+    # the span of M b over every basis row b and every map M
+    ref = dense_span(K, [dense_apply(K, M, b) for b in U.basis
+                         for M in mats], n)
+    assert (image.basis, image.pivots) == ref
+    assert (U.basis, U.pivots) == dense_span(K, vecs, n)

@@ -22,13 +22,18 @@ associativity proof, each against a slower reference kept here.
   oracle.
 * The trace form's kernel, read off the trace vector, must equal the
   kernel of the traces of the left multiplication matrices.
+* On random algebras, natural or rebased, every power J^k of the radical
+  must equal the span of the dense products of J^(k-1) and J; and on
+  random surjections of small group and path algebras, quotients by an
+  ideal closure and projections B x E -> B with E = E^2, the warm route
+  must give the cold radical.
 """
 
 import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
@@ -594,3 +599,75 @@ def test_radical_equals_oracle_on_rebased_algebras(seed):
     K = rng.choice([F2, F3])
     A = _rebased(rng, corpus.random_algebra(rng, K, 7 if K is F2 else 4))
     assert radical(A).radical.space == radical_oracle(A).space
+
+
+# -- the filtration and the warm route on random algebras --------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+# radicals whose powers need more than their first left generator
+@example(seed=7)
+@example(seed=12)
+def test_filtration_equals_dense_products_on_random_algebras(seed):
+    # J^k = span{x y : x in J^(k-1), y in J}, from dense FinAlg.mul
+    # products, on natural and on rebased bases
+    rng = random.Random(seed)
+    K = rng.choice([F2, F3, Q])
+    A = corpus.random_algebra(rng, K, 6)
+    if rng.random() < 0.5:
+        A = _rebased(rng, A)
+    r = radical(A)
+    powers = _reference_powers(A, r.radical.space)
+    assert [f.space for f in r.filtration] == powers
+    assert r.nilpotency_index == (len(powers) if powers[0].dim else 0)
+
+
+QUIVERS = [loop_quiver(), kronecker_quiver(),
+           QuiverSpec(["v"], [("x", "v", "v"), ("y", "v", "v")], []),
+           QuiverSpec(["u", "v"], [("a", "u", "v"), ("b", "v", "u")], [])]
+
+
+def _group_or_path_algebra(rng, K):
+    if rng.random() < 0.4:
+        return group_algebra(rng.randint(2, 6), K)
+    return path_algebra_tower(rng.choice(QUIVERS), K,
+                              rng.randint(2, 3)).levels[-1]
+
+
+def _proper_ideal(rng, A):
+    """The ideal closure of a random sparse element, or of none when the
+    first few tried generate all of A."""
+    K = A.field
+    for _ in range(4):
+        v = tuple(K.random(rng) if rng.random() < 0.5 else K.zero
+                  for _ in range(A.dim))
+        I = ideal_closure(A, [v])
+        if I.dim < A.dim:
+            return I
+    return ideal_closure(A, [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_warm_route_equals_cold_radical_on_random_surjections(seed):
+    rng = random.Random(seed)
+    K = rng.choice([F2, F3])
+    B = _group_or_path_algebra(rng, K)
+    projection = rng.random() < 0.5
+    if projection:
+        # B x E -> B with E = E^2 semisimple: J' = J(B) x E is not
+        # nilpotent, so the cold route must run
+        E = rng.choice([group_algebra(n, K) for n in (1, 2, 3, 4)
+                        if n % K.p] + [matrix_algebra(2, K)])
+        A = direct_product([B, E])
+        h = AlgHom(A, B, Matrix(K, [[K.one if j == i else K.zero
+                                     for j in range(A.dim)]
+                                    for i in range(B.dim)], A.dim))
+    else:
+        A = B
+        B, h = quotient(A, _proper_ideal(rng, A))
+    assert h.verify()
+    warm = radical_from_below(h, radical(B))
+    assert _summary(warm) == _summary(radical(A))
+    if projection:
+        assert warm.method != "preimage"

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corpus
 from pca import wedderburn
 from pca.algebra import (base_change, direct_product, group_algebra,
                          hom_check, ideal_closure, make_algebra,
                          matrix_algebra, polynomial_quotient_algebra,
-                         triangular_algebra)
+                         quotient, triangular_algebra)
 from pca.errors import BadSpec, NotCoprime, NotSemisimple, UnsupportedField
 from pca.fields import PrimeField, Rationals, SimpleExtension
-from pca.linalg import Matrix, rank
+from pca.linalg import Matrix, Subspace, rank
 from pca.poly import Poly, factor
+from pca.radical import radical
 from pca.wedderburn import center, central_idempotents, crt_lift
+from test_warm_radical import _rebased
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -252,3 +257,22 @@ def test_crt_lift_random_targets():
         a = crt_lift(A, ideals, targets)
         for idl, t in zip(ideals, targets):
             assert idl.contains(A.sub(a, t))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_block_spaces_equal_dense_products_on_random_algebras(seed):
+    # each block space A e is span{e_i e}, from dense FinAlg.mul products,
+    # on the semisimple quotients A/J of random algebras, natural or rebased
+    rng = random.Random(seed)
+    K = rng.choice([F2, F3, Q])
+    A = corpus.random_algebra(rng, K, 6)
+    J = radical(A).radical
+    if not J.is_zero():
+        A = quotient(A, J)[0]
+    if rng.random() < 0.5:
+        A = _rebased(rng, A)
+    dec = central_idempotents(A)
+    for e, space in zip(dec.idempotents, dec.block_spaces):
+        assert space == Subspace(K, A.dim, [A.mul(A.basis_element(i), e)
+                                            for i in range(A.dim)])
