@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
 from .fields import Field, SimpleExtension, check_same_field
-from .linalg import (Matrix, Subspace, nullspace, rank, solve, unit_vec,
-                     vec_add, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, nullspace, rank, solve, solve_maps,
+                     unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 
 
 class FinAlg:
@@ -73,14 +73,6 @@ class FinAlg:
         for k, c in self.rows[i].get(j, ()):
             out[k] = c
         return tuple(out)
-
-    def left_mult_matrix(self, u) -> Matrix:
-        return Matrix.from_map(self.field, self.dim,
-                               _mult_map(self, u, "left"))
-
-    def right_mult_matrix(self, u) -> Matrix:
-        return Matrix.from_map(self.field, self.dim,
-                               _mult_map(self, u, "right"))
 
     # -- validation ---------------------------------------------------------
 
@@ -216,15 +208,13 @@ def _build_rows(field: Field, dim: int, entries):
 
 
 def _solve_unit(probe: FinAlg):
-    """The u with u e_j = e_j = e_j u for every j, from the matrices of
-    the right and left multiplications by e_j."""
-    eqs, rhs = [], []
-    for j in range(probe.dim):
-        e = probe.basis_element(j)
-        for M in (probe.right_mult_matrix(e), probe.left_mult_matrix(e)):
-            eqs += M.data
-            rhs += e
-    u = solve(Matrix(probe.field, eqs, probe.dim), tuple(rhs))
+    """The u with u e_j = e_j = e_j u for every j: R_j u = e_j and
+    L_j u = e_j, stated by the maps."""
+    es = [probe.basis_element(j) for j in range(probe.dim)]
+    u = solve_maps(probe.field, probe.dim,
+                   [_mult_map(probe, e, side) for e in es
+                    for side in ("right", "left")],
+                   [e for e in es for _ in range(2)])
     if u is None:
         raise NoUnit("multiplication table admits no two-sided unit")
     return u
@@ -501,6 +491,13 @@ def _mult_map(a: FinAlg, v, side):
                 col[k] = add(col[k], x) if k in col else x
     return {j: tuple([(k, x) for k, x in col.items() if not is_zero(x)])
             for j, col in acc.items()}
+
+
+def _map_sub(K: Field, f, g):
+    """f - g in the map format of ``linalg``: each column of f followed by
+    the negated entries of g's, which ``linalg`` adds up."""
+    return {j: (*f.get(j, ()), *((k, K.neg(c)) for k, c in g.get(j, ())))
+            for j in f.keys() | g.keys()}
 
 
 def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:

@@ -47,10 +47,11 @@ def digest_file(path: str) -> str:
 
 
 def load_json(path: str) -> dict:
+    """The document in ``path``; any text ``json`` cannot read is BadSpec."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BadSpec(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -9,8 +9,11 @@ a few nonzeros per row.  A ``Subspace`` keeps the kernel's pivot rows, so
 its reductions, coordinates and sums are the kernel's own row step, and
 ``Subspace.extend`` carries an elimination on instead of starting over.
 A linear map is given by its sparse columns, a mapping from j to the
-nonzero (k, scalar) pairs of the image of e_j; only ``_apply_map``
-applies one, to a kernel row, so images stay sparse.  ``Subspace.image``
+(k, scalar) pairs of the image of e_j (a repeated k adds up); only
+``_apply_map`` applies one, so images stay sparse, and only ``_map_rows``
+turns maps into the rows of their equations, so a system stated by maps
+(``solve_maps``, ``Subspace.kernel``) reaches the kernel without a dense
+row.  ``Subspace.image``
 spans the images of a space's pivot rows, and ``Subspace.extend`` feeds
 each map's image of every pivot row it adds back into its elimination:
 growing a span until the maps send it into itself (a generating set, an
@@ -177,6 +180,29 @@ def _apply_map(K: Field, cols, row: dict) -> dict:
     return {k: v for k, v in out.items() if not K.is_zero(v)}
 
 
+def apply_map(field: Field, f, v, m: int) -> tuple:
+    """f(v), of length m, for the map f given by its sparse columns."""
+    return _dense(field, _apply_map(field, f, _sparse(field, v)), m)
+
+
+def _map_rows(K: Field, maps, rhs=(), ncols=0) -> list:
+    """The kernel rows of f(x) = b: row (f, k) holds at column j the sum
+    of the c with (k, c) in column j of f, and b[k] at column ``ncols``.
+    ``rhs`` holds the b of the first maps; the others are zero."""
+    rows = {}
+    for t, f in enumerate(maps):
+        for j, col in f.items():
+            for k, c in col:
+                row = rows.setdefault((t, k), {})
+                row[j] = K.add(row[j], c) if j in row else c
+    for t, b in enumerate(rhs):
+        for k, c in enumerate(b):
+            if not K.is_zero(c):
+                rows.setdefault((t, k), {})[ncols] = c
+    return [{j: a for j, a in row.items() if not K.is_zero(a)}
+            for row in rows.values()]
+
+
 def _dense(K: Field, row: dict, n: int) -> tuple:
     out = [K.zero] * n
     for j, a in row.items():
@@ -245,15 +271,24 @@ def rank(M: Matrix) -> int:
     return len(_eliminate(K, [_sparse(K, r) for r in M.data], M.cols)[0])
 
 
+def _kernel(K: Field, rows, n: int) -> "Subspace":
+    """{x in K^n : every kernel row in ``rows`` vanishes on x}."""
+    piv, _ = _eliminate(K, rows, n)
+    return Subspace.zero(K, n)._new({}, [
+        {fc: K.one, **{pc: K.neg(row[fc]) for pc, row in piv.items()
+                       if fc in row}} for fc in range(n) if fc not in piv])
+
+
+def _solution(K: Field, piv: dict, t: int, n: int) -> tuple:
+    """x read off the tail column t of the pivot rows, free coordinates 0."""
+    return _dense(K, {pc: row[t] for pc, row in piv.items() if t in row}, n)
+
+
 def nullspace(M: Matrix) -> Matrix:
     """Canonical basis (RREF rows) of {x : M x = 0}."""
     K = M.field
-    piv, _ = _eliminate(K, [_sparse(K, r) for r in M.data], M.cols)
-    basis = [{fc: K.one, **{pc: K.neg(row[fc]) for pc, row in piv.items()
-                            if fc in row}}
-             for fc in range(M.cols) if fc not in piv]
-    return Matrix(K, _dense_rows(K, _eliminate(K, basis, M.cols)[0],
-                                 M.cols), M.cols)
+    return Matrix(K, _kernel(K, [_sparse(K, r) for r in M.data],
+                             M.cols).basis, M.cols)
 
 
 def solve(M: Matrix, b) -> tuple | None:
@@ -273,14 +308,16 @@ def solve_many(M: Matrix, bs) -> list | None:
     piv, rest = _eliminate(K, rows, M.cols)
     if rest:      # a zero row with a nonzero tail
         return None
-    out = []
-    for t in range(M.cols, M.cols + len(bs)):
-        x = [K.zero] * M.cols
-        for pc, row in piv.items():
-            if t in row:
-                x[pc] = row[t]
-        out.append(tuple(x))
-    return out
+    return [_solution(K, piv, t, M.cols)
+            for t in range(M.cols, M.cols + len(bs))]
+
+
+def solve_maps(field: Field, n: int, maps, rhs):
+    """One exact x in K^n with f(x) = rhs[t] for each map f = maps[t]
+    (zero past the end of ``rhs``), free coordinates zero, or None when
+    there is none; the rows come from ``_map_rows``."""
+    piv, rest = _eliminate(field, _map_rows(field, maps, rhs, n), n)
+    return None if rest else _solution(field, piv, n, n)
 
 
 class Subspace:
@@ -330,6 +367,11 @@ class Subspace:
     def full(cls, field: Field, ambient: int):
         return cls(field, ambient,
                    [unit_vec(field, ambient, i) for i in range(ambient)])
+
+    @staticmethod
+    def kernel(field: Field, ambient: int, maps) -> "Subspace":
+        """{x : f(x) = 0 for every map f in ``maps``}, from ``_map_rows``."""
+        return _kernel(field, _map_rows(field, maps), ambient)
 
     @property
     def dim(self) -> int:
@@ -386,19 +428,17 @@ class Subspace:
         return self.extend(other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the nullspace of the stacked coefficient system."""
+        """U cap W by Zassenhaus: one elimination on the first n columns of
+        the rows (u | u), u a pivot row of U, and (w | 0), w one of W,
+        leaves rows (0 | x) whose tails x span U cap W."""
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.field, self.ambient)
-        K = self.field
-        # columns: coefficients on our basis then on the other basis;
-        # rows: one per ambient coordinate
-        cols = [list(row) for row in self.basis]
-        cols += [[K.neg(a) for a in row] for row in other.basis]
-        M = Matrix(K, zip(*cols), len(cols))
-        N = nullspace(M)
-        vecs = [self.from_coords(n[:self.dim]) for n in N.data]
-        return Subspace(K, self.ambient, vecs)
+        n = self.ambient
+        rows = [{**u, **{n + j: a for j, a in u.items()}}
+                for u in self._rows.values()]
+        rows += [dict(w) for w in other._rows.values()]
+        _, rest = _eliminate(self.field, rows, n)
+        return self._new({}, [{j - n: a for j, a in x.items()}
+                              for x in rest])
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field

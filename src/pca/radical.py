@@ -170,7 +170,8 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
         m = q * p
         phi = [0] * n
         for b, pc in zip(space.basis, space.pivots):
-            t = _trace_pow(A.left_mult_matrix(b).data, q, m)
+            L = Matrix.from_map(K, n, _mult_map(A, b, "left"))
+            t = _trace_pow(L.data, q, m)
             if t % q:
                 raise InternalVerificationFailed(
                     "chain trace not divisible by p^i")
@@ -303,8 +304,9 @@ def radical_oracle(A: FinAlg) -> Ideal:
                        "elements, beyond its bound of 2^16")
     elements = list(itertools.product(range(p), repeat=A.dim))
     good = [x for x in elements
-            if all(rank(A.left_mult_matrix(A.sub(A.unit, A.mul(y, x))))
-                   == A.dim for y in elements)]
+            if all(rank(Matrix.from_map(K, A.dim, _mult_map(
+                A, A.sub(A.unit, A.mul(y, x)), "left"))) == A.dim
+                for y in elements)]
     space = Subspace(K, A.dim, good)
     # the set lies in its span, so it is the span iff the sizes agree
     if p ** space.dim != len(good):

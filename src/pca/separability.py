@@ -9,9 +9,9 @@ holds 1 and is closed under products, as
 (ab (x) 1) p = (a (x) 1) p (1 (x) b) = p (1 (x) ab), and a subalgebra that
 holds G is all of A.  So the system on G has the solutions of the system
 on every basis element, hence the same RREF and the same canonical
-solution.  "Not separable" is the value None, certified by an
-inconsistent linear system.  Every solution is re-verified by direct
-substitution before being returned.
+solution.  The system is stated by its maps, and ``linalg`` forms its
+rows.  "Not separable" is the value None, certified by an inconsistent
+linear system.  Every solution is re-verified by substitution.
 
 Two identities turn a separability idempotent into explicit answers, each
 with one sign, and each answer is still checked by substitution:
@@ -27,11 +27,12 @@ with one sign, and each answer is still checked by substitution:
 
 from __future__ import annotations
 
-from .algebra import FinAlg, base_change
+from .algebra import FinAlg, _map_sub, _mult_map, base_change
 from .errors import (BadSpec, InternalVerificationFailed, NotADerivation,
                      _internal)
 from .fields import PrimeField, Rationals
-from .linalg import Matrix, Subspace, nullspace, solve, vec_is_zero
+from .linalg import (Matrix, Subspace, apply_map, solve, solve_maps,
+                     vec_is_zero, vec_sub)
 from .radical import is_semisimple as _is_semisimple
 
 
@@ -46,85 +47,61 @@ class SepIdempotent:
         self.pairs = pairs
 
 
-def _tensor_mul_left(A: FinAlg, i: int, v):
-    """(e_i (x) 1) * v inside A (x) A, v given as a dim^2 vector."""
-    K = A.field
+def _tensor_map(A: FinAlg, g: int, side):
+    """L_g (x) I (left), x -> (e_g (x) 1) x, or I (x) R_g (right),
+    x -> x (1 (x) e_g), on A (x) A with index s n + t for e_s (x) e_t, as
+    sparse columns lifted from those of ``_mult_map(A, e_g, side)``."""
     n = A.dim
-    out = [K.zero] * (n * n)
-    for st, c in enumerate(v):
-        if K.is_zero(c):
-            continue
-        s, t = divmod(st, n)
-        for g, cc in A.rows[i].get(s, ()):
-            out[g * n + t] = K.add(out[g * n + t], K.mul(c, cc))
-    return tuple(out)
+    f = _mult_map(A, A.basis_element(g), side)
+    if side == "left":
+        return {s * n + t: tuple((k * n + t, c) for k, c in col)
+                for s, col in f.items() for t in range(n)}
+    return {s * n + t: tuple((s * n + k, c) for k, c in col)
+            for t, col in f.items() for s in range(n)}
 
 
-def _tensor_mul_right(A: FinAlg, v, i: int):
-    """v * (1 (x) e_i) inside A (x) A."""
-    K = A.field
+def _tensor_action(A: FinAlg, side):
+    """(i, v) -> (e_i (x) 1) v (left) or v (1 (x) e_i) (right)."""
+    K, N = A.field, A.dim * A.dim
+    maps = [_tensor_map(A, i, side) for i in range(A.dim)]
+    return lambda i, v: apply_map(K, maps[i], v, N)
+
+
+def _sep_maps(A: FinAlg, gens):
+    """The maps of the separability system: m: A (x) A -> A, whose column
+    s n + t is the table's cell of e_s e_t, then L_g (x) I - I (x) R_g for
+    each g in ``gens``."""
     n = A.dim
-    out = [K.zero] * (n * n)
-    for st, c in enumerate(v):
-        if K.is_zero(c):
-            continue
-        s, t = divmod(st, n)
-        for h, cc in A.rows[t].get(i, ()):
-            out[s * n + h] = K.add(out[s * n + h], K.mul(c, cc))
-    return tuple(out)
-
-
-def _mult_rows(A: FinAlg):
-    """The rows of the matrix of m: A (x) A -> A, one per basis element."""
-    K = A.field
-    n = A.dim
-    rows = [[K.zero] * (n * n) for _ in range(n)]
-    for s in range(n):
-        for t, cell in A.rows[s].items():
-            for k, c in cell:
-                rows[k][s * n + t] = K.add(rows[k][s * n + t], c)
-    return rows
+    m = {s * n + t: cell for s, row in enumerate(A.rows)
+         for t, cell in row.items()}
+    return [m] + [_map_sub(A.field, _tensor_map(A, g, "left"),
+                           _tensor_map(A, g, "right")) for g in gens]
 
 
 def verify_sep_idempotent(A: FinAlg, coeffs) -> bool:
     """m(p) = 1, and (e_g (x) 1) p = p (1 (x) e_g) for every g in
-    ``A.generators()``, by direct substitution.  The a with
+    ``A.generators()``, by applying the maps to p.  The a with
     (a (x) 1) p = p (1 (x) a) form a subalgebra holding 1, so holding G
     they are all of A."""
-    N = A.dim * A.dim
-    if Matrix(A.field, _mult_rows(A), N).apply(coeffs) != A.unit:
-        return False
-    return all(_tensor_mul_left(A, g, coeffs) ==
-               _tensor_mul_right(A, coeffs, g) for g in A.generators())
+    K, n = A.field, A.dim
+    m, *laws = _sep_maps(A, A.generators())
+    return (apply_map(K, m, coeffs, n) == A.unit and
+            all(vec_is_zero(K, apply_map(K, f, coeffs, n * n))
+                for f in laws))
 
 
 def sep_idempotent(A: FinAlg):
     """Solve for a separability idempotent; None certifies there is none.
 
     The system is m(p) = 1 and, for each g in G = ``A.generators()``,
-    (L_g (x) I - I (x) R_g) p = 0: its row for the coefficient of
-    e_h (x) e_k holds L_g[h][s] at column s n + k, minus R_g[k][t] at
-    column h n + t.  The a with (a (x) 1) p = p (1 (x) a) form a subalgebra
-    holding 1, so the equations on G have the solutions of those on every
-    basis element; the system's RREF, and the canonical solution read off
-    it, are the same."""
+    (L_g (x) I - I (x) R_g) p = 0, stated by its maps (``_sep_maps``),
+    whose rows ``linalg`` forms.  The a with (a (x) 1) p = p (1 (x) a)
+    form a subalgebra holding 1, so the equations on G have the solutions
+    of those on every basis element; the system's RREF, and the canonical
+    solution read off it, are the same."""
     K = A.field
     n = A.dim
-    N = n * n
-    rows = _mult_rows(A)
-    rhs = list(A.unit)
-    for g in A.generators():
-        e = A.basis_element(g)
-        R = A.right_mult_matrix(e).data
-        for h, lrow in enumerate(A.left_mult_matrix(e).data):
-            lo = h * n
-            for k, rrow in enumerate(R):
-                row = [K.zero] * N
-                row[k::n] = lrow
-                row[lo:lo + n] = map(K.sub, row[lo:lo + n], rrow)
-                rows.append(row)
-                rhs.append(K.zero)
-    sol = solve(Matrix(K, rows, N), tuple(rhs))
+    sol = solve_maps(K, n * n, _sep_maps(A, A.generators()), [A.unit])
     if sol is None:
         return None
     if not verify_sep_idempotent(A, sol):
@@ -309,11 +286,9 @@ def induced_bimodule(B: FinAlg, space: Subspace, left, right) -> Bimodule:
 def multiplication_kernel_bimodule(A: FinAlg):
     """Ker(m) inside A (x) A as a bimodule, together with the coordinate
     subspace used to express its elements."""
-    K = A.field
-    N = A.dim * A.dim
-    kspace = Subspace(K, N, nullspace(Matrix(K, _mult_rows(A), N)).data)
-    T = induced_bimodule(A, kspace, lambda i, v: _tensor_mul_left(A, i, v),
-                         lambda i, v: _tensor_mul_right(A, v, i))
+    kspace = Subspace.kernel(A.field, A.dim * A.dim, _sep_maps(A, ()))
+    T = induced_bimodule(A, kspace, _tensor_action(A, "left"),
+                         _tensor_action(A, "right"))
     return T, kspace
 
 
@@ -324,15 +299,12 @@ def universal_derivation_check(A: FinAlg) -> bool:
     K = A.field
     n = A.dim
     T, kspace = multiplication_kernel_bimodule(A)
+    left, right = _tensor_action(A, "left"), _tensor_action(A, "right")
+    one_one = tuple(K.mul(a, b) for a in A.unit for b in A.unit)
     dcols = []
     for i in range(n):
-        v = [K.zero] * (n * n)
-        for s in range(n):
-            us = A.unit[s]
-            if not K.is_zero(us):
-                v[s * n + i] = K.add(v[s * n + i], us)
-                v[i * n + s] = K.sub(v[i * n + s], us)
-        cv = kspace.coords(tuple(v))
+        # d(e_i) = 1 (x) e_i - e_i (x) 1 = (1 (x) 1) e_i - e_i (1 (x) 1)
+        cv = kspace.coords(vec_sub(K, right(i, one_one), left(i, one_one)))
         if cv is None:
             raise InternalVerificationFailed(
                 "universal derivation misses the kernel")
@@ -341,7 +313,6 @@ def universal_derivation_check(A: FinAlg) -> bool:
     if u is None:
         return False
     ubig = kspace.from_coords(u)
-    one_one = [K.mul(a, b) for a in A.unit for b in A.unit]
     if not verify_sep_idempotent(A, tuple(K.add(a, b)
                                           for a, b in zip(one_one, ubig))):
         raise InternalVerificationFailed(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 
-from .algebra import (AlgHom, FinAlg, _block_minpoly, _mult_map,
+from .algebra import (AlgHom, FinAlg, _block_minpoly, _map_sub, _mult_map,
                       _trusted_algebra, direct_product)
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
@@ -42,16 +42,14 @@ class BlockDecomposition:
 
 
 def center(A: FinAlg) -> Subspace:
-    """{z : z e_g = e_g z for all g in G}, one nullspace computation of
-    the stacked L_g - R_g, g in G = ``A.generators()``.  The a that commute
-    with a fixed z form a subalgebra holding 1, so z commutes with G
-    exactly when it commutes with all of A: the center itself."""
+    """{z : z e_g = e_g z for all g in G}, the common kernel of the maps
+    L_g - R_g, g in G = ``A.generators()``.  The a that commute with a
+    fixed z form a subalgebra holding 1, so z commutes with G exactly when
+    it commutes with all of A: the center itself."""
     K = A.field
-    rows = []
-    for g in A.generators():
-        e = A.basis_element(g)
-        rows.extend(A.left_mult_matrix(e).sub(A.right_mult_matrix(e)).data)
-    return Subspace(K, A.dim, nullspace(Matrix(K, rows, A.dim)).data)
+    maps = [_map_sub(K, _mult_map(A, e, "left"), _mult_map(A, e, "right"))
+            for e in map(A.basis_element, A.generators())]
+    return Subspace.kernel(K, A.dim, maps)
 
 
 def _eval_in_block(A: FinAlg, e, z, f: Poly):

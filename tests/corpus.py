@@ -13,6 +13,16 @@ import random
 from pca import (FinAlg, direct_product, group_algebra, ideal_closure,
                  make_algebra, matrix_algebra, quotient, tensor,
                  triangular_algebra, truncated_polynomial_algebra)
+from pca.linalg import Matrix
+
+
+def mult_matrix(A: FinAlg, v, side) -> Matrix:
+    """The dense matrix of x -> v x (left) or x -> x v (right), its column
+    j taken from ``FinAlg.mul`` on e_j: a reference that does not go
+    through the sparse multiplication maps."""
+    es = [A.basis_element(j) for j in range(A.dim)]
+    cols = [A.mul(v, e) if side == "left" else A.mul(e, v) for e in es]
+    return Matrix(A.field, zip(*cols), A.dim)
 
 
 def trivial_extension(B: FinAlg) -> FinAlg:

@@ -292,15 +292,21 @@ def test_polynomial_quotient_algebra():
 
 
 def test_left_right_mult_matrices():
+    """``_mult_map``'s sparse columns against the matrix built column by
+    column from ``FinAlg.mul``, for basis elements and random elements."""
     P4 = truncated_polynomial_algebra(Q, 4)
-    L = P4.left_mult_matrix(P4.basis_element(1))
-    assert rank(L) == 3
-    A = triangular_algebra(2, Q)
-    u = A.basis_element(1)
-    assert A.left_mult_matrix(u).apply(A.basis_element(2)) == \
-        A.mul(u, A.basis_element(2))
-    assert A.right_mult_matrix(u).apply(A.basis_element(0)) == \
-        A.mul(A.basis_element(0), u)
+    L = algebra._mult_map(P4, P4.basis_element(1), "left")
+    assert rank(Matrix.from_map(Q, 4, L)) == 3
+    rng = random.Random(20)
+    for A in (P4, triangular_algebra(3, Q), matrix_algebra(2, F3),
+              insep_extension_algebra(), corpus.random_algebra(rng, F2, 6)):
+        K = A.field
+        vs = [A.basis_element(i) for i in range(A.dim)]
+        vs += [tuple(K.random(rng) for _ in range(A.dim)) for _ in range(3)]
+        for v in vs:
+            for side in ("left", "right"):
+                got = Matrix.from_map(K, A.dim, algebra._mult_map(A, v, side))
+                assert got == corpus.mult_matrix(A, v, side)
 
 
 def test_associativity_reverify_on_corpus():

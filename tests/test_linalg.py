@@ -10,8 +10,9 @@ from pca import linalg
 from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import (Matrix, Subspace, nullspace, rank, rref, solve,
-                        solve_many, unit_vec, vec_add, vec_is_zero)
+from pca.linalg import (Matrix, Subspace, apply_map, nullspace, rank, rref,
+                        solve, solve_many, solve_maps, unit_vec, vec_add,
+                        vec_is_zero)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -102,20 +103,6 @@ def test_subspace_membership_and_coords():
     assert U.coords((Fraction(0), Fraction(1), Fraction(0))) is None
 
 
-def test_subspace_intersection_random_property():
-    rng = random.Random(3)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        U = Subspace(F5, n, [[F5.random(rng) for _ in range(n)]
-                             for _ in range(rng.randint(0, n))])
-        V = Subspace(F5, n, [[F5.random(rng) for _ in range(n)]
-                             for _ in range(rng.randint(0, n))])
-        W = U.intersect(V)
-        for row in W.basis:
-            assert U.contains(row) and V.contains(row)
-        assert U.sum(V).dim == U.dim + V.dim - W.dim
-
-
 def test_ambient_mismatch():
     U = Subspace(Q, 2, [])
     V = Subspace(Q, 3, [])
@@ -128,6 +115,42 @@ def test_ambient_mismatch():
 F3 = PrimeField(3)
 F9 = SimpleExtension(F3, (1, 0, 1), name="i")     # F_3[i]/(i^2 + 1)
 KERNEL_FIELDS = [Q, F5, F9]
+
+
+def dense_intersection(U, V):
+    """U cap V by the dense route ``Subspace.intersect`` took before
+    Zassenhaus: the kernel of the stacked coefficient system
+    [basis(U)^T | -basis(V)^T], mapped back through U's basis."""
+    K = U.field
+    if U.is_zero() or V.is_zero():
+        return Subspace.zero(K, U.ambient)
+    cols = [list(row) for row in U.basis]
+    cols += [[K.neg(a) for a in row] for row in V.basis]
+    vecs = [U.from_coords(c[:U.dim])
+            for c in dense_nullspace(K, Matrix(K, zip(*cols), len(cols)))]
+    return Subspace(K, U.ambient, vecs)
+
+
+def test_subspace_intersection_random_property():
+    rng = random.Random(3)
+    meets = 0
+    for K in KERNEL_FIELDS * 40:
+        n = rng.randint(1, 5)
+        us = [[K.random(rng) for _ in range(n)]
+              for _ in range(rng.randint(0, n))]
+        vs = [[K.random(rng) for _ in range(n)]
+              for _ in range(rng.randint(0, n))]
+        if us and rng.random() < 0.5:     # a shared vector
+            vs.append(list(vec_add(K, us[0], us[-1])))
+        U, V = Subspace(K, n, us), Subspace(K, n, vs)
+        W = U.intersect(V)
+        ref = dense_intersection(U, V)
+        assert (W.basis, W.pivots) == (ref.basis, ref.pivots)
+        for row in W.basis:
+            assert U.contains(row) and V.contains(row)
+        assert U.sum(V).dim == U.dim + V.dim - W.dim
+        meets += not W.is_zero()
+    assert meets >= 30
 
 
 def scalar(K, n):
@@ -269,6 +292,28 @@ def test_solve_many_matches_dense_reference(K, case):
         assert sols == [solve(M, b) for b in bs]
     else:
         assert any(solve(M, b) is None for b in bs)
+
+
+@kernel_case
+def test_maps_match_dense_reference(K, case):
+    """``Subspace.kernel``, ``solve_maps`` and ``apply_map`` on M given as
+    two maps, its first rows and the rest, whose columns list each entry
+    twice, as a - 1 and 1, so ``linalg`` must add them."""
+    M, bs = build(K, case)
+    parts = ((0, M.rows // 2), (M.rows // 2, M.rows))
+    maps = [{j: tuple(e for i in range(lo, hi)
+                      if not K.is_zero(M.data[i][j])
+                      for e in ((i - lo, K.sub(M.data[i][j], K.one)),
+                                (i - lo, K.one)))
+             for j in range(M.cols)} for lo, hi in parts]
+    assert (Subspace.kernel(K, M.cols, maps).basis
+            == tuple(dense_nullspace(K, M)))
+    for b in bs:
+        x = solve_maps(K, M.cols, maps, [b[lo:hi] for lo, hi in parts])
+        assert [x] == (dense_solve_many(K, M, [b]) or [None])
+        if x is not None:
+            assert sum((apply_map(K, f, x, hi - lo)
+                        for f, (lo, hi) in zip(maps, parts)), ()) == b
 
 
 @kernel_case

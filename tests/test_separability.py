@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from pca import separability
@@ -9,7 +11,8 @@ from pca.algebra import (base_change, direct_product, group_algebra,
                          ideal_closure, make_algebra, matrix_algebra,
                          quotient, tensor, triangular_algebra,
                          truncated_polynomial_algebra)
-from pca.errors import BadSpec, InternalVerificationFailed, NotADerivation
+from pca.errors import (BadSpec, InternalVerificationFailed, NoUnit,
+                        NotADerivation)
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import Matrix, Subspace, nullspace, solve
@@ -129,13 +132,20 @@ def test_inner_derivation_projection_bimodule():
         assert got == d.column(i)[0]
 
 
+def _regular(B, side):
+    """The matrices of x -> e_i x (left) or x -> x e_i (right), one per
+    basis element, from ``FinAlg.mul``."""
+    return [corpus.mult_matrix(B, B.basis_element(i), side)
+            for i in range(B.dim)]
+
+
 def _matrix_commutator(K):
     """M_2(K) as a bimodule over itself and the inner derivation
     b -> bx - xb for a fixed non-central x."""
     B = matrix_algebra(2, K)
     x = tuple(K.from_int(c) for c in (1, 2, -1, 4))
-    lam = [B.left_mult_matrix(B.basis_element(i)) for i in range(B.dim)]
-    rho = [B.right_mult_matrix(B.basis_element(i)) for i in range(B.dim)]
+    lam = _regular(B, "left")
+    rho = _regular(B, "right")
     cols = [B.sub(B.mul(B.basis_element(i), x), B.mul(x, B.basis_element(i)))
             for i in range(B.dim)]
     return B, Bimodule(B, lam, rho), Matrix(K, zip(*cols), B.dim)
@@ -184,9 +194,8 @@ def test_induced_bimodule():
     whole = Subspace(Q, B.dim, [B.basis_element(i) for i in range(B.dim)])
     T = induced_bimodule(B, whole, lambda i, v: B.mul(B.basis_element(i), v),
                          lambda i, v: B.mul(v, B.basis_element(i)))
-    for i in range(B.dim):
-        assert T.left[i] == B.left_mult_matrix(B.basis_element(i))
-        assert T.right[i] == B.right_mult_matrix(B.basis_element(i))
+    assert T.left == _regular(B, "left")
+    assert T.right == _regular(B, "right")
     assert T.verify()
     G = group_algebra(2, Q)
     ones = Subspace(Q, G.dim, [G.unit])
@@ -197,8 +206,8 @@ def test_induced_bimodule():
 
 def test_derivation_on_inseparable_extension_not_inner():
     E = insep_algebra()
-    lam = [E.left_mult_matrix(E.basis_element(i)) for i in range(2)]
-    rho = [E.right_mult_matrix(E.basis_element(i)) for i in range(2)]
+    lam = _regular(E, "left")
+    rho = _regular(E, "right")
     T = Bimodule(E, lam, rho)
     d = Matrix(F2T, [[F2T.zero, F2T.one], [F2T.zero, F2T.zero]])
     assert inner_derivation(E, T, d) is None
@@ -206,8 +215,8 @@ def test_derivation_on_inseparable_extension_not_inner():
 
 def test_not_a_derivation_rejected():
     B = group_algebra(2, Q)
-    lam = [B.left_mult_matrix(B.basis_element(i)) for i in range(2)]
-    rho = [B.right_mult_matrix(B.basis_element(i)) for i in range(2)]
+    lam = _regular(B, "left")
+    rho = _regular(B, "right")
     T = Bimodule(B, lam, rho)
     bad = Matrix(Q, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
     with pytest.raises(NotADerivation):
@@ -216,7 +225,7 @@ def test_not_a_derivation_rejected():
 
 def test_bimodule_validation():
     B = group_algebra(2, Q)
-    lam = [B.left_mult_matrix(B.basis_element(i)) for i in range(2)]
+    lam = _regular(B, "left")
     two = Matrix(Q, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
     # rho(g)^2 = 4 != 1 = rho(g^2): not an anti-representation
     with pytest.raises(BadSpec):
@@ -262,6 +271,14 @@ def test_kernel_bimodule_shape():
     T, kspace = multiplication_kernel_bimodule(A)
     assert T.space_dim == A.dim * A.dim - A.dim
     assert kspace.dim == T.space_dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_sep_idempotent_exactly_when_universal_derivation_is_inner(seed):
+    rng = random.Random(seed)
+    A = corpus.random_algebra(rng, rng.choice([Q, F2, F3]), 4)
+    assert (sep_idempotent(A) is not None) == universal_derivation_check(A)
 
 
 def test_quotient_of_separable_is_separable():
@@ -323,12 +340,15 @@ def _reference_sep_idempotent(A):
 
 
 def _reference_center(A):
-    """The center, from L_i - R_i stacked over every basis element."""
+    """The center, from e_i e_j - e_j e_i = 0 for every pair of basis
+    elements: the row of (i, k) holds, at column j, the e_k coefficient of
+    e_i e_j - e_j e_i."""
     K, n = A.field, A.dim
     rows = []
     for i in range(n):
-        e = A.basis_element(i)
-        rows.extend(A.left_mult_matrix(e).sub(A.right_mult_matrix(e)).data)
+        cols = [A.sub(A.product_basis(i, j), A.product_basis(j, i))
+                for j in range(n)]
+        rows.extend(zip(*cols))
     return Subspace(K, n, nullspace(Matrix(K, rows, n)).data)
 
 
@@ -364,3 +384,20 @@ def test_center_on_generators_matches_every_basis_element(K):
         assert center(A) == _reference_center(A)
     # M_2 needs two generators, and its center is the scalars
     assert len(matrix_algebra(2, Q).generators()) >= 2
+
+
+@GENERATOR_FIELDS
+def test_omitted_unit_is_solved_for(K):
+    for A in _generator_corpus(K):
+        assert make_algebra(A.field, A.labels, A.entries()).unit == A.unit
+
+
+@pytest.mark.parametrize("K", [Q, F2], ids=["Q", "F2"])
+def test_one_sided_unit_is_no_unit(K):
+    # e_i e_j = e_j makes every e_i a left unit and none a right unit;
+    # e_i e_j = e_i is the opposite table
+    for k in (1, 0):
+        entries = [(i, j, (i, j)[k], K.one) for i in range(2)
+                   for j in range(2)]
+        with pytest.raises(NoUnit):
+            make_algebra(K, ["a", "b"], entries)

@@ -188,8 +188,8 @@ def _reference_trace_form_space(A):
         for i in range(n):
             acc = K.add(acc, M.data[i][i])
         return acc
-    T = [[trace(A.left_mult_matrix(A.mul(A.basis_element(i),
-                                         A.basis_element(j))))
+    T = [[trace(corpus.mult_matrix(A, A.mul(A.basis_element(i),
+                                            A.basis_element(j)), "left"))
           for j in range(n)] for i in range(n)]
     return Subspace(K, n, dense_nullspace(K, Matrix(K, zip(*T), n)))
 
@@ -531,8 +531,8 @@ def _reference_char_p_chain_space(A):
     space, each lift L~x the combination of the basis elements' lifts."""
     K, n = A.field, A.dim
     p = K.p
-    lifts = [[list(row) for row in A.left_mult_matrix(
-        A.basis_element(i)).data] for i in range(n)]
+    lifts = [[list(row) for row in corpus.mult_matrix(
+        A, A.basis_element(i), "left").data] for i in range(n)]
 
     def lift_of(v, m):
         out = [[0] * n for _ in range(n)]
