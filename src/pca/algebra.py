@@ -9,9 +9,12 @@ convention and all operations are pure.
 
 from __future__ import annotations
 
+import operator
+
 from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
-from .fields import Field, SimpleExtension, check_same_field
+from .fields import (Field, PrimeField, Rationals, SimpleExtension,
+                     _over_common_denominator, check_same_field)
 from .linalg import (Matrix, Subspace, nullspace, rank, solve, solve_maps,
                      unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
 
@@ -51,20 +54,35 @@ class FinAlg:
         return vec_scale(self.field, c, u)
 
     def mul(self, u, v):
+        """u v by the cells of the table.  Over Q, u = U/du and v = V/dv
+        with integer vectors U and V, so the products and sums run on ints
+        (on Fractions only where a structure constant is one) and each
+        coordinate is divided by du dv once, on the way out."""
         K = self.field
+        q = isinstance(K, Rationals)
+        if q:
+            u, du = _over_common_denominator(u)
+            v, dv = _over_common_denominator(v)
+            add, mul, is_zero = operator.add, operator.mul, operator.not_
+        else:
+            add, mul, is_zero = K.add, K.mul, K.is_zero
         acc = [K.zero] * self.dim
-        vnz = [(j, cj) for j, cj in enumerate(v) if not K.is_zero(cj)]
+        vnz = [(j, cj) for j, cj in enumerate(v) if not is_zero(cj)]
         for i, ci in enumerate(u):
-            if K.is_zero(ci):
+            if is_zero(ci):
                 continue
             row = self.rows[i]
             for j, cj in vnz:
                 cell = row.get(j)
                 if not cell:
                     continue
-                cc = K.mul(ci, cj)
+                cc = mul(ci, cj)
                 for k, c in cell:
-                    acc[k] = K.add(acc[k], K.mul(cc, c))
+                    acc[k] = add(acc[k], mul(cc, c))
+        if q:
+            d = du * dv
+            return tuple(a if d == 1 and type(a) is int else K.div(a, d)
+                         for a in acc)
         return tuple(acc)
 
     def product_basis(self, i: int, j: int):
@@ -113,11 +131,18 @@ class FinAlg:
     def _failing_triple(self, middles):
         """The first (i, j, k) in (i, j, k) order, with j in ``middles``,
         where (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides are
-        expanded straight from the sparse rows."""
+        expanded straight from the sparse rows; over Q and F_p the sums
+        of products run on the scalars' own ints (or Fractions) and each
+        coordinate is reduced once, mod p over F_p."""
         K = self.field
         n = self.dim
         rows = self.rows
-        add, mul, is_zero = K.add, K.mul, K.is_zero
+        if isinstance(K, (Rationals, PrimeField)):
+            add, mul = operator.add, operator.mul
+            p = K.char or None
+            is_zero = operator.not_
+        else:
+            add, mul, is_zero, p = K.add, K.mul, K.is_zero, None
 
         def expand(terms):
             # sum of c * cell over (c, cell), as a zero-free {k: scalar}
@@ -126,6 +151,8 @@ class FinAlg:
                 for k, d in cell:
                     v = mul(c, d)
                     acc[k] = add(acc[k], v) if k in acc else v
+            if p:
+                return {k: r for k, v in acc.items() if (r := v % p)}
             return {k: v for k, v in acc.items() if not is_zero(v)}
 
         for i in range(n):

@@ -18,6 +18,7 @@ through floating point.
 from __future__ import annotations
 
 import re
+from math import gcd, lcm
 
 from .errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
 from .limits import check_degree
@@ -267,6 +268,21 @@ def _ratio(n: int, d: int):
     if _Fraction is None:
         from fractions import Fraction as _Fraction
     return _Fraction(n, d)
+
+
+def _over_common_denominator(xs):
+    """(ns, d): the Q scalars ``xs`` as ints ns over their least common
+    denominator d, so x = n/d for each pair; a non-canonical scalar (a
+    Fraction over 1) is accepted.  Only integers are multiplied here."""
+    xs = tuple(xs)
+    try:
+        gcd(*xs)            # takes only ints: integral xs need no work
+        return xs, 1
+    except TypeError:
+        pass
+    d = lcm(*(x.denominator for x in xs if type(x) is not int))
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator)
+            for x in xs], d
 
 
 class Rationals(Field):

@@ -5,16 +5,26 @@ Matrices are immutable-by-convention row tuples.  Every elimination, in
 ``Subspace``, goes through one sparse Gauss-Jordan kernel, ``_eliminate``,
 which works on ``{col: value}`` rows and touches only nonzero entries;
 the systems the algorithms build (the separability system above all) have
-a few nonzeros per row.  A ``Subspace`` keeps the kernel's pivot rows, so
-its reductions, coordinates and sums are the kernel's own row step, and
-``Subspace.extend`` carries an elimination on instead of starting over.
-A linear map is given by its sparse columns, a mapping from j to the
-(k, scalar) pairs of the image of e_j (a repeated k adds up); only
-``_apply_map`` applies one, so images stay sparse, and only ``_map_rows``
-turns maps into the rows of their equations, so a system stated by maps
-(``solve_maps``, ``Subspace.kernel``) reaches the kernel without a dense
-row.  ``Subspace.image``
-spans the images of a space's pivot rows, and ``Subspace.extend`` feeds
+a few nonzeros per row.  Its one row step, ``_step``, clears column c of
+a row by row <- (d/g) row - (r/g) prow, with d the pivot entry of the
+pivot row, r the row's entry and g = gcd(d, r).  Over a field the pivot
+rows are monic, so this is row - r prow.  Over Q the kernel keeps its rows
+as primitive integer vectors with a positive pivot, so its steps multiply
+ints, never Fractions; a row enters that form once and each pivot row
+the call changed leaves it monic.  A new pivot is cleared only from the
+pivot rows that hold its column, which the index ``where[col]`` lists, so
+a system of rank r costs no r^2 scan.
+
+A ``Subspace`` keeps the kernel's pivot rows, monic and with canonical
+scalars, so its reductions, coordinates and sums are the kernel's own row
+step, and ``Subspace.extend`` carries an elimination on instead of
+starting over.  A linear map is given by its sparse columns, a mapping
+from j to the (k, scalar) pairs of the image of e_j (a repeated k adds
+up); only ``_apply_map`` applies one, so images stay sparse, and only
+``_map_rows`` turns maps into the rows of their equations, so a system
+stated by maps (``solve_maps``, ``Subspace.kernel``) reaches the kernel
+without a dense row.  ``Subspace.image`` spans the images of a space's
+pivot rows, and ``Subspace.extend`` feeds
 each map's image of every pivot row it adds back into its elimination:
 growing a span until the maps send it into itself (a generating set, an
 ideal closure, A*v) is one elimination applying each map once per row.
@@ -26,8 +36,12 @@ error.
 
 from __future__ import annotations
 
+import operator
+from math import gcd
+
 from .errors import AmbientMismatch, BadSpec
-from .fields import Field, check_same_field
+from .fields import (Field, Rationals, _over_common_denominator, _ratio,
+                     check_same_field)
 
 
 def vec_add(K: Field, u, v):
@@ -164,6 +178,60 @@ def _sub_multiple(K: Field, row: dict, f, other: dict):
             row[j] = v
 
 
+class _Integers:
+    """The arithmetic of Q rows inside ``_eliminate``, which are primitive
+    integer vectors: plain ``int`` operations, no ``Fraction``."""
+
+    zero, one = 0, 1
+    add, sub, mul, neg, is_zero = (operator.add, operator.sub, operator.mul,
+                                   operator.neg, operator.not_)
+
+
+def _step(R, row: dict, c, prow: dict) -> bool:
+    """The row step at the pivot column c of ``prow``, in place:
+    row <- (d/g) row - (r/g) prow with d = prow[c], r = row[c] and
+    g = gcd(d, r), which clears column c.  A field's pivot rows are monic,
+    so d = 1, g = 1 and the step is row - r prow; only integer Q rows
+    have d > 1.  Returns whether row was scaled (d/g > 1)."""
+    d, f = prow[c], row[c]
+    if d == R.one:
+        _sub_multiple(R, row, f, prow)
+        return False
+    g = gcd(d, f)
+    d, f = d // g, f // g
+    if d != 1:
+        for j in row:
+            row[j] *= d
+    _sub_multiple(R, row, f, prow)
+    return d != 1
+
+
+def _primitive(row: dict):
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+
+
+def _q_enter(row: dict) -> dict:
+    """A Q row as a primitive integer vector: its entries over their common
+    denominator, divided by their gcd.  ``gcd`` takes only ints, so one
+    call both tests an integral row and finds its content."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:       # a Fraction among the entries
+        row = dict(zip(row, _over_common_denominator(row.values())[0]))
+        g = gcd(*row.values())
+    return row if g < 2 else {j: a // g for j, a in row.items()}
+
+
+def _q_leave(row: dict, c) -> dict:
+    """The monic Q row of an integer row whose pivot column is c."""
+    d = row[c]
+    return row if d == 1 else {j: _ratio(a, d) for j, a in row.items()}
+
+
 def _sparse(K: Field, v) -> dict:
     return {j: a for j, a in enumerate(v) if not K.is_zero(a)}
 
@@ -210,13 +278,29 @@ def _dense(K: Field, row: dict, n: int) -> tuple:
     return tuple(out)
 
 
-def _reduce(K: Field, row: dict, piv: dict) -> dict:
-    """The row step: row minus its multiples of the pivot rows, in place.
-    The pivot rows are fully reduced, so one pass over the pivot columns
-    that the row touches clears them all."""
+def _reduce(K: Field, row: dict, piv: dict, held=None) -> bool:
+    """The row step against every pivot row whose column the row touches,
+    in place; ``held`` gives the pivot rows in the kernel's form when that
+    is not ``piv``.  The pivot rows are fully reduced, so one pass clears
+    them all.  Returns whether the row was scaled."""
+    held = piv if held is None else held
+    scaled = False
     for c in [c for c in row if c in piv]:
-        _sub_multiple(K, row, row[c], piv[c])
-    return row
+        scaled = _step(K, row, c, held[c]) or scaled
+    return scaled
+
+
+class _Held(dict):
+    """Over Q, the integer form of each pivot row the kernel touches,
+    made from the stored monic row on first use."""
+
+    def __init__(self, piv: dict):
+        super().__init__()
+        self.piv = piv
+
+    def __missing__(self, c):
+        row = self[c] = _q_enter(self.piv[c])
+        return row
 
 
 def _eliminate(field: Field, rows, ncols, piv=None):
@@ -226,29 +310,68 @@ def _eliminate(field: Field, rows, ncols, piv=None):
 
     ``piv`` maps each pivot column to its ``{col: value}`` row, kept fully
     reduced: monic at its pivot, nothing left of it, and zeros in every
-    other pivot column.  A new row therefore needs one row step, and its
-    leftmost remaining column among the first ``ncols`` becomes the next
-    pivot.  Later columns ride along as a tail; ``rest`` holds the rows
-    left with only a nonzero tail.
+    other pivot column.  A new row therefore needs one row step
+    (``_step``) per pivot column it touches, and its leftmost remaining
+    column among the first ``ncols`` becomes the next pivot, which is then
+    cleared from the pivot rows that hold it: ``where[col]`` lists them,
+    built from ``piv`` at the first new pivot and kept up to date by every
+    step.  Later columns ride along as a tail; ``rest`` holds the rows left
+    with only a nonzero tail.
+
+    Over Q the rows run as primitive integer vectors with a positive
+    pivot, so the steps multiply ints and never form a ``Fraction``: each
+    row enters integer form once (``_q_enter``), and each pivot row the
+    call changed leaves it monic (``_q_leave``).  ``rest`` rows are
+    left as integer vectors, which are Q rows too.
     """
     K = field
     piv = {} if piv is None else piv
+    q = isinstance(K, Rationals)
+    R, held = (_Integers, _Held(piv)) if q else (K, piv)
+    where = None
+    changed = set()
     rest = []
     for row in rows:
-        row = _reduce(K, row, piv)
+        if q:
+            row = _q_enter(row)
+        scaled = _reduce(R, row, piv, held)
         lead = min((j for j in row if j < ncols), default=None)
         if lead is None:
             if row:
                 rest.append(row)
             continue
-        inv = K.inv(row[lead])
-        if inv != K.one:
+        if q:
+            if scaled:
+                _primitive(row)
+            if row[lead] < 0:
+                row = {j: -a for j, a in row.items()}
+        elif row[lead] != K.one:
+            inv = K.inv(row[lead])
             row = {j: K.mul(inv, a) for j, a in row.items()}
-        for prow in piv.values():
-            f = prow.get(lead)
-            if f is not None:
-                _sub_multiple(K, prow, f, row)
-        piv[lead] = row
+        if where is None:
+            where = {}
+            for c, prow in piv.items():
+                for j in prow:
+                    if j != c:
+                        where.setdefault(j, set()).add(c)
+        for c in where.pop(lead, ()):
+            prow = held[c]
+            if _step(R, prow, lead, row):
+                _primitive(prow)
+            changed.add(c)
+            for j in row:
+                if j in prow:
+                    where.setdefault(j, set()).add(c)
+                elif j in where:
+                    where[j].discard(c)
+        for j in row:
+            if j != lead:
+                where.setdefault(j, set()).add(lead)
+        piv[lead] = held[lead] = row
+        changed.add(lead)
+    if q:
+        for c in changed:
+            piv[c] = _q_leave(held[c], c)
     return piv, rest
 
 
@@ -396,7 +519,9 @@ class Subspace:
                               for row in self._rows.values() for f in maps])
 
     def _residue(self, v) -> dict:
-        return _reduce(self.field, _sparse(self.field, v), self._rows)
+        row = _sparse(self.field, v)
+        _reduce(self.field, row, self._rows)
+        return row
 
     def reduce(self, v):
         """Residue of v after eliminating against the basis."""

@@ -78,13 +78,14 @@ def _sep_maps(A: FinAlg, gens):
                            _tensor_map(A, g, "right")) for g in gens]
 
 
-def verify_sep_idempotent(A: FinAlg, coeffs) -> bool:
+def verify_sep_idempotent(A: FinAlg, coeffs, maps=None) -> bool:
     """m(p) = 1, and (e_g (x) 1) p = p (1 (x) e_g) for every g in
-    ``A.generators()``, by applying the maps to p.  The a with
-    (a (x) 1) p = p (1 (x) a) form a subalgebra holding 1, so holding G
-    they are all of A."""
+    ``A.generators()``, by applying the maps to p (``maps``, when the
+    caller has already built ``_sep_maps(A, A.generators())``).  The a
+    with (a (x) 1) p = p (1 (x) a) form a subalgebra holding 1, so holding
+    G they are all of A."""
     K, n = A.field, A.dim
-    m, *laws = _sep_maps(A, A.generators())
+    m, *laws = _sep_maps(A, A.generators()) if maps is None else maps
     return (apply_map(K, m, coeffs, n) == A.unit and
             all(vec_is_zero(K, apply_map(K, f, coeffs, n * n))
                 for f in laws))
@@ -101,10 +102,11 @@ def sep_idempotent(A: FinAlg):
     solution read off it, are the same."""
     K = A.field
     n = A.dim
-    sol = solve_maps(K, n * n, _sep_maps(A, A.generators()), [A.unit])
+    maps = _sep_maps(A, A.generators())
+    sol = solve_maps(K, n * n, maps, [A.unit])
     if sol is None:
         return None
-    if not verify_sep_idempotent(A, sol):
+    if not verify_sep_idempotent(A, sol, maps):
         raise InternalVerificationFailed(
             "solver output failed the separability equations")
     pairs = []

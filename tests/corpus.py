@@ -25,6 +25,20 @@ def mult_matrix(A: FinAlg, v, side) -> Matrix:
     return Matrix(A.field, zip(*cols), A.dim)
 
 
+def reference_mul(A: FinAlg, u, v):
+    """u v as the sum of u_i v_j (e_i e_j) over every i and j, each term
+    from ``product_basis`` and the field's own operations: a reference
+    that does not go through ``FinAlg.mul``."""
+    K = A.field
+    out = A.zero_element()
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            c = K.mul(a, b)
+            out = tuple(K.add(x, K.mul(c, y))
+                        for x, y in zip(out, A.product_basis(i, j)))
+    return out
+
+
 def trivial_extension(B: FinAlg) -> FinAlg:
     """B (+) B with (a, m)(b, n) = (ab, an + mb); doubles the dimension and
     adds a square-zero ideal."""

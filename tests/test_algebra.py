@@ -309,6 +309,38 @@ def test_left_right_mult_matrices():
                 assert got == corpus.mult_matrix(A, v, side)
 
 
+def _rescaled(rng, A):
+    """A on the basis l_i e_i for random nonzero rationals l_i: an
+    isomorphic table whose structure constants c l_i l_j / l_k and unit
+    are fractions."""
+    K = A.field
+    ls = [K.random(rng) or K.one for _ in range(A.dim)]
+    entries = [(i, j, k, K.div(K.mul(c, K.mul(ls[i], ls[j])), ls[k]))
+               for i, j, k, c in A.entries()]
+    return algebra._trusted_algebra(
+        K, A.labels, entries, [K.div(u, l) for u, l in zip(A.unit, ls)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mul_over_q_matches_reference(seed):
+    """``FinAlg.mul`` over Q, which multiplies on a common denominator,
+    against ``corpus.reference_mul`` on fractional tables and operands,
+    some of them non-canonical Fractions over 1; the product's scalars
+    must be canonical."""
+    rng = random.Random(seed)
+    for _ in range(8):
+        A = _rescaled(rng, corpus.random_algebra(rng, Q, 6))
+        assert A.verify()
+        for _ in range(4):
+            u, v = ([rng.choice([Q.random(rng), Fraction(rng.randint(-3, 3))])
+                     for _ in range(A.dim)] for _ in range(2))
+            prod = A.mul(u, v)
+            assert prod == corpus.reference_mul(A, u, v)
+            assert all(type(a) is int or a.denominator > 1 for a in prod)
+        e = A.basis_element(rng.randrange(A.dim))
+        assert A.mul(A.unit, e) == e == A.mul(e, A.unit)
+
+
 def test_associativity_reverify_on_corpus():
     rng = random.Random(8)
     for _ in range(10):

@@ -523,3 +523,67 @@ def test_image_matches_dense_reference(K, case):
                          for M in mats], n)
     assert (image.basis, image.pivots) == ref
     assert (U.basis, U.pivots) == dense_span(K, vecs, n)
+
+
+# -- integer Q rows and the column index, carried across calls ---------------
+
+def mixed(K, n, d):
+    """A scalar from the codes n and d: n/d over Q, where rows then mix
+    denominators, and ``scalar(K, n)`` over the other fields."""
+    return Fraction(n, d) if K == Q else scalar(K, n)
+
+
+@st.composite
+def batch_cases(draw):
+    """(n, batches): two or three lists of vectors as (numerator,
+    denominator) codes, fed to one space a batch at a time."""
+    n = draw(st.integers(1, 6))
+    entry = st.tuples(codes, st.integers(1, 6))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    return n, draw(st.lists(st.lists(vec, max_size=4), min_size=2,
+                            max_size=3))
+
+
+def _codes(rows):
+    return [[(n, 1) if isinstance(n, int) else n for n in r] for r in rows]
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])
+@settings(max_examples=80, deadline=None)
+@given(case=batch_cases())
+# the second batch's pivots are cleared from rows stored by the first,
+# whose entries 1/2 and 1/3 are not multiples of the new pivot 3/4
+@example(case=(3, [_codes([[1, (1, 2), (1, 3)]]),
+                   _codes([[0, (3, 4), 1], [0, 0, (2, 3)]])]))
+# a cleared row gains an entry in a column that becomes a pivot later
+@example(case=(4, [_codes([[1, 0, 0, (1, 2)], [0, 0, 1, 0]]),
+                   _codes([[0, (2, 3), 0, 1]]),
+                   _codes([[0, 0, 0, (5, 6)], [1, 1, 1, 1]])]))
+# negative leads over Q, cleared from a row whose entries they divide
+@example(case=(3, [_codes([[1, -2, 4]]), _codes([[0, -4, 2], [0, 0, -3]])]))
+def test_kernel_across_batches_matches_dense_reference(K, case):
+    """``Subspace.extend`` batch by batch against the dense RREF of every
+    vector so far: the stored pivot rows enter the kernel's form and leave
+    it again on each call, and must come out monic and canonical.  Inside
+    the kernel, every Q pivot row a step uses is an integer vector with a
+    positive pivot."""
+    n, batches = case
+    step = linalg._step
+
+    def checked(R, row, c, prow):
+        if R is linalg._Integers:
+            assert all(type(a) is int for a in prow.values())
+            assert prow[c] > 0
+        return step(R, row, c, prow)
+    U, seen = Subspace(K, n, []), []
+    with mock.patch.object(linalg, "_step", checked):
+        for batch in batches:
+            vecs = [tuple(mixed(K, a, d) for a, d in v) for v in batch]
+            U = U.extend(vecs)
+            seen += vecs
+            assert (U.basis, U.pivots) == dense_span(K, seen, n)
+            for pc, row in U._rows.items():
+                assert row[pc] == K.one
+                if K == Q:
+                    assert all(type(a) is int or a.denominator > 1
+                               for a in row.values())

@@ -11,7 +11,8 @@ import pytest
 import pca
 from clirun import cli_env
 from pca import fileio
-from pca.algebra import group_algebra, matrix_algebra
+from pca.algebra import (group_algebra, matrix_algebra, triangular_algebra,
+                          truncated_polynomial_algebra)
 from pca.fields import PrimeField, Rationals
 
 # modules that ``pca radical`` over F_2 must not load: the record classes
@@ -60,6 +61,20 @@ def test_integral_rationals_do_not_load_fractions(tmp_path):
     modules = _modules_after(tmp_path, "sepidem",
                              matrix_algebra(2, Rationals()))
     assert "pca.separability" in modules
+    assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
+        == []
+
+
+@pytest.mark.parametrize("algebra", [
+    triangular_algebra(4, Rationals()),
+    truncated_polynomial_algebra(Rationals(), 8)], ids=["T4Q", "Qx8"])
+def test_radical_of_integral_tables_does_not_load_fractions(tmp_path,
+                                                            algebra):
+    # the trace form, its kernel and the radical's powers of these
+    # integral tables stay integral: the load-time proof, the products and
+    # the elimination run on ints
+    modules = _modules_after(tmp_path, "radical", algebra)
+    assert "pca.radical" in modules
     assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
         == []
 

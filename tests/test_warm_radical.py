@@ -232,20 +232,22 @@ def test_non_nilpotent_ideal_with_nilpotent_complement_of_square():
 # -- sparse associativity proof -----------------------------------------------
 
 def _dense_verify(A):
-    """The associativity and unit check on dense vectors: None if A
-    passes, else the exception type and the first failing triple."""
+    """The associativity and unit check on dense vectors, multiplied by
+    ``corpus.reference_mul``: None if A passes, else the exception type
+    and the first failing triple."""
     n = A.dim
+    mul = corpus.reference_mul
     prods = [[A.product_basis(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                left = A.mul(prods[i][j], A.basis_element(k))
-                right = A.mul(A.basis_element(i), prods[j][k])
+                left = mul(A, prods[i][j], A.basis_element(k))
+                right = mul(A, A.basis_element(i), prods[j][k])
                 if left != right:
                     return NotAssociative, (i, j, k)
     for i in range(n):
         e = A.basis_element(i)
-        if A.mul(A.unit, e) != e or A.mul(e, A.unit) != e:
+        if mul(A, A.unit, e) != e or mul(A, e, A.unit) != e:
             return NoUnit, None
     return None
 
