@@ -137,12 +137,10 @@ class FinAlg:
         K = self.field
         n = self.dim
         rows = self.rows
-        if isinstance(K, (Rationals, PrimeField)):
-            add, mul = operator.add, operator.mul
-            p = K.char or None
-            is_zero = operator.not_
-        else:
-            add, mul, is_zero, p = K.add, K.mul, K.is_zero, None
+        ints = isinstance(K, (Rationals, PrimeField))
+        add, mul, is_zero = ((operator.add, operator.mul, operator.not_)
+                             if ints else (K.add, K.mul, K.is_zero))
+        p = K.char if ints else 0
 
         def expand(terms):
             # sum of c * cell over (c, cell), as a zero-free {k: scalar}
