@@ -245,8 +245,9 @@ class Field:
         return not self.__eq__(other)
 
 
-# the rational scalar grammar: an integer, or an integer over a positive one
-_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+# the rational scalar grammar, an integer or an integer over a positive
+# one, as text: ``re`` compiles it on first use (and caches it)
+_RATIONAL_RE = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 
 
 def _canonical_q(r):
@@ -336,7 +337,7 @@ class Rationals(Field):
         return n
 
     def parse(self, text):
-        m = _RATIONAL_RE.fullmatch(text.strip())
+        m = re.fullmatch(_RATIONAL_RE, text.strip())
         if m is None:
             raise BadSpec(f"bad rational scalar {text!r}")
         try:
@@ -440,7 +441,7 @@ class RatFunc:
         return f"RatFunc({self.num}, {self.den})"
 
 
-_TERM_RE = re.compile(r"^(\d+)?\*?(t(\^(\d+))?)?$")
+_TERM_RE = r"^(\d+)?\*?(t(\^(\d+))?)?$"
 
 
 def _fp_poly_text(cs) -> str:
@@ -480,7 +481,7 @@ def _fp_poly_parse(text: str, p: int):
         else:
             term += ch
     for sgn, tm in pieces:
-        m = _TERM_RE.match(tm)
+        m = re.match(_TERM_RE, tm)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise BadSpec(f"bad polynomial term {tm!r}")
         c = int(m.group(1)) if m.group(1) is not None else 1

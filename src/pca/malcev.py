@@ -3,17 +3,26 @@
 The splitting A = S + J(A) is built by walking the radical filtration
 J, J^2, ..., 0 and lifting a multiplicative section through each
 square-zero layer: pick a linear lift, measure its multiplication defect,
-and absorb the defect with one linear (coboundary) solve, which is possible
-exactly because A/J is separable.  Every lifted section is proved a unital
-algebra homomorphism, and the final splitting proved, through
+and absorb the defect with a correction read off a separability
+idempotent of A/J, with no linear solve.  Every lifted section is proved
+a unital algebra homomorphism, and the final splitting proved, through
 ``errors._internal``.
 
 The two corrections have one sign each:
 
-* On a layer N with N^2 = 0, a linear lift t has defect
-  c(a, b) = t(ab) - t(a) t(b), and the solve finds h: A/J -> N with
-  h(ab) - t(a) h(b) - h(a) t(b) = c(a, b).  As h(a) h(b) = 0, t + e*h has
-  defect (1 + e) c, so the multiplicative lift is t - h.
+* On a layer N with N^2 = 0, a linear lift t with t(1) = 1 has defect
+  c(a, b) = t(ab) - t(a) t(b), a 2-cocycle:
+  t(x) c(y, z) - c(xy, z) + c(x, yz) - c(x, y) t(z) = 0.  For a
+  separability idempotent p = sum u_k (x) v_k of A/J put
+  H(b) = sum_k t(u_k) c(v_k, b).  The identity at x = v_k, sum u_k v_k = 1
+  and ap = pa give t(a) H(b) - H(ab) + H(a) t(b) = c(a, b), and as
+  H(a) H(b) = 0, t + H has defect c - c = 0: the multiplicative lift is
+  t + H.  The H that work differ by derivations A/J -> N, all inner,
+  b -> t(b) n - n t(b).  Reduced against those with its unknowns
+  x[r q + s] (coordinate r of H(e_s)) in reversed order, H vanishes on
+  the free columns of the coboundary system's RREF, which are the pivots
+  of the derivation space's reversed RREF (matroid duality): the lift is
+  the one that system gives with its free coordinates zero.
 * Two sections s1, s2 differ by the derivation d = s1 - s2 into J with
   x.j = s1(x) j and j.x = j s2(x).  An inner w with d(x) = x.w - w.x is
   exactly (1 - w) s2(x) = s1(x) (1 - w), so w itself is the conjugator.
@@ -26,9 +35,9 @@ import random
 from .algebra import AlgHom, FinAlg, Ideal, quotient
 from .errors import (AmbientMismatch, BadSpec, InternalVerificationFailed,
                      NotIdempotentModJ, _internal)
-from .linalg import Matrix, Subspace, nullspace, solve, solve_many
+from .linalg import Matrix, Subspace, nullspace, solve_many
 from .radical import RadicalResult, radical
-from .separability import induced_bimodule, inner_derivation, is_separable
+from .separability import induced_bimodule, inner_derivation, sep_idempotent
 
 
 class Splitting:
@@ -100,6 +109,42 @@ def _connecting_hom(fine, ideal: Ideal, coarse_proj: AlgHom) -> AlgHom:
                   Matrix(fine.field, zip(*cols), fine.dim))
 
 
+def _layer_correction(head: FinAlg, fine: FinAlg, layer: Subspace,
+                      tau: Matrix, pairs) -> list:
+    """The columns H(e_s) of the correction that makes the linear lift
+    t = ``tau`` of A/J into ``fine`` multiplicative, ``layer`` being the
+    square-zero ideal N that holds its defect, read off the ``pairs`` of a
+    separability idempotent of A/J as the module docstring says."""
+    K, q, nu = fine.field, head.dim, layer.dim
+    tcols = tau.columns()
+
+    def coords(v):
+        c = layer.coords(v)
+        if c is None:
+            raise InternalVerificationFailed(
+                "correction escapes the kernel layer")
+        return c
+
+    def unknowns(cols):
+        # x[r q + s], coordinate r of column s, in reversed order
+        return [c[r] for r in range(nu) for c in cols][::-1]
+
+    lifted = [(tau.apply(u), v, tau.apply(v)) for u, v in pairs]
+    hcols = []
+    for j, tb in enumerate(tcols):
+        b = head.basis_element(j)
+        h = fine.zero_element()
+        for tu, v, tv in lifted:
+            c = fine.sub(tau.apply(head.mul(v, b)), fine.mul(tv, tb))
+            h = fine.add(h, fine.mul(tu, c))
+        hcols.append(coords(h))
+    inner = Subspace(K, nu * q, [unknowns([
+        coords(fine.sub(fine.mul(t, n), fine.mul(n, t))) for t in tcols])
+        for n in layer.basis])
+    x = inner.reduce(unknowns(hcols))[::-1]
+    return [layer.from_coords(x[s::q]) for s in range(q)]
+
+
 def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
     """A validated Wedderburn-Malcev splitting of A.
 
@@ -109,7 +154,8 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
     K = A.field
     quots = [quotient(A, idl) for idl in rad.filtration]
     head, head_proj = quots[0]
-    if not is_separable(head):
+    sep = sep_idempotent(head)
+    if sep is None:
         raise InternalVerificationFailed("A/J is not separable")
     rng = random.Random(seed)
     q = head.dim
@@ -123,68 +169,18 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
                           [section.column(s) for s in range(q)])
         if taus is None:
             raise InternalVerificationFailed("connecting map not surjective")
-        taus = [list(t) for t in taus]
-        if nspace.dim:
-            for s in range(q):
-                perturb = nspace.from_coords(tuple(
-                    K.from_int(rng.randint(-2, 2))
-                    for _ in range(nspace.dim)))
-                taus[s] = [K.add(a, b) for a, b in zip(taus[s], perturb)]
-        # restore tau(1) = 1; the functional x -> x[idx]/w[idx] is 1 on 1
+        taus = [fine.add(t, nspace.from_coords(tuple(
+            K.from_int(rng.randint(-2, 2)) for _ in range(nspace.dim))))
+            for t in taus]
+        # restore tau(1) = 1 by moving column idx alone, w[idx] being the
+        # first nonzero coordinate of the unit w of A/J
         w = head.unit
         idx = next(i for i, c in enumerate(w) if not K.is_zero(c))
-        tau_one = [K.zero] * fine.dim
-        for s in range(q):
-            ws = w[s]
-            if not K.is_zero(ws):
-                tau_one = [K.add(a, K.mul(ws, b))
-                           for a, b in zip(tau_one, taus[s])]
-        drift = [K.sub(a, b) for a, b in zip(tau_one, fine.unit)]
-        # only the idx column moves: ell(e_s) = delta(s, idx) / w[idx]
-        winv = K.inv(w[idx])
-        taus[idx] = [K.sub(a, K.mul(winv, b))
-                     for a, b in zip(taus[idx], drift)]
+        drift = fine.sub(Matrix(K, zip(*taus), q).apply(w), fine.unit)
+        taus[idx] = fine.sub(taus[idx], fine.scale(K.inv(w[idx]), drift))
         tau = Matrix(K, zip(*taus), q)
-        # defect and the coboundary system over the layer bimodule
-        nu = nspace.dim
-        tcols = tau.columns()
-        T = induced_bimodule(head, nspace,
-                             lambda s, v: fine.mul(tcols[s], v),
-                             lambda s, v: fine.mul(v, tcols[s]))
-        rows = []
-        rhs = []
-        for i in range(q):
-            for j in range(q):
-                prod = head.product_basis(i, j)
-                c = fine.sub(tau.apply(prod), fine.mul(tcols[i], tcols[j]))
-                cc = nspace.coords(c)
-                if cc is None:
-                    raise InternalVerificationFailed(
-                        "multiplication defect escapes the kernel layer")
-                for r in range(nu):
-                    row = [K.zero] * (nu * q)
-                    for s in range(q):
-                        if not K.is_zero(prod[s]):
-                            row[r * q + s] = K.add(row[r * q + s], prod[s])
-                    for m2 in range(nu):
-                        row[m2 * q + j] = K.sub(row[m2 * q + j],
-                                                T.left[i].data[r][m2])
-                        row[m2 * q + i] = K.sub(row[m2 * q + i],
-                                                T.right[j].data[r][m2])
-                    rows.append(row)
-                    rhs.append(cc[r])
-        if nu and rows:
-            sol = solve(Matrix(K, rows, nu * q), tuple(rhs))
-            if sol is None:
-                raise InternalVerificationFailed(
-                    "defect system inconsistent despite separable quotient")
-            hcols = [nspace.from_coords(tuple(sol[r * q + s]
-                                              for r in range(nu)))
-                     for s in range(q)]
-        else:
-            hcols = [(K.zero,) * fine.dim for _ in range(q)]
-        section = Matrix(K, zip(*[fine.sub(t, h)
-                                  for t, h in zip(tcols, hcols)]), q)
+        hcols = _layer_correction(head, fine, nspace, tau, sep.pairs)
+        section = Matrix(K, zip(*map(fine.add, taus, hcols)), q)
         if level < len(quots) - 1:
             _internal(AlgHom(head, fine, section).verify)
     # the last quotient is by the zero ideal, i.e. A itself coordinatewise,

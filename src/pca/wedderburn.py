@@ -77,10 +77,9 @@ def _check_split(A: FinAlg, parts, e):
         raise InternalVerificationFailed("central idempotents do not sum to e")
 
 
-def _split_by(A: FinAlg, e, z, mu: Poly):
-    """Split the central idempotent e along the factors of mu = minpoly(z)."""
+def _split_by(A: FinAlg, e, z, mu: Poly, fac):
+    """Split the central idempotent e along the factors ``fac`` of mu."""
     K = A.field
-    fac = factor(mu)
     for _, m in fac:
         if m != 1:
             raise InternalVerificationFailed(
@@ -101,7 +100,8 @@ def _split_by(A: FinAlg, e, z, mu: Poly):
 
 def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     """Over F_p: Frobenius fixed space of Z(A)e counts the blocks; any
-    non-scalar fixed element splits (its minpoly divides x^p - x)."""
+    non-scalar fixed element z splits (its minpoly divides x^p - x).
+    Returns (z, minpoly(z), its factors), or None when Z(A)e is a field."""
     K = A.field
     p = K.p
     cols = []
@@ -122,13 +122,15 @@ def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     for c in fixed.data:
         w = ze.from_coords(c)
         if not span_e.contains(w):
-            return w
+            mu = _block_minpoly(A, e, w)
+            return w, mu, factor(mu)
     raise InternalVerificationFailed("Frobenius fixed space has no splitter")
 
 
 def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
     """Over Q: seeded random center elements; an irreducible minimal
-    polynomial of full degree certifies a field, a reducible one splits."""
+    polynomial of full degree certifies a field, a reducible one splits.
+    Returns (z, minpoly(z), its factors), or None when Z(A)e is a field."""
     K = A.field
     candidates = list(ze.basis)
     for attempt in range(500):
@@ -144,11 +146,39 @@ def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
             continue
         fac = factor(mu)
         if len(fac) > 1 or fac[0][1] > 1:
-            return z
+            return z, mu, fac
         if mu.degree == ze.dim:
             return None
     raise InternalVerificationFailed(
         "no primitive or splitting center element found")
+
+
+def _block(A: FinAlg, e):
+    """The block algebra Ae with unit e, its subspace of A and its
+    dimension data."""
+    K = A.field
+    space = Subspace.full(K, A.dim).image([_mult_map(A, e, "right")])
+    labels = [A.labels[p] for p in space.pivots]
+    entries = []
+    for i in range(space.dim):
+        for j in range(space.dim):
+            prod = space.coords(A.mul(space.basis[i], space.basis[j]))
+            if prod is None:
+                raise InternalVerificationFailed("block not closed")
+            for k, c in enumerate(prod):
+                if not K.is_zero(c):
+                    entries.append((i, j, k, c))
+    block = _trusted_algebra(K, labels, entries, space.coords(e))
+    cdim = center(block).dim
+    record = {"total_dim": block.dim, "center_dim": cdim}
+    if isinstance(K, PrimeField):
+        n2 = block.dim // cdim
+        n = math.isqrt(n2)
+        if n * n * cdim != block.dim:
+            raise InternalVerificationFailed(
+                "block dimension is not n^2 * center_dim")
+        record["matrix_degree"] = n
+    return block, space, record
 
 
 def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
@@ -175,52 +205,20 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
         if ze.dim == 1:
             final.append(e)
             continue
-        if isinstance(K, PrimeField):
-            z = _find_splitter_prime(A, e, ze)
-        else:
-            z = _find_splitter_rationals(A, e, ze, rng)
-        if z is None:
+        found = (_find_splitter_prime(A, e, ze) if isinstance(K, PrimeField)
+                 else _find_splitter_rationals(A, e, ze, rng))
+        if found is None:
             final.append(e)
             continue
-        mu = _block_minpoly(A, e, z)
-        worklist.extend(_split_by(A, e, z, mu))
+        z, mu, fac = found
+        # deg mu = dim Z(A)e makes Z(A)e = K[z]e = K[x]/(mu), so the centre
+        # of each part, K[x]/(f) for an irreducible factor f, is a field
+        parts = _split_by(A, e, z, mu, fac)
+        (final if mu.degree == ze.dim else worklist).extend(parts)
 
-    blocks = []
-    spaces = []
-    data = []
-    for e in final:
-        space = Subspace.full(K, A.dim).image([_mult_map(A, e, "right")])
-        labels = [A.labels[p] for p in space.pivots]
-        entries = []
-        for i in range(space.dim):
-            for j in range(space.dim):
-                prod = space.coords(A.mul(space.basis[i], space.basis[j]))
-                if prod is None:
-                    raise InternalVerificationFailed("block not closed")
-                for k, c in enumerate(prod):
-                    if not K.is_zero(c):
-                        entries.append((i, j, k, c))
-        ecoords = space.coords(e)
-        block = _trusted_algebra(K, labels, entries, ecoords)
-        cdim = center(block).dim
-        record = {"total_dim": block.dim, "center_dim": cdim}
-        if isinstance(K, PrimeField):
-            n2 = block.dim // cdim
-            n = math.isqrt(n2)
-            if n * n * cdim != block.dim:
-                raise InternalVerificationFailed(
-                    "block dimension is not n^2 * center_dim")
-            record["matrix_degree"] = n
-        blocks.append(block)
-        spaces.append(space)
-        data.append(record)
-
-    order = sorted(range(len(final)),
-                   key=lambda t: (blocks[t].dim, final[t]))
-    final = [final[t] for t in order]
-    blocks = [blocks[t] for t in order]
-    spaces = [spaces[t] for t in order]
-    data = [data[t] for t in order]
+    built = sorted(((e, *_block(A, e)) for e in final),
+                   key=lambda x: (x[1].dim, x[0]))
+    final, blocks, spaces, data = (list(c) for c in zip(*built))
 
     # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
     cols = [[c for e, space in zip(final, spaces)

@@ -2,17 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
+from pca import malcev
 from pca.algebra import (AlgHom, group_algebra, ideal_closure, matrix_algebra,
                          triangular_algebra, truncated_polynomial_algebra)
 from pca.errors import NotIdempotentModJ
 from pca.fields import PrimeField, Rationals
-from pca.linalg import Subspace
+from pca.linalg import Matrix, Subspace, solve
 from pca.malcev import (check_ideal_lemma, lift_idempotent, malcev_conjugator,
                         splitting_from_complement,
                         splitting_from_section_matrix, wedderburn_splitting)
 from pca.radical import radical
+from pca.separability import induced_bimodule
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -194,3 +198,62 @@ def test_splitting_proves_each_section_once(monkeypatch, A, layers):
     wedderburn_splitting(A, seed=1)
     assert len(radical(A).filtration) == layers + 1
     assert len(calls) == layers
+
+
+def _coboundary_solve(head, fine, layer, tau):
+    """The reference for ``malcev._layer_correction``: the coboundary
+    system h(ab) - t(a) h(b) - h(a) t(b) = c(a, b) over the layer
+    bimodule, in dense rows, one per basis pair (i, j) and coordinate r,
+    in the unknowns x[r q + s], coordinate r of h(e_s), solved with its
+    free coordinates zero.  Returns the columns of -h."""
+    K, q, nu = fine.field, head.dim, layer.dim
+    tcols = tau.columns()
+    T = induced_bimodule(head, layer, lambda s, v: fine.mul(tcols[s], v),
+                         lambda s, v: fine.mul(v, tcols[s]))
+    rows, rhs = [], []
+    for i in range(q):
+        for j in range(q):
+            prod = head.product_basis(i, j)
+            c = layer.coords(fine.sub(tau.apply(prod),
+                                      fine.mul(tcols[i], tcols[j])))
+            for r in range(nu):
+                row = [K.zero] * (nu * q)
+                for s in range(q):
+                    row[r * q + s] = K.add(row[r * q + s], prod[s])
+                for m in range(nu):
+                    row[m * q + j] = K.sub(row[m * q + j],
+                                           T.left[i].data[r][m])
+                    row[m * q + i] = K.sub(row[m * q + i],
+                                           T.right[j].data[r][m])
+                rows.append(row)
+                rhs.append(c[r])
+    x = solve(Matrix(K, rows, nu * q), tuple(rhs))
+    assert x is not None
+    return [fine.sub(fine.zero_element(), layer.from_coords(x[s::q]))
+            for s in range(q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([Q, F2, F3]),
+       st.integers(0, 3))
+@example(20, F3, 0)      # T_3(F_3), two layers
+@example(24, F3, 1)      # F_3[x]/(x^2) (x) F_3 C_3, three layers
+def test_layer_correction_matches_coboundary_solve(algebra_seed, field,
+                                                   seed):
+    # the closed form, reduced against the inner derivations, is the
+    # coboundary system's solution with free coordinates zero, on every
+    # layer of the filtration
+    A = corpus.random_algebra(random.Random(algebra_seed), field, 7)
+    real = malcev._layer_correction
+    layers = []
+
+    def compared(head, fine, layer, tau, pairs):
+        got = real(head, fine, layer, tau, pairs)
+        assert got == _coboundary_solve(head, fine, layer, tau)
+        layers.append(layer.dim)
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(malcev, "_layer_correction", compared)
+        s = wedderburn_splitting(A, seed=seed)
+    assert len(layers) == len(s.radical.filtration) - 1

@@ -122,11 +122,6 @@ def _induced_bimodules(build):
     return seen
 
 
-def _splitting_layer_bimodules():
-    return _induced_bimodules(lambda: [wedderburn_splitting(A, seed=1)
-                                       for A in SPLIT_ALGEBRAS])
-
-
 def _conjugator_bimodules():
     pairs = [(wedderburn_splitting(A, seed=1), wedderburn_splitting(A, seed=2))
              for A in SPLIT_ALGEBRAS]
@@ -188,7 +183,6 @@ CASES = {
         for A in (group_algebra(3, Q), matrix_algebra(2, F3),
                   triangular_algebra(2, Q))],
     "conjugator_bimodule": _conjugator_bimodules,
-    "splitting_layer_bimodule": _splitting_layer_bimodules,
 }
 
 
