@@ -56,7 +56,7 @@ class FinAlg:
     def mul(self, u, v):
         """u v by the cells of the table.  Over Q, u = U/du and v = V/dv
         with integer vectors U and V, so the products and sums run on ints
-        (on Fractions only where a structure constant is one) and each
+        (on Rationals only where a structure constant is one) and each
         coordinate is divided by du dv once, on the way out."""
         K = self.field
         q = isinstance(K, Rationals)
@@ -132,7 +132,7 @@ class FinAlg:
         """The first (i, j, k) in (i, j, k) order, with j in ``middles``,
         where (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides are
         expanded straight from the sparse rows; over Q and F_p the sums
-        of products run on the scalars' own ints (or Fractions) and each
+        of products run on the scalars' own ints (or Rationals) and each
         coordinate is reduced once, mod p over F_p."""
         K = self.field
         n = self.dim
@@ -648,10 +648,10 @@ def quotient(a: FinAlg, ideal: Ideal):
     return q, AlgHom(a, q, pmatrix)
 
 
-def _block_minpoly(a: FinAlg, e, z) -> Poly:
-    """Monic minimal polynomial of z inside the block with unit e, by
-    growing the sequence e, ez, ez^2, ... until it becomes linearly
-    dependent."""
+def _block_krylov(a: FinAlg, e, z):
+    """(mu, powers): the monic minimal polynomial mu of z inside the block
+    with unit e, and the powers e, ez, ..., ez^(deg mu - 1), grown until
+    the next one depends on them."""
     K = a.field
     powers = [e]
     span = Subspace(K, a.dim, [e])
@@ -663,9 +663,9 @@ def _block_minpoly(a: FinAlg, e, z) -> Poly:
         span = span.extend([nxt])
     sol = solve(Matrix(K, zip(*powers), len(powers)), nxt)
     from .poly import Poly
-    return Poly(K, [K.neg(c) for c in sol] + [K.one])
+    return Poly(K, [K.neg(c) for c in sol] + [K.one]), powers
 
 
 def minimal_polynomial(a: FinAlg, v) -> Poly:
     """Monic minimal polynomial of an element of a."""
-    return _block_minpoly(a, a.unit, v)
+    return _block_krylov(a, a.unit, v)[0]

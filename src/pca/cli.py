@@ -2,13 +2,14 @@
 
 Exit codes: 0 for success, 2 for a computed negative mathematical answer
 (not separable, not semisimple, not nilpotent), 1 for unusable input or
-command line, 3 for an internal failure: a computed result failed its
-own verification or contradicted a theorem.  Every such failure is an
-``InternalVerificationFailed`` (``errors._internal`` turns a failed proof
-of a computed result into one), the only type ``main`` maps to 3.  It
-prints one line, ``pca: internal error: ...`` with the seed and the input
-digest, on stderr and nothing on stdout.  Reports are deterministic:
-identical inputs produce identical bytes.
+command line or a run that ran out of memory, 3 for an internal failure:
+a computed result failed its own verification or contradicted a theorem.
+Every such failure is an ``InternalVerificationFailed``
+(``errors._internal`` turns a failed proof of a computed result into one),
+the only type ``main`` maps to 3.  It prints one line,
+``pca: internal error: ...`` with the seed and the input digest, on stderr
+and nothing on stdout.  Reports are deterministic: identical inputs
+produce identical bytes.
 
 The command line is read against one table, ``COMMANDS``, which also
 gives the usage text.  Each handler imports the algorithm modules it runs,
@@ -375,6 +376,9 @@ def main(argv=None) -> int:
         return 3
     except (OSError, PcaError) as exc:
         print(f"pca: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("pca: error: out of memory", file=sys.stderr)
         return 1
     sys.stdout.write(render_report(report, args.json))
     return 2 if negative else 0

@@ -5,8 +5,10 @@ rational function field F_p(t), and simple extensions base[x]/(minpoly).
 Scalars are plain hashable Python values kept in a canonical form, so
 ``==`` is semantic equality:
 
-* rationals        -> ``int`` when integral, else ``fractions.Fraction``
-                      in lowest terms
+* rationals        -> ``int`` when integral, else ``Rational`` (lowest
+                      terms, denominator > 1), which agrees with
+                      ``fractions.Fraction`` on ``==``, ``hash``, order and
+                      ``str`` without importing it
 * F_p              -> ``int`` in [0, p)
 * F_p(t)           -> ``RatFunc`` (reduced fraction, monic denominator)
 * simple extension -> tuple of base scalars of length deg(minpoly)
@@ -17,7 +19,9 @@ through floating point.
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from math import gcd, lcm
 
 from .errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
@@ -249,32 +253,177 @@ class Field:
 # one, as text: ``re`` compiles it on first use (and caches it)
 _RATIONAL_RE = r"([+-]?[0-9]+)(?:/([0-9]+))?"
 
-
-def _canonical_q(r):
-    """The canonical Q scalar of a ``Fraction``: an int when it is integral."""
-    return r._numerator if r._denominator == 1 else r
-
-
-# ``fractions.Fraction``, imported by _ratio on the first quotient that is
-# not integral: integral and F_p work never load ``fractions``
-_Fraction = None
+_HASH = sys.hash_info
 
 
 def _ratio(n: int, d: int):
-    """The canonical Q scalar n/d of ints n and d != 0."""
+    """The canonical Q scalar n/d of ints n and d != 0: an ``int`` when d
+    divides n, else a ``Rational`` in lowest terms."""
     q, r = divmod(n, d)
     if not r:
         return q
-    global _Fraction
-    if _Fraction is None:
-        from fractions import Fraction as _Fraction
-    return _Fraction(n, d)
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return Rational(n // g, d // g)
+
+
+def _sum(an, ad, bn, bd):
+    """The canonical scalar an/ad + bn/bd of two fractions in lowest terms
+    with positive denominators.  The two gcds keep the terms as small as
+    the result's (Henrici, J. ACM 3, 1956; Knuth, TAOCP 2, 4.5.1)."""
+    g = gcd(ad, bd)
+    if g == 1:
+        return Rational(an * bd + bn * ad, ad * bd)
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g = gcd(t, g)
+    d = s * (bd // g)
+    return t // g if d == 1 else Rational(t // g, d)
+
+
+def _product(an, ad, bn, bd):
+    """The canonical scalar (an/ad)(bn/bd) of two fractions in lowest
+    terms, ad > 0 and bd != 0, cancelled across before multiplying."""
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    n, d = (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+    if d < 0:
+        n, d = -n, -d
+    return n if d == 1 else Rational(n, d)
+
+
+def _order(op):
+    """The comparison ``op`` of a Rational with b, cross-multiplied over
+    the positive denominators."""
+    def compare(a, b):
+        if type(b) is int:
+            return op(a.numerator, b * a.denominator)
+        try:
+            return op(a.numerator * b.denominator, b.numerator * a.denominator)
+        except AttributeError:
+            return NotImplemented
+    return compare
+
+
+class Rational:
+    """A Q scalar that is not an integer: ``numerator/denominator`` in
+    lowest terms with ``denominator > 1``.
+
+    Every operation returns a canonical Q scalar again, an ``int`` when the
+    result is integral.  ``+ - * /`` take ``int``, ``Rational`` and
+    ``fractions.Fraction`` operands on either side (any value with integer
+    ``numerator`` and ``denominator`` in lowest terms), and ``==``,
+    ``hash``, the order, ``str`` and ``bool`` (always true, as the value is
+    not 0) agree with ``Fraction``'s, so the two mix in sets, dicts and
+    sorted lists.  Only ``_ratio`` and the operations make one: the
+    constructor trusts its arguments.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __add__(a, b):
+        if type(b) is int:
+            return Rational(a.numerator + b * a.denominator, a.denominator)
+        try:
+            bn, bd = b.numerator, b.denominator
+        except AttributeError:
+            return NotImplemented
+        return _sum(a.numerator, a.denominator, bn, bd)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if type(b) is int:
+            return Rational(a.numerator - b * a.denominator, a.denominator)
+        try:
+            bn, bd = b.numerator, b.denominator
+        except AttributeError:
+            return NotImplemented
+        return _sum(a.numerator, a.denominator, -bn, bd)
+
+    def __rsub__(a, b):
+        if type(b) is int:
+            return Rational(b * a.denominator - a.numerator, a.denominator)
+        try:
+            bn, bd = b.numerator, b.denominator
+        except AttributeError:
+            return NotImplemented
+        return _sum(bn, bd, -a.numerator, a.denominator)
+
+    def __mul__(a, b):
+        if type(b) is int:
+            return _product(a.numerator, a.denominator, b, 1)
+        try:
+            bn, bd = b.numerator, b.denominator
+        except AttributeError:
+            return NotImplemented
+        return _product(a.numerator, a.denominator, bn, bd)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if type(b) is int:
+            bn, bd = b, 1
+        else:
+            try:
+                bn, bd = b.numerator, b.denominator
+            except AttributeError:
+                return NotImplemented
+        if not bn:
+            raise ZeroDivisionError("division by zero")
+        return _product(a.numerator, a.denominator, bd, bn)
+
+    def __rtruediv__(a, b):
+        if type(b) is int:
+            bn, bd = b, 1
+        else:
+            try:
+                bn, bd = b.numerator, b.denominator
+            except AttributeError:
+                return NotImplemented
+        return _product(bn, bd, a.denominator, a.numerator)
+
+    def __neg__(a):
+        return Rational(-a.numerator, a.denominator)
+
+    def __eq__(a, b):
+        if type(b) is int:
+            return False
+        try:
+            return (a.numerator == b.numerator
+                    and a.denominator == b.denominator)
+        except AttributeError:
+            return NotImplemented
+
+    __lt__, __le__ = _order(operator.lt), _order(operator.le)
+    __gt__, __ge__ = _order(operator.gt), _order(operator.ge)
+
+    def __hash__(a):
+        # Fraction's hash, the value's image mod the hash modulus P, which
+        # is also an int's: |n| / d mod P, or inf when P divides d
+        try:
+            h = hash(hash(abs(a.numerator))
+                     * pow(a.denominator, -1, _HASH.modulus))
+        except ValueError:
+            h = _HASH.inf
+        h = h if a.numerator >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __str__(a):
+        return f"{a.numerator}/{a.denominator}"
+
+    def __repr__(a):
+        return f"Rational({a.numerator}, {a.denominator})"
 
 
 def _over_common_denominator(xs):
     """(ns, d): the Q scalars ``xs`` as ints ns over their least common
-    denominator d, so x = n/d for each pair; a non-canonical scalar (a
-    Fraction over 1) is accepted.  Only integers are multiplied here."""
+    denominator d, so x = n/d for each pair; a ``Fraction``, also one over
+    1, is accepted.  Only integers are multiplied here."""
     xs = tuple(xs)
     try:
         gcd(*xs)            # takes only ints: integral xs need no work
@@ -289,9 +438,10 @@ def _over_common_denominator(xs):
 class Rationals(Field):
     """The field of rational numbers.
 
-    A scalar is an ``int`` when it is integral and a ``Fraction`` in lowest
-    terms with denominator > 1 otherwise, so integral work runs on machine
-    integers.  ``int`` and ``Fraction`` compare, hash and print alike, and
+    A scalar is an ``int`` when it is integral and a ``Rational`` otherwise,
+    so integral work runs on machine integers and no Q job loads
+    ``fractions``.  ``add``, ``sub`` and ``mul`` also take
+    ``fractions.Fraction`` operands, whose results they return canonical;
     no operation returns a float.
     """
 
@@ -299,36 +449,36 @@ class Rationals(Field):
     zero = 0
     one = 1
 
-    # add, sub and mul run in every inner loop, so they test for an
-    # integral Fraction inline instead of calling _canonical_q
+    # add, sub and mul run in every inner loop: int and Rational results
+    # pass through, and only a Fraction operand's result is converted
     def add(self, a, b):
         r = a + b
-        return r._numerator if type(r) is not int and r._denominator == 1 \
-            else r
+        return r if type(r) is int or type(r) is Rational else \
+            _ratio(r.numerator, r.denominator)
 
     def neg(self, a):
         return -a
 
     def sub(self, a, b):
         r = a - b
-        return r._numerator if type(r) is not int and r._denominator == 1 \
-            else r
+        return r if type(r) is int or type(r) is Rational else \
+            _ratio(r.numerator, r.denominator)
 
     def mul(self, a, b):
         r = a * b
-        return r._numerator if type(r) is not int and r._denominator == 1 \
-            else r
+        return r if type(r) is int or type(r) is Rational else \
+            _ratio(r.numerator, r.denominator)
 
     def inv(self, a):
         if not a:
             raise DivisionByZero("1/0 in Q")
-        return _ratio(1, a) if type(a) is int else _canonical_q(1 / a)
+        return _ratio(a.denominator, a.numerator)
 
     def div(self, a, b):
         if not b:
             raise DivisionByZero("division by zero in Q")
-        return (_ratio(a, b) if type(a) is int is type(b)
-                else _canonical_q(a / b))
+        return (_ratio(a, b) if type(a) is int is type(b) else
+                _ratio(a.numerator * b.denominator, a.denominator * b.numerator))
 
     def is_zero(self, a):
         return not a

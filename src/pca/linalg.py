@@ -10,7 +10,7 @@ a row by row <- (d/g) row - (r/g) prow, with d the pivot entry of the
 pivot row, r the row's entry and g = gcd(d, r).  Over a field the pivot
 rows are monic, so this is row - r prow.  Over Q the kernel keeps its rows
 as primitive integer vectors with a positive pivot, so its steps multiply
-ints, never Fractions; a row enters that form once and each pivot row
+ints, never Rationals; a row enters that form once and each pivot row
 the call changed leaves it monic.  A new pivot is cleared only from the
 pivot rows that hold its column, which the index ``where[col]`` lists, so
 a system of rank r costs no r^2 scan.
@@ -180,7 +180,7 @@ def _sub_multiple(K: Field, row: dict, f, other: dict):
 
 class _Integers:
     """The arithmetic of Q rows inside ``_eliminate``, which are primitive
-    integer vectors: plain ``int`` operations, no ``Fraction``."""
+    integer vectors: plain ``int`` operations, no ``Rational``."""
 
     zero, one = 0, 1
     add, sub, mul, neg, is_zero = (operator.add, operator.sub, operator.mul,
@@ -220,7 +220,7 @@ def _q_enter(row: dict) -> dict:
     call both tests an integral row and finds its content."""
     try:
         g = gcd(*row.values())
-    except TypeError:       # a Fraction among the entries
+    except TypeError:       # a Rational among the entries
         row = dict(zip(row, _over_common_denominator(row.values())[0]))
         g = gcd(*row.values())
     return row if g < 2 else {j: a // g for j, a in row.items()}
@@ -319,7 +319,7 @@ def _eliminate(field: Field, rows, ncols, piv=None):
     with only a nonzero tail.
 
     Over Q the rows run as primitive integer vectors with a positive
-    pivot, so the steps multiply ints and never form a ``Fraction``: each
+    pivot, so the steps multiply ints and never form a ``Rational``: each
     row enters integer form once (``_q_enter``), and each pivot row the
     call changed leaves it monic (``_q_leave``).  ``rest`` rows are
     left as integer vectors, which are Q rows too.

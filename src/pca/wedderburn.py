@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 
-from .algebra import (AlgHom, FinAlg, _block_minpoly, _map_sub, _mult_map,
+from .algebra import (AlgHom, FinAlg, _block_krylov, _map_sub, _mult_map,
                       _trusted_algebra, direct_product)
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
@@ -52,15 +52,6 @@ def center(A: FinAlg) -> Subspace:
     return Subspace.kernel(K, A.dim, maps)
 
 
-def _eval_in_block(A: FinAlg, e, z, f: Poly):
-    """f(z) inside the block Ae: the constant term multiplies e."""
-    acc = A.zero_element()
-    for c in reversed(f.coeffs):
-        acc = A.mul(acc, z)
-        acc = A.add(acc, A.scale(c, e))
-    return acc
-
-
 def _check_split(A: FinAlg, parts, e):
     """The proof that ``parts`` are orthogonal idempotents summing to e."""
     total = A.zero_element()
@@ -77,8 +68,10 @@ def _check_split(A: FinAlg, parts, e):
         raise InternalVerificationFailed("central idempotents do not sum to e")
 
 
-def _split_by(A: FinAlg, e, z, mu: Poly, fac):
-    """Split the central idempotent e along the factors ``fac`` of mu."""
+def _split_by(A: FinAlg, e, powers, mu: Poly, fac):
+    """Split the central idempotent e along the factors ``fac`` of the
+    minimal polynomial mu of z in Ae; ``powers`` are e, ez, ez^2, ...,
+    so a part h(z) e with deg h < deg mu is sum_k h_k (e z^k)."""
     K = A.field
     for _, m in fac:
         if m != 1:
@@ -92,8 +85,11 @@ def _split_by(A: FinAlg, e, z, mu: Poly, fac):
         d, s, _ = pextgcd(ghat, f.coeffs, K)
         if pdeg(d) != 0:
             raise InternalVerificationFailed("minpoly factors not coprime")
-        h = pmod(pmul(s, ghat, K), mu.coeffs, K)
-        parts.append(_eval_in_block(A, e, z, Poly(K, h)))
+        part = A.zero_element()
+        for c, p in zip(pmod(pmul(s, ghat, K), mu.coeffs, K), powers):
+            if not K.is_zero(c):
+                part = A.add(part, A.scale(c, p))
+        parts.append(part)
     _check_split(A, parts, e)
     return parts
 
@@ -101,7 +97,8 @@ def _split_by(A: FinAlg, e, z, mu: Poly, fac):
 def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     """Over F_p: Frobenius fixed space of Z(A)e counts the blocks; any
     non-scalar fixed element z splits (its minpoly divides x^p - x).
-    Returns (z, minpoly(z), its factors), or None when Z(A)e is a field."""
+    Returns ([e, ez, ...], minpoly(z), its factors), or None when Z(A)e
+    is a field."""
     K = A.field
     p = K.p
     cols = []
@@ -122,15 +119,16 @@ def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     for c in fixed.data:
         w = ze.from_coords(c)
         if not span_e.contains(w):
-            mu = _block_minpoly(A, e, w)
-            return w, mu, factor(mu)
+            mu, powers = _block_krylov(A, e, w)
+            return powers, mu, factor(mu)
     raise InternalVerificationFailed("Frobenius fixed space has no splitter")
 
 
 def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
     """Over Q: seeded random center elements; an irreducible minimal
     polynomial of full degree certifies a field, a reducible one splits.
-    Returns (z, minpoly(z), its factors), or None when Z(A)e is a field."""
+    Returns ([e, ez, ...], minpoly(z), its factors), or None when Z(A)e
+    is a field."""
     K = A.field
     candidates = list(ze.basis)
     for attempt in range(500):
@@ -141,12 +139,12 @@ def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
             z = ze.from_coords(tuple(
                 K.from_int(rng.randint(-height, height))
                 for _ in range(ze.dim)))
-        mu = _block_minpoly(A, e, z)
+        mu, powers = _block_krylov(A, e, z)
         if mu.degree < 1:
             continue
         fac = factor(mu)
         if len(fac) > 1 or fac[0][1] > 1:
-            return z, mu, fac
+            return powers, mu, fac
         if mu.degree == ze.dim:
             return None
     raise InternalVerificationFailed(
@@ -154,10 +152,13 @@ def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
 
 
 def _block(A: FinAlg, e):
-    """The block algebra Ae with unit e, its subspace of A and its
-    dimension data."""
+    """The block algebra Ae with unit e, its subspace of A, its dimension
+    data and the coordinates in that subspace of each e_i e.  Column i of
+    R_e is e_i e, which lies in Ae, so its coordinates are its entries at
+    the subspace's pivots."""
     K = A.field
-    space = Subspace.full(K, A.dim).image([_mult_map(A, e, "right")])
+    right = _mult_map(A, e, "right")
+    space = Subspace.full(K, A.dim).image([right])
     labels = [A.labels[p] for p in space.pivots]
     entries = []
     for i in range(space.dim):
@@ -178,7 +179,9 @@ def _block(A: FinAlg, e):
             raise InternalVerificationFailed(
                 "block dimension is not n^2 * center_dim")
         record["matrix_degree"] = n
-    return block, space, record
+    cols = [dict(right.get(i, ())) for i in range(A.dim)]
+    return block, space, record, [
+        tuple(col.get(pc, K.zero) for pc in space.pivots) for col in cols]
 
 
 def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
@@ -210,20 +213,18 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
         if found is None:
             final.append(e)
             continue
-        z, mu, fac = found
+        powers, mu, fac = found
         # deg mu = dim Z(A)e makes Z(A)e = K[z]e = K[x]/(mu), so the centre
         # of each part, K[x]/(f) for an irreducible factor f, is a field
-        parts = _split_by(A, e, z, mu, fac)
+        parts = _split_by(A, e, powers, mu, fac)
         (final if mu.degree == ze.dim else worklist).extend(parts)
 
     built = sorted(((e, *_block(A, e)) for e in final),
                    key=lambda x: (x[1].dim, x[0]))
-    final, blocks, spaces, data = (list(c) for c in zip(*built))
+    final, blocks, spaces, data, coords = (list(c) for c in zip(*built))
 
     # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
-    cols = [[c for e, space in zip(final, spaces)
-             for c in space.coords(A.mul(A.basis_element(i), e))]
-            for i in range(A.dim)]
+    cols = [[c for cs in coords for c in cs[i]] for i in range(A.dim)]
     h = AlgHom(A, direct_product(blocks), Matrix(K, zip(*cols), A.dim))
     _internal(h.verify)
     if rank(h.matrix) != A.dim:

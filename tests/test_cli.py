@@ -410,13 +410,27 @@ INTERNAL_FAULTS = {
         ("wedderburn", "qc3.alg"), wedderburn, "direct_product",
         lambda blocks: direct_product(blocks[::-1])),
     "wedderburn_not_orthogonal": (
-        ("wedderburn", "qc3.alg"), wedderburn, "_eval_in_block",
-        lambda A, e, z, f: e),
+        ("wedderburn", "qc3.alg"), wedderburn, "pmod",
+        lambda f, g, K: (K.one,)),
     "tower_build_not_surjective": (
         ("tower", "build", "--kind", "powerseries", "--field", "Q",
          "--depth", "2", "-o", "t.tower"), tower, "power_series_tower",
         _zero_map_tower),
 }
+
+
+def test_memory_error_is_one_error_line(fixtures, monkeypatch, capsys):
+    # a command whose algorithm runs out of memory ends like any other
+    # unusable input: one ``pca: error:`` line and exit 1, no traceback
+    def exhausted(A):
+        raise MemoryError
+
+    monkeypatch.chdir(fixtures)
+    monkeypatch.setattr(separability, "sep_idempotent", exhausted)
+    assert cli.main(["sepidem", "qc3.alg"]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "pca: error: out of memory\n"
 
 
 @pytest.mark.parametrize("case", sorted(INTERNAL_FAULTS))

@@ -1,5 +1,8 @@
+import operator
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,9 @@ from hypothesis import strategies as st
 
 from pca.algebra import polynomial_quotient_algebra
 from pca.errors import BadSpec, DivisionByZero, FieldMismatch, TooLarge
-from pca.fields import (PrimeField, RationalFunctionField, Rationals,
-                        SimpleExtension, check_same_field, is_prime,
-                        prime_subfield)
+from pca.fields import (PrimeField, Rational, RationalFunctionField,
+                        Rationals, SimpleExtension, check_same_field,
+                        is_prime, prime_subfield)
 from pca.limits import Limits
 from pca.linalg import Matrix, rref
 from pca.poly import Poly, factor
@@ -27,9 +30,11 @@ def test_rational_add():
 
 
 def _is_canonical(x):
-    """A canonical Q scalar: an int when integral, otherwise a Fraction
-    with denominator > 1; never a float or a bool."""
-    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    """A canonical Q scalar: an int when integral, otherwise a Rational
+    in lowest terms with denominator > 1; never a Fraction, a float or a
+    bool."""
+    return type(x) is int or (type(x) is Rational and x.denominator > 1
+                              and gcd(x.numerator, x.denominator) == 1)
 
 
 def _canonical(r: Fraction):
@@ -54,7 +59,58 @@ def test_rational_ops_return_canonical_scalars(a, b):
         results.append((Q.inv(b), 1 / fb))
     for got, want in results:
         assert got == want
-        assert type(got) is (int if want.denominator == 1 else Fraction)
+        assert type(got) is (int if want.denominator == 1 else Rational)
+
+
+# the hash modulus P: Fraction hashes a value whose reduced denominator P
+# divides as +-inf, and a Rational must too
+P = sys.hash_info.modulus
+# a Q scalar that is not an integer, as a Rational, some with denominators
+# that P divides
+RATIONAL_SCALAR = (
+    st.fractions().filter(lambda f: f.denominator > 1)
+    | st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30).filter(
+        lambda n: n % P), st.sampled_from([P, 2 * P, P * P]))
+).map(lambda f: Q.div(f.numerator, f.denominator))
+# an operand of Rational arithmetic: an int, a Rational or a Fraction,
+# also one over 1
+OPERAND = (st.integers(-10 ** 30, 10 ** 30) | st.sampled_from([0, 1, -1])
+           | RATIONAL_SCALAR | st.fractions()
+           | st.builds(Fraction, st.sampled_from([0, 1, -1, 2 ** 70]),
+                       st.sampled_from([1, P, 3 * P])))
+
+
+def _fraction(x):
+    """x (an int, a Rational or a Fraction) as a Fraction."""
+    return Fraction(x.numerator, x.denominator)
+
+
+ARITHMETIC = (operator.add, operator.sub, operator.mul, operator.truediv)
+ORDER = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+         operator.ge)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=RATIONAL_SCALAR, b=OPERAND)
+def test_rational_agrees_with_fraction(a, b):
+    assert type(a) is Rational and _is_canonical(a)
+    fa = _fraction(a)
+    for f in (hash, str, bool, operator.neg):
+        assert f(a) == f(fa)
+    assert _is_canonical(-a)
+    for x, y in ((a, b), (b, a)):
+        fx, fy = _fraction(x), _fraction(y)
+        for op in ARITHMETIC:
+            if op is operator.truediv and not fy:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got, want = op(x, y), op(fx, fy)
+            assert _is_canonical(got)
+            assert got == want and want == got
+            assert hash(got) == hash(want) and str(got) == str(want)
+        for op in ORDER:
+            assert op(x, y) == op(fx, fy)
 
 
 @pytest.mark.parametrize("text,value", [

@@ -79,6 +79,33 @@ def test_radical_of_integral_tables_does_not_load_fractions(tmp_path,
         == []
 
 
+@pytest.mark.parametrize("command,module", [
+    ("sepidem", "pca.separability"), ("wedderburn", "pca.wedderburn")])
+def test_fractional_rationals_do_not_load_fractions(tmp_path, command,
+                                                    module):
+    # the separability idempotent of QC_6 is (1/6) sum g^i (x) g^-i, and
+    # its central idempotents have sixths too: a Q scalar that is not an
+    # integer is a Rational, which needs neither fractions nor numbers
+    modules = _modules_after(tmp_path, command,
+                             group_algebra(6, Rationals()))
+    assert module in modules
+    assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
+        == []
+
+
+def test_no_module_imports_fractions():
+    src = Path(pca.__file__).parent
+    imports = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert [i for i in imports
+            if i[1] in ("fractions", "decimal", "numbers")] == []
+
+
 def test_both_launchers_enter_through_run():
     tomllib = pytest.importorskip("tomllib")
     root = Path(pca.__file__).resolve().parents[2]
