@@ -15,8 +15,9 @@ from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
 from .fields import (Field, PrimeField, Rationals, SimpleExtension,
                      _over_common_denominator, check_same_field)
-from .linalg import (Matrix, Subspace, nullspace, rank, solve, solve_maps,
-                     unit_vec, vec_add, vec_scale, vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, compose, first_difference, nullspace,
+                     rank, solve, solve_maps, unit_vec, vec_add, vec_scale,
+                     vec_sub, zero_vec)
 
 
 class FinAlg:
@@ -121,49 +122,26 @@ class FinAlg:
         return self._gens
 
     def _unit_failure(self):
-        """The first basis index where a unit law fails, or None."""
-        for i in range(self.dim):
-            e = self.basis_element(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                return i
-        return None
+        """The least column where L_u or R_u is not the identity, or None."""
+        K = self.field
+        ident = {j: ((j, K.one),) for j in range(self.dim)}
+        bad = [first_difference(K, _mult_map(self, self.unit, side), ident)
+               for side in ("left", "right")]
+        return min((i for i in bad if i is not None), default=None)
 
     def _failing_triple(self, middles):
         """The first (i, j, k) in (i, j, k) order, with j in ``middles``,
-        where (e_i e_j) e_k != e_i (e_j e_k), or None.  Both sides are
-        expanded straight from the sparse rows; over Q and F_p the sums
-        of products run on the scalars' own ints (or Rationals) and each
-        coordinate is reduced once, mod p over F_p."""
-        K = self.field
-        n = self.dim
-        rows = self.rows
-        ints = isinstance(K, (Rationals, PrimeField))
-        add, mul, is_zero = ((operator.add, operator.mul, operator.not_)
-                             if ints else (K.add, K.mul, K.is_zero))
-        p = K.char if ints else 0
-
-        def expand(terms):
-            # sum of c * cell over (c, cell), as a zero-free {k: scalar}
-            acc = {}
-            for c, cell in terms:
-                for k, d in cell:
-                    v = mul(c, d)
-                    acc[k] = add(acc[k], v) if k in acc else v
-            if p:
-                return {k: r for k, v in acc.items() if (r := v % p)}
-            return {k: v for k, v in acc.items() if not is_zero(v)}
-
-        for i in range(n):
-            ri = rows[i]
+        where (e_i e_j) e_k != e_i (e_j e_k), or None: for each (i, j), the
+        least column k where L_(e_i e_j) and L_(e_i) L_(e_j) differ (the
+        columns of L_g are ``rows[g]``)."""
+        K, rows = self.field, self.rows
+        for i in range(self.dim):
             for j in middles:
-                pij = ri.get(j, ())
-                rj = rows[j]
-                for k in range(n):
-                    left = expand((c, rows[m].get(k, ())) for m, c in pij)
-                    right = expand((c, ri.get(m, ()))
-                                   for m, c in rj.get(k, ()))
-                    if left != right:
-                        return i, j, k
+                left = (_mult_map(self, self.product_basis(i, j), "left")
+                        if j in rows[i] else {})
+                k = first_difference(K, left, compose(K, rows[i], rows[j]))
+                if k is not None:
+                    return i, j, k
         return None
 
     def _generator_proof(self):
@@ -173,15 +151,16 @@ class FinAlg:
                 and self._failing_triple(self.generators()) is None)
 
     def verify(self):
-        """Check the unit laws and associativity.
+        """Check the unit laws, L_u = id = R_u, and associativity, each an
+        equality of sparse maps compared by ``linalg.first_difference``.
 
         Light's test: the m with (x m) y = x (m y) for all x, y form a
         subspace closed under products, and it holds 1 once the unit laws
         do.  The right-nested words over ``generators()`` span the
-        algebra, so the unit laws and the n^2 |G| triples (e_i, g, e_k)
-        prove associativity.  On any failure the full (i, j, k) scan runs,
-        so the first failing triple is the one reported, and
-        NotAssociative comes before NoUnit."""
+        algebra, so the unit laws and L_(e_i g) = L_(e_i) L_g for every i
+        and g in G prove associativity.  On any failure the comparison
+        runs for every middle index, so the first failing triple is the
+        one reported, and NotAssociative comes before NoUnit."""
         if len(self.unit) != self.dim:
             raise BadSpec("unit vector has wrong length")
         if self._generator_proof():
@@ -499,10 +478,13 @@ def _mult_maps(a: FinAlg, sidedness) -> list:
 def _mult_map(a: FinAlg, v, side):
     """The sparse columns of L_v (left) or R_v (right), the map format of
     ``linalg``: column j holds the (k, scalar) pairs of v e_j or e_j v.
-    For a basis element e_g, L_g's columns are ``a.rows[g]`` itself."""
+    For a basis element e_g, L_g's columns are ``a.rows[g]`` itself.  Over
+    Q and F_p the sums run on ints, each reduced mod p once."""
     K, rows = a.field, a.rows
-    add, mul, is_zero = K.add, K.mul, K.is_zero
-    nz = [(i, c) for i, c in enumerate(v) if not is_zero(c)]
+    add, mul = ((operator.add, operator.mul)
+                if isinstance(K, (Rationals, PrimeField)) else (K.add, K.mul))
+    p = K.p if isinstance(K, PrimeField) else 0
+    nz = [(i, c) for i, c in enumerate(v) if not K.is_zero(c)]
     if side == "left" and len(nz) == 1 and nz[0][1] == K.one:
         return rows[nz[0][0]]
     acc = {}
@@ -514,7 +496,8 @@ def _mult_map(a: FinAlg, v, side):
             for k, d in cell:
                 x = mul(c, d)
                 col[k] = add(col[k], x) if k in col else x
-    return {j: tuple([(k, x) for k, x in col.items() if not is_zero(x)])
+    return {j: tuple([(k, r) for k, x in col.items()
+                      if not K.is_zero(r := x % p if p else x)])
             for j, col in acc.items()}
 
 
@@ -553,23 +536,27 @@ class AlgHom:
         self.matrix = matrix
 
     def _failing_pair(self, rights):
-        """The first (i, j), with j in ``rights``, where
-        phi(e_i e_j) != phi(e_i) phi(e_j), or None."""
-        src, tgt, M = self.source, self.target, self.matrix
-        cols = M.columns()
-        for i in range(src.dim):
-            for j in rights:
-                if M.apply(src.product_basis(i, j)) != tgt.mul(cols[i],
-                                                              cols[j]):
-                    return i, j
-        return None
+        """The first (i, j) in (i, j) order, with j in ``rights``, where
+        phi(e_i e_j) != phi(e_i) phi(e_j), or None: for each j, the least
+        column i where phi R_(e_j) and R_(phi(e_j)) phi differ."""
+        src, K = self.source, self.source.field
+        phi = self.matrix.to_map()
+        bad = []
+        for j in rights:
+            R = _mult_map(self.target, self.matrix.column(j), "right")
+            Rj = _mult_map(src, src.basis_element(j), "right")
+            i = first_difference(K, compose(K, phi, Rj), compose(K, R, phi))
+            if i is not None:
+                bad.append((i, j))
+        return min(bad, default=None)
 
     def verify(self):
-        """phi(1) = 1 and phi(e_i g) = phi(e_i) phi(g) for every basis
-        element e_i and every g in ``source.generators()``.  With source
-        and target associative, the b with phi(x b) = phi(x) phi(b) for
-        all x form a subalgebra holding 1 and G, hence all of the source.
-        On a failure the full (i, j) scan names the first failing pair."""
+        """phi(1) = 1 and phi R_g = R_(phi(g)) phi for every g in
+        ``source.generators()``, sparse maps compared by
+        ``linalg.first_difference``.  With source and target associative,
+        the b with phi(x b) = phi(x) phi(b) for all x form a subalgebra
+        holding 1 and G, hence all of the source.  On a failure the
+        comparison runs for every basis element, naming the first pair."""
         if self.matrix.apply(self.source.unit) != self.target.unit:
             raise NotAHom("phi(1) != 1")
         if self._failing_pair(self.source.generators()) is None:

@@ -20,14 +20,16 @@ scalars, so its reductions, coordinates and sums are the kernel's own row
 step, and ``Subspace.extend`` carries an elimination on instead of
 starting over.  A linear map is given by its sparse columns, a mapping
 from j to the (k, scalar) pairs of the image of e_j (a repeated k adds
-up); only ``_apply_map`` applies one, so images stay sparse, and only
-``_map_rows`` turns maps into the rows of their equations, so a system
-stated by maps (``solve_maps``, ``Subspace.kernel``) reaches the kernel
-without a dense row.  ``Subspace.image`` spans the images of a space's
-pivot rows, and ``Subspace.extend`` feeds
-each map's image of every pivot row it adds back into its elimination:
-growing a span until the maps send it into itself (a generating set, an
-ideal closure, A*v) is one elimination applying each map once per row.
+up).  Only this module applies one, to a row (``_apply_map``) or to
+another map (``compose``), so images stay sparse, and a law stated as an
+equality of maps is one ``first_difference``.  Only ``_map_rows`` turns
+maps into the rows of their equations, so a system stated by maps
+(``solve_maps``, ``Subspace.kernel``) reaches the kernel without a dense
+row.  ``Subspace.image`` spans the images of a space's pivot rows, and
+``Subspace.extend`` feeds each map's image of every pivot row it adds
+back into its elimination: growing a span until the maps send it into
+itself (a generating set, an ideal closure, A*v) is one elimination
+applying each map once per row.
 The reduced row echelon form of a matrix is unique, so the kernel's
 results do not depend on the order in which it visits rows or on how it
 stores them.  Division is exact; "no solution" is a value (None), not an
@@ -40,8 +42,8 @@ import operator
 from math import gcd
 
 from .errors import AmbientMismatch, BadSpec
-from .fields import (Field, Rationals, _over_common_denominator, _ratio,
-                     check_same_field)
+from .fields import (Field, PrimeField, Rationals, _over_common_denominator,
+                     _ratio, check_same_field)
 
 
 def vec_add(K: Field, u, v):
@@ -104,6 +106,11 @@ class Matrix:
                 data[k][j] = c
         return cls(field, data, n)
 
+    def to_map(self):
+        """The sparse columns of this matrix, as ``from_map`` reads them."""
+        return {j: tuple(_sparse(self.field, col).items())
+                for j, col in enumerate(self.columns())}
+
     def column(self, j: int):
         return tuple(row[j] for row in self.data)
 
@@ -142,18 +149,6 @@ class Matrix:
                     acc[j] = K.add(acc[j], K.mul(a, b))
             out.append(tuple(acc))
         return Matrix(K, out, other.cols)
-
-    def add(self, other: "Matrix"):
-        check_same_field(self.field, other.field)
-        return Matrix(self.field,
-                      [vec_add(self.field, r, s)
-                       for r, s in zip(self.data, other.data)], self.cols)
-
-    def sub(self, other: "Matrix"):
-        check_same_field(self.field, other.field)
-        return Matrix(self.field,
-                      [vec_sub(self.field, r, s)
-                       for r, s in zip(self.data, other.data)], self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
@@ -251,6 +246,34 @@ def _apply_map(K: Field, cols, row: dict) -> dict:
 def apply_map(field: Field, f, v, m: int) -> tuple:
     """f(v), of length m, for the map f given by its sparse columns."""
     return _dense(field, _apply_map(field, f, _sparse(field, v)), m)
+
+
+def compose(field: Field, f, g) -> dict:
+    """f after g, for maps given by sparse columns: column j lists (k, c d)
+    for each (m, c) in column j of g and (k, d) in column m of f, unsummed
+    (an index may repeat); over Q and F_p on ints, reduced mod p."""
+    p = field.p if isinstance(field, PrimeField) else 0
+    mul = operator.mul if isinstance(field, Rationals) else field.mul
+    return {j: tuple([(k, c * d % p if p else mul(c, d)) for m, c in col
+                      for k, d in f.get(m, ())]) for j, col in g.items()}
+
+
+def first_difference(field: Field, f, g):
+    """The least column where the maps f and g (sparse columns, repeated
+    indices adding up) differ, or None: one accumulator keyed (j, k), over
+    Q and F_p summing ints and reducing each entry mod p once."""
+    K = field
+    add, sub = ((operator.add, operator.sub)
+                if isinstance(K, (Rationals, PrimeField)) else (K.add, K.sub))
+    acc = {}
+    get, zero = acc.get, K.zero
+    for op, h in ((add, f), (sub, g)):
+        for j, col in h.items():
+            for k, c in col:
+                acc[j, k] = op(get((j, k), zero), c)
+    p = K.p if isinstance(K, PrimeField) else 0
+    return min((j for (j, _), v in acc.items()
+                if not K.is_zero(v % p if p else v)), default=None)
 
 
 def _map_rows(K: Field, maps, rhs=(), ncols=0) -> list:

@@ -31,8 +31,8 @@ from .algebra import FinAlg, _map_sub, _mult_map, base_change
 from .errors import (BadSpec, InternalVerificationFailed, NotADerivation,
                      _internal)
 from .fields import PrimeField, Rationals
-from .linalg import (Matrix, Subspace, apply_map, solve, solve_maps,
-                     vec_is_zero, vec_sub)
+from .linalg import (Matrix, Subspace, apply_map, solve_maps, vec_is_zero,
+                     vec_sub)
 from .radical import is_semisimple as _is_semisimple
 
 
@@ -234,14 +234,12 @@ def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
                 raise NotADerivation(f"Leibniz fails at basis pair ({i},{j})",
                                      (i, j))
 
+    maps = [_map_sub(K, T.left[i].to_map(), T.right[i].to_map())
+            for i in range(B.dim)]
+
     def satisfies(u):
-        for i in range(B.dim):
-            want = dcols[i]
-            got = tuple(K.sub(x, y) for x, y in zip(
-                T.left[i].apply(u), T.right[i].apply(u)))
-            if got != want:
-                return False
-        return True
+        return all(apply_map(K, f, u, T.space_dim) == want
+                   for f, want in zip(maps, dcols))
 
     p = sep_idempotent(B)
     if p is not None:
@@ -251,13 +249,7 @@ def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
             u = tuple(K.sub(x, y) for x, y in zip(u, term))
         if satisfies(u):
             return u
-    rows = []
-    rhs = []
-    for i in range(B.dim):
-        diff = T.left[i].sub(T.right[i])
-        rows.extend(diff.data)
-        rhs.extend(dcols[i])
-    u = solve(Matrix(K, rows, T.space_dim), tuple(rhs))
+    u = solve_maps(K, T.space_dim, maps, dcols)
     if u is None:
         return None
     if not satisfies(u):

@@ -20,7 +20,7 @@ from .algebra import (AlgHom, FinAlg, _block_krylov, _map_sub, _mult_map,
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
 from .fields import PrimeField, Rationals
-from .linalg import Matrix, Subspace, nullspace, rank, solve, vec_is_zero
+from .linalg import Matrix, Subspace, rank, solve, vec_is_zero
 from .poly import Poly, factor
 from .radical import is_semisimple
 from .fields import pdeg, pdivmod, pextgcd, pmod, pmul
@@ -109,14 +109,13 @@ def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
         cols.append(ze.coords(w))
     if any(c is None for c in cols):
         raise InternalVerificationFailed("center not closed under Frobenius")
-    n = ze.dim
-    M = Matrix(K, zip(*cols), n)
-    I = Matrix.identity(K, n)
-    fixed = nullspace(M.sub(I))
-    if fixed.rows <= 1:
+    frob = Matrix(K, zip(*cols), ze.dim).to_map()
+    ident = {j: ((j, K.one),) for j in range(ze.dim)}
+    fixed = Subspace.kernel(K, ze.dim, [_map_sub(K, frob, ident)])
+    if fixed.dim <= 1:
         return None
     span_e = Subspace(K, A.dim, [e])
-    for c in fixed.data:
+    for c in fixed.basis:
         w = ze.from_coords(c)
         if not span_e.contains(w):
             mu, powers = _block_krylov(A, e, w)

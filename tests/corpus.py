@@ -26,13 +26,16 @@ def mult_matrix(A: FinAlg, v, side) -> Matrix:
 
 
 def reference_mul(A: FinAlg, u, v):
-    """u v as the sum of u_i v_j (e_i e_j) over every i and j, each term
-    from ``product_basis`` and the field's own operations: a reference
-    that does not go through ``FinAlg.mul``."""
+    """u v as the sum of u_i v_j (e_i e_j) over every i and j with u_i and
+    v_j nonzero, each term from ``product_basis`` and the field's own
+    operations: a reference that does not go through ``FinAlg.mul``."""
     K = A.field
     out = A.zero_element()
+    vnz = [(j, b) for j, b in enumerate(v) if not K.is_zero(b)]
     for i, a in enumerate(u):
-        for j, b in enumerate(v):
+        if K.is_zero(a):
+            continue
+        for j, b in vnz:
             c = K.mul(a, b)
             out = tuple(K.add(x, K.mul(c, y))
                         for x, y in zip(out, A.product_basis(i, j)))

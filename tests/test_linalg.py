@@ -10,8 +10,9 @@ from pca import linalg
 from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import (Matrix, Subspace, apply_map, nullspace, rank, rref,
-                        solve, solve_many, solve_maps, unit_vec, vec_add,
+from pca.linalg import (Matrix, Subspace, apply_map, compose,
+                        first_difference, nullspace, rank, rref, solve,
+                        solve_many, solve_maps, unit_vec, vec_add,
                         vec_is_zero)
 
 Q = Rationals()
@@ -523,6 +524,57 @@ def test_image_matches_dense_reference(K, case):
                          for M in mats], n)
     assert (image.basis, image.pivots) == ref
     assert (U.basis, U.pivots) == dense_span(K, vecs, n)
+
+
+# -- composing and comparing maps ---------------------------------------------
+
+def twice(K, M):
+    """The sparse columns of the square matrix M, each nonzero entry listed
+    twice, as a - 1 and 1, which ``linalg`` must add up."""
+    return {j: tuple(e for k, row in enumerate(M) if not K.is_zero(row[j])
+                     for e in ((k, K.sub(row[j], K.one)), (k, K.one)))
+            for j in range(len(M))}
+
+
+def test_a_repeated_index_composes_as_the_sum():
+    # column 0 of f lists index 0 twice, so f e_0 = (1 + 2) e_0, and
+    # f g e_1 = 2 f e_0 = 6 e_0, which is 1 e_0 over F_5
+    f = {0: ((0, 1), (0, 2))}
+    g = {0: ((0, 1),), 1: ((0, 2),)}
+    for K, six in ((Q, 6), (F5, 1)):
+        fg = compose(K, f, g)
+        assert apply_map(K, fg, (0, 1), 1) == (six,)
+        assert first_difference(K, fg, {0: ((0, 3),), 1: ((0, six),)}) \
+            is None
+        assert first_difference(K, fg, {0: ((0, 3),)}) == 1
+        assert first_difference(K, fg, {1: ((0, six),)}) == 0
+        assert first_difference(K, {}, {}) is None
+
+
+@pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 4), data=st.data())
+def test_compose_and_first_difference_match_dense_reference(K, n, data):
+    """compose(M, N) applies as the dense product M N, and
+    first_difference of it and P, the product with a few entries
+    replaced, is the least column where the dense matrices differ."""
+    square = st.lists(st.lists(codes, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    M, N = ([[scalar(K, x) for x in row] for row in data.draw(square)]
+            for _ in range(2))
+    cols = [dense_apply(K, M, [row[j] for row in N]) for j in range(n)]
+    P = [list(row) for row in zip(*cols)]
+    if n:
+        place = st.integers(0, n - 1)
+        for r, c, x in data.draw(st.lists(st.tuples(place, place, codes),
+                                          max_size=2)):
+            P[r][c] = scalar(K, x)
+    MN = compose(K, twice(K, M), twice(K, N))
+    assert [apply_map(K, MN, unit_vec(K, n, j), n) for j in range(n)] == cols
+    expected = next((j for j in range(n)
+                     if cols[j] != tuple(row[j] for row in P)), None)
+    assert first_difference(K, MN, twice(K, P)) == expected
+    assert first_difference(K, twice(K, P), MN) == expected
 
 
 # -- integer Q rows and the column index, carried across calls ---------------

@@ -25,6 +25,7 @@ from pca.separability import (Bimodule, base_change_semisimple_check,
                               universal_derivation_check,
                               verify_sep_idempotent)
 from pca.wedderburn import center
+from test_linalg import dense_solve_many
 from test_warm_radical import F9, _light_bases, _rebased
 
 Q = Rationals()
@@ -179,7 +180,7 @@ def test_inner_derivation_closed_form_needs_no_solve(monkeypatch, name):
         raise AssertionError("inner_derivation fell back to the solve")
 
     monkeypatch.setattr(separability, "sep_idempotent", lambda _: p)
-    monkeypatch.setattr(separability, "solve", no_solve)
+    monkeypatch.setattr(separability, "solve_maps", no_solve)
     u = inner_derivation(B, T, d)
     K = B.field
     assert any(not K.is_zero(c) for row in d.data for c in row)
@@ -187,6 +188,22 @@ def test_inner_derivation_closed_form_needs_no_solve(monkeypatch, name):
         got = tuple(K.sub(a, b) for a, b in zip(T.left[i].apply(u),
                                                 T.right[i].apply(u)))
         assert got == d.column(i)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_CASES))
+def test_inner_derivation_solve_is_the_dense_stacked_solve(monkeypatch, name):
+    """Without a separability idempotent, u solves (L_i - R_i) u = d(e_i)
+    for every i, with free coordinates zero: the solution of those dense
+    rows stacked into one system."""
+    B, T, d = CLOSED_FORM_CASES[name]()
+    K = B.field
+    monkeypatch.setattr(separability, "sep_idempotent", lambda _: None)
+    rows = [tuple(K.sub(a, b) for a, b in zip(lrow, rrow))
+            for i in range(B.dim)
+            for lrow, rrow in zip(T.left[i].data, T.right[i].data)]
+    rhs = [c for i in range(B.dim) for c in d.column(i)]
+    assert [inner_derivation(B, T, d)] == dense_solve_many(
+        K, Matrix(K, rows, T.space_dim), [rhs])
 
 
 def test_induced_bimodule():

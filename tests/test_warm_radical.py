@@ -40,7 +40,7 @@ import corpus
 from pca import fileio
 from pca.algebra import (AlgHom, Ideal, _trusted_algebra, direct_product,
                          group_algebra, ideal_closure, matrix_algebra,
-                         quotient, tensor, triangular_algebra,
+                         opposite, quotient, tensor, triangular_algebra,
                          truncated_polynomial_algebra)
 from pca.errors import NoUnit, NotAHom, NotAnIdeal, NotAssociative
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
@@ -234,7 +234,7 @@ def test_non_nilpotent_ideal_with_nilpotent_complement_of_square():
 def _dense_verify(A):
     """The associativity and unit check on dense vectors, multiplied by
     ``corpus.reference_mul``: None if A passes, else the exception type
-    and the first failing triple."""
+    and the first failing triple or basis index."""
     n = A.dim
     mul = corpus.reference_mul
     prods = [[A.product_basis(i, j) for j in range(n)] for i in range(n)]
@@ -248,7 +248,7 @@ def _dense_verify(A):
     for i in range(n):
         e = A.basis_element(i)
         if mul(A, A.unit, e) != e or mul(A, e, A.unit) != e:
-            return NoUnit, None
+            return NoUnit, i
     return None
 
 
@@ -257,8 +257,10 @@ def _sparse_verify(A):
         assert A.verify() is True
     except NotAssociative as err:
         return NotAssociative, err.args[1]
-    except NoUnit:
-        return NoUnit, None
+    except NoUnit as err:
+        prefix = "unit law fails on basis element "
+        assert err.args[0].startswith(prefix)
+        return NoUnit, int(err.args[0][len(prefix):])
     return None
 
 
@@ -305,6 +307,13 @@ def test_sparse_verify_matches_dense_reference(K):
              triangular_algebra(2, K), matrix_algebra(2, K),
              tensor(truncated_polynomial_algebra(K, 2), group_algebra(2, K))]
     bases += [_rebased(rng, A) for A in bases]
+    # T_2 on E11, E12, E22 with E11 taken for the unit: the left unit law
+    # fails first at E22 and the right one at E12; the opposite table
+    # swaps the two laws, and either way NoUnit names E12
+    T = triangular_algebra(2, K)
+    for A in (T, opposite(T)):
+        A = _trusted_algebra(K, A.labels, A.entries(), A.basis_element(0))
+        assert _sparse_verify(A) == _dense_verify(A) == (NoUnit, 1)
     outcomes = set()
     for _ in range(60):
         A = _perturbed(rng, rng.choice(bases))
@@ -318,13 +327,16 @@ def test_sparse_verify_matches_dense_reference(K):
 # -- Light's test: proofs on a generating set --------------------------------
 
 def _light_bases(K, rng):
-    """Associative unital tables in their natural and a rebased basis."""
+    """Associative unital tables in their natural and a rebased basis, and
+    M_3 (x) K[x]/(x^2) in its natural basis, where most products of two
+    basis elements vanish."""
     bases = [group_algebra(3, K), truncated_polynomial_algebra(K, 4),
              triangular_algebra(2, K), matrix_algebra(2, K),
              tensor(truncated_polynomial_algebra(K, 2), group_algebra(2, K)),
              direct_product([truncated_polynomial_algebra(K, 2),
                              group_algebra(2, K)])]
-    return bases + [_rebased(rng, A) for A in bases]
+    return bases + [_rebased(rng, A) for A in bases] + [
+        tensor(matrix_algebra(3, K), truncated_polynomial_algebra(K, 2))]
 
 
 def _reference_generators(A):
@@ -433,6 +445,19 @@ def _unital_perturbation(rng, h):
     return AlgHom(src, h.target, Matrix(K, data, src.dim))
 
 
+def _dense_failing_pair(h):
+    """The first (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), the
+    product of the images by ``corpus.reference_mul``, or None."""
+    src, M = h.source, h.matrix
+    cols = M.columns()
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if M.apply(src.product_basis(i, j)) != corpus.reference_mul(
+                    h.target, cols[i], cols[j]):
+                return i, j
+    return None
+
+
 @pytest.mark.parametrize("K", [Q, F5, F9], ids=["Q", "F5", "F9"])
 def test_hom_proof_on_generators_rejects_non_multiplicative_maps(K):
     rng = random.Random(74)
@@ -447,7 +472,8 @@ def test_hom_proof_on_generators_rejects_non_multiplicative_maps(K):
         h = rng.choice(homs)
         if rng.random() < 0.7:
             h = _unital_perturbation(rng, h)
-        full = h._failing_pair(range(h.source.dim))
+        full = _dense_failing_pair(h)
+        assert h._failing_pair(range(h.source.dim)) == full
         try:
             proved = h.verify()
         except NotAHom as err:
