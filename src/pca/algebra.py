@@ -15,9 +15,9 @@ from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
                      NotAHom, NotAnExtension, NotAnIdeal, NotAssociative)
 from .fields import (Field, PrimeField, Rationals, SimpleExtension,
                      _over_common_denominator, check_same_field)
-from .linalg import (Matrix, Subspace, compose, first_difference, nullspace,
-                     rank, solve, solve_maps, unit_vec, vec_add, vec_scale,
-                     vec_sub, zero_vec)
+from .linalg import (Matrix, Subspace, apply_map, compose, first_difference,
+                     identity_map, map_of, solve, solve_maps, unit_vec,
+                     vec_add, vec_scale, vec_sub, zero_vec)
 
 
 class FinAlg:
@@ -124,7 +124,7 @@ class FinAlg:
     def _unit_failure(self):
         """The least column where L_u or R_u is not the identity, or None."""
         K = self.field
-        ident = {j: ((j, K.one),) for j in range(self.dim)}
+        ident = identity_map(K, self.dim)
         bad = [first_difference(K, _mult_map(self, self.unit, side), ident)
                for side in ("left", "right")]
         return min((i for i in bad if i is not None), default=None)
@@ -520,30 +520,27 @@ def ideal_closure(a: FinAlg, generators, sidedness="twosided") -> Ideal:
 # -- homomorphisms ------------------------------------------------------------
 
 class AlgHom:
-    """A linear map that is a unital algebra homomorphism.
+    """A linear map that is a unital algebra homomorphism, held as its
+    sparse columns ``map`` (the map format of ``linalg``): column j lists
+    the (k, scalar) pairs of the image of source basis element j."""
 
-    The matrix has one column per source basis element holding the image.
-    """
+    __slots__ = ("source", "target", "map")
 
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FinAlg, target: FinAlg, matrix: Matrix):
+    def __init__(self, source: FinAlg, target: FinAlg, f):
         check_same_field(source.field, target.field)
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise BadSpec("hom matrix has wrong shape")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.map = f
 
     def _failing_pair(self, rights):
         """The first (i, j) in (i, j) order, with j in ``rights``, where
         phi(e_i e_j) != phi(e_i) phi(e_j), or None: for each j, the least
         column i where phi R_(e_j) and R_(phi(e_j)) phi differ."""
-        src, K = self.source, self.source.field
-        phi = self.matrix.to_map()
+        src, K, phi = self.source, self.source.field, self.map
         bad = []
         for j in rights:
-            R = _mult_map(self.target, self.matrix.column(j), "right")
+            R = _mult_map(self.target, self.apply(src.basis_element(j)),
+                          "right")
             Rj = _mult_map(src, src.basis_element(j), "right")
             i = first_difference(K, compose(K, phi, Rj), compose(K, R, phi))
             if i is not None:
@@ -557,7 +554,7 @@ class AlgHom:
         the b with phi(x b) = phi(x) phi(b) for all x form a subalgebra
         holding 1 and G, hence all of the source.  On a failure the
         comparison runs for every basis element, naming the first pair."""
-        if self.matrix.apply(self.source.unit) != self.target.unit:
+        if self.apply(self.source.unit) != self.target.unit:
             raise NotAHom("phi(1) != 1")
         if self._failing_pair(self.source.generators()) is None:
             return True
@@ -565,37 +562,46 @@ class AlgHom:
         raise NotAHom(f"phi(e{i}*e{j}) != phi(e{i})*phi(e{j})", (i, j))
 
     def apply(self, v):
-        return self.matrix.apply(v)
+        return apply_map(self.source.field, self.map, v, self.target.dim)
 
     def compose(self, inner: "AlgHom") -> "AlgHom":
         """self after inner."""
         if inner.target != self.source:
             raise BadSpec("composition mismatch")
         return AlgHom(inner.source, self.target,
-                      self.matrix.mul(inner.matrix))
+                      compose(self.source.field, self.map, inner.map))
 
     def __eq__(self, other):
         return (isinstance(other, AlgHom) and other.source == self.source
-                and other.target == self.target and other.matrix == self.matrix)
+                and other.target == self.target
+                and first_difference(self.source.field, self.map,
+                                     other.map) is None)
 
     def __repr__(self):
         return f"AlgHom({self.source!r} -> {self.target!r})"
 
 
+def _checked_map(matrix: Matrix, source: FinAlg, target: FinAlg):
+    """The columns of a file's target.dim x source.dim hom matrix."""
+    if matrix.rows != target.dim or matrix.cols != source.dim:
+        raise BadSpec("hom matrix has wrong shape")
+    return matrix.to_map()
+
+
 def hom_check(matrix: Matrix, source: FinAlg, target: FinAlg) -> AlgHom:
     """Validate a matrix as an algebra homomorphism (raises NotAHom)."""
-    h = AlgHom(source, target, matrix)
+    h = AlgHom(source, target, _checked_map(matrix, source, target))
     h.verify()
     return h
 
 
 def is_surjective(h: AlgHom) -> bool:
-    return rank(h.matrix) == h.target.dim
+    """rank h = dim target, as dim Ker h = dim source - dim target."""
+    return kernel(h).dim == h.source.dim - h.target.dim
 
 
 def kernel(h: AlgHom) -> Ideal:
-    space = Subspace(h.source.field, h.source.dim,
-                     nullspace(h.matrix).data)
+    space = Subspace.kernel(h.source.field, h.source.dim, [h.map])
     return Ideal(h.source, space, "twosided")
 
 
@@ -630,9 +636,8 @@ def quotient(a: FinAlg, ideal: Ideal):
                     entries.append((i, j, k, c))
     labels = [a.labels[c] for c in keep]
     q = _trusted_algebra(K, labels, entries, project(a.unit))
-    pmatrix = Matrix(K, zip(*[project(a.basis_element(i))
-                              for i in range(a.dim)]), a.dim)
-    return q, AlgHom(a, q, pmatrix)
+    return q, AlgHom(a, q, map_of(K, [project(a.basis_element(i))
+                                      for i in range(a.dim)]))
 
 
 def _block_krylov(a: FinAlg, e, z):

@@ -175,13 +175,12 @@ def _cmd_split(args):
     results = {
         "radical_dim": s.radical.radical.dim,
         "quotient_dim": s.quotient.dim,
-        "section": fileio.matrix_to_doc(K, s.section.matrix),
+        "section": fileio.hom_to_doc(s.section),
         "image_basis": _vecs(K, s.image.basis),
     }
     if args.output:
         fileio.save_canonical(args.output,
-                              fileio.splitting_to_doc(K, s.section.matrix,
-                                                      digest))
+                              fileio.splitting_to_doc(s.section, digest))
     verified = {"section_multiplicative": True, "complement": True}
     return False, _report("split", digest, args.seed, results, verified)
 
@@ -375,7 +374,9 @@ def main(argv=None) -> int:
         print(f"pca: internal error: {exc} ({where})", file=sys.stderr)
         return 3
     except (OSError, PcaError) as exc:
-        print(f"pca: error: {exc}", file=sys.stderr)
+        # a PcaError's first argument is its message, the others a witness
+        msg = exc.args[0] if isinstance(exc, PcaError) else exc
+        print(f"pca: error: {msg}", file=sys.stderr)
         return 1
     except MemoryError:
         print("pca: error: out of memory", file=sys.stderr)

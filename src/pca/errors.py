@@ -53,7 +53,8 @@ class ImproperIdeal(PcaError):
 
 
 class NotAHom(PcaError):
-    """Matrix is not a unital algebra homomorphism; args carry a witness."""
+    """Linear map is not a unital algebra homomorphism; args carry a
+    witness."""
 
 
 class NotAnIdeal(PcaError):

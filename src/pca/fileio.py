@@ -131,7 +131,10 @@ def parse_vector_text(K: Field, text: str):
     return vector_from_texts(K, split_top_level(text.strip()))
 
 
-def matrix_to_doc(K: Field, M: Matrix):
+def hom_to_doc(h):
+    """The matrix of an ``AlgHom``, one column per source basis element."""
+    K = h.source.field
+    M = Matrix.from_map(K, h.target.dim, h.source.dim, h.map)
     return [vector_to_texts(K, row) for row in M.data]
 
 
@@ -219,7 +222,7 @@ def tower_to_doc(T) -> dict:
         "kind": T.kind,
         "meta": T.meta,
         "levels": [algebra_to_doc(lvl) for lvl in T.levels],
-        "maps": [matrix_to_doc(K, h.matrix) for h in T.maps],
+        "maps": [hom_to_doc(h) for h in T.maps],
     }
 
 
@@ -251,11 +254,12 @@ def load_tower(path: str):
 
 # -- splittings ------------------------------------------------------------
 
-def splitting_to_doc(K: Field, section: Matrix, algebra_digest: str) -> dict:
+def splitting_to_doc(section, algebra_digest: str) -> dict:
+    """The document of a splitting's section, an ``AlgHom``."""
     return {
         "kind": "splitting",
         "algebra_digest": algebra_digest,
-        "section": matrix_to_doc(K, section),
+        "section": hom_to_doc(section),
     }
 
 

@@ -20,9 +20,13 @@ scalars, so its reductions, coordinates and sums are the kernel's own row
 step, and ``Subspace.extend`` carries an elimination on instead of
 starting over.  A linear map is given by its sparse columns, a mapping
 from j to the (k, scalar) pairs of the image of e_j (a repeated k adds
-up).  Only this module applies one, to a row (``_apply_map``) or to
-another map (``compose``), so images stay sparse, and a law stated as an
-equality of maps is one ``first_difference``.  Only ``_map_rows`` turns
+up); homomorphisms, bimodule actions and derivations are held so.  Only
+this module applies one, to a row (``_apply_map``) or to another map
+(``compose``), so images stay sparse, and a law stated as an equality of
+maps is one ``first_difference``.  ``Subspace.restrict`` gives a map on
+an invariant subspace in its coordinates.  The dense ``Matrix`` is the
+file, report and ``rref``/``solve`` format only, and meets the maps only
+in ``Matrix.to_map`` and ``Matrix.from_map``.  Only ``_map_rows`` turns
 maps into the rows of their equations, so a system stated by maps
 (``solve_maps``, ``Subspace.kernel``) reaches the kernel without a dense
 row.  ``Subspace.image`` spans the images of a space's pivot rows, and
@@ -43,7 +47,7 @@ from math import gcd
 
 from .errors import AmbientMismatch, BadSpec
 from .fields import (Field, PrimeField, Rationals, _over_common_denominator,
-                     _ratio, check_same_field)
+                     _ratio)
 
 
 def vec_add(K: Field, u, v):
@@ -90,65 +94,24 @@ class Matrix:
         self.cols = cols
 
     @classmethod
-    def identity(cls, field: Field, n: int):
-        return cls(field, [unit_vec(field, n, i) for i in range(n)])
-
-    @classmethod
-    def zero(cls, field: Field, rows: int, cols: int):
-        return cls(field, [zero_vec(field, cols) for _ in range(rows)], cols)
-
-    @classmethod
-    def from_map(cls, field: Field, n: int, cols):
-        """The n x n matrix of the map with the sparse columns ``cols``."""
-        data = [[field.zero] * n for _ in range(n)]
-        for j, col in cols.items():
+    def from_map(cls, field: Field, rows: int, cols: int, f):
+        """The rows x cols matrix of the map f given by its sparse columns,
+        a repeated index adding up."""
+        data = [[field.zero] * cols for _ in range(rows)]
+        for j, col in f.items():
             for k, c in col:
-                data[k][j] = c
-        return cls(field, data, n)
+                data[k][j] = field.add(data[k][j], c)
+        return cls(field, data, cols)
 
     def to_map(self):
         """The sparse columns of this matrix, as ``from_map`` reads them."""
-        return {j: tuple(_sparse(self.field, col).items())
-                for j, col in enumerate(self.columns())}
+        return map_of(self.field, self.columns())
 
     def column(self, j: int):
         return tuple(row[j] for row in self.data)
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
-
-    def apply(self, v):
-        """Matrix times column vector, over the nonzero coordinates of v."""
-        K = self.field
-        nz = [(j, x) for j, x in enumerate(v) if not K.is_zero(x)]
-        out = []
-        for row in self.data:
-            acc = K.zero
-            for j, x in nz:
-                a = row[j]
-                if not K.is_zero(a):
-                    acc = K.add(acc, K.mul(a, x))
-            out.append(acc)
-        return tuple(out)
-
-    def mul(self, other: "Matrix"):
-        check_same_field(self.field, other.field)
-        if self.cols != other.rows:
-            raise BadSpec("matrix dimension mismatch")
-        K = self.field
-        out = []
-        for row in self.data:
-            acc = [K.zero] * other.cols
-            for k, a in enumerate(row):
-                if K.is_zero(a):
-                    continue
-                orow = other.data[k]
-                for j, b in enumerate(orow):
-                    if K.is_zero(b):
-                        continue
-                    acc[j] = K.add(acc[j], K.mul(a, b))
-            out.append(tuple(acc))
-        return Matrix(K, out, other.cols)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and other.field == self.field
@@ -241,6 +204,15 @@ def _apply_map(K: Field, cols, row: dict) -> dict:
             v = mul(x, c)
             out[k] = add(out[k], v) if k in out else v
     return {k: v for k, v in out.items() if not K.is_zero(v)}
+
+
+def identity_map(field: Field, n: int) -> dict:
+    return {j: ((j, field.one),) for j in range(n)}
+
+
+def map_of(field: Field, vectors) -> dict:
+    """The map whose column j is the dense vector ``vectors[j]``."""
+    return {j: tuple(_sparse(field, v).items()) for j, v in enumerate(vectors)}
 
 
 def apply_map(field: Field, f, v, m: int) -> tuple:
@@ -540,6 +512,22 @@ class Subspace:
         linear ``maps`` (sparse columns, as for ``extend``)."""
         return self._new({}, [_apply_map(self.field, f, row)
                               for row in self._rows.values() for f in maps])
+
+    def restrict(self, f):
+        """The map f on this space, in the coordinates of its RREF basis,
+        or None when f does not send the space into itself.  A vector of
+        the space is the sum of its entries at the pivots times the basis
+        rows, so column t lists the entries of f(basis[t]) there."""
+        K, at = self.field, {pc: t for t, pc in enumerate(self.pivots)}
+        out = {}
+        for t, pc in enumerate(self.pivots):
+            image = _apply_map(K, f, self._rows[pc])
+            residue = dict(image)
+            _reduce(K, residue, self._rows)
+            if residue:
+                return None
+            out[t] = tuple((at[k], c) for k, c in image.items() if k in at)
+        return out
 
     def _residue(self, v) -> dict:
         row = _sparse(self.field, v)

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgHom, FinAlg, Ideal, quotient
+from .algebra import AlgHom, FinAlg, Ideal, _checked_map, _mult_map, quotient
 from .errors import (AmbientMismatch, BadSpec, InternalVerificationFailed,
                      NotIdempotentModJ, _internal)
-from .linalg import Matrix, Subspace, nullspace, solve_many
+from .linalg import (Matrix, Subspace, apply_map, compose, first_difference,
+                     identity_map, map_of, solve_maps)
 from .radical import RadicalResult, radical
 from .separability import induced_bimodule, inner_derivation, sep_idempotent
 
@@ -57,8 +58,9 @@ class Splitting:
         of the projection, and its image S is a complement of J."""
         A = self.algebra
         K = A.field
-        comp = self.projection.matrix.mul(self.section.matrix)
-        if comp != Matrix.identity(K, self.quotient.dim):
+        comp = compose(K, self.projection.map, self.section.map)
+        if first_difference(K, comp, identity_map(K, self.quotient.dim)) \
+                is not None:
             raise BadSpec("projection o section != id")
         self.section.verify()
         J = self.radical.radical.space
@@ -103,20 +105,24 @@ def _connecting_hom(fine, ideal: Ideal, coarse_proj: AlgHom) -> AlgHom:
     non-pivot column of I', so its image is that column of the coarser
     projection."""
     pivots = ideal.space.pivots
-    cols = [col for c, col in enumerate(coarse_proj.matrix.columns())
+    cols = [coarse_proj.map.get(c, ()) for c in range(coarse_proj.source.dim)
             if c not in pivots]
-    return AlgHom(fine, coarse_proj.target,
-                  Matrix(fine.field, zip(*cols), fine.dim))
+    return AlgHom(fine, coarse_proj.target, dict(enumerate(cols)))
 
 
 def _layer_correction(head: FinAlg, fine: FinAlg, layer: Subspace,
-                      tau: Matrix, pairs) -> list:
+                      tau, pairs) -> list:
     """The columns H(e_s) of the correction that makes the linear lift
-    t = ``tau`` of A/J into ``fine`` multiplicative, ``layer`` being the
-    square-zero ideal N that holds its defect, read off the ``pairs`` of a
-    separability idempotent of A/J as the module docstring says."""
+    t = ``tau`` (sparse columns) of A/J into ``fine`` multiplicative,
+    ``layer`` being the square-zero ideal N that holds its defect, read
+    off the ``pairs`` of a separability idempotent of A/J as the module
+    docstring says."""
     K, q, nu = fine.field, head.dim, layer.dim
-    tcols = tau.columns()
+
+    def lift(v):
+        return apply_map(K, tau, v, fine.dim)
+
+    tcols = [lift(head.basis_element(s)) for s in range(q)]
 
     def coords(v):
         c = layer.coords(v)
@@ -129,13 +135,13 @@ def _layer_correction(head: FinAlg, fine: FinAlg, layer: Subspace,
         # x[r q + s], coordinate r of column s, in reversed order
         return [c[r] for r in range(nu) for c in cols][::-1]
 
-    lifted = [(tau.apply(u), v, tau.apply(v)) for u, v in pairs]
+    lifted = [(lift(u), v, lift(v)) for u, v in pairs]
     hcols = []
     for j, tb in enumerate(tcols):
         b = head.basis_element(j)
         h = fine.zero_element()
         for tu, v, tv in lifted:
-            c = fine.sub(tau.apply(head.mul(v, b)), fine.mul(tv, tb))
+            c = fine.sub(lift(head.mul(v, b)), fine.mul(tv, tb))
             h = fine.add(h, fine.mul(tu, c))
         hcols.append(coords(h))
     inner = Subspace(K, nu * q, [unknowns([
@@ -159,15 +165,14 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         raise InternalVerificationFailed("A/J is not separable")
     rng = random.Random(seed)
     q = head.dim
-    section = Matrix.identity(K, q)
+    section = [head.basis_element(s) for s in range(q)]   # its columns
     for level in range(1, len(quots)):
         fine, _ = quots[level]
         rho = _connecting_hom(fine, rad.filtration[level], quots[level - 1][1])
-        nspace = Subspace(K, fine.dim, nullspace(rho.matrix).data)
+        nspace = Subspace.kernel(K, fine.dim, [rho.map])
         # linear lift of the current section through rho
-        taus = solve_many(rho.matrix,
-                          [section.column(s) for s in range(q)])
-        if taus is None:
+        taus = [solve_maps(K, fine.dim, [rho.map], [c]) for c in section]
+        if any(t is None for t in taus):
             raise InternalVerificationFailed("connecting map not surjective")
         taus = [fine.add(t, nspace.from_coords(tuple(
             K.from_int(rng.randint(-2, 2)) for _ in range(nspace.dim))))
@@ -176,20 +181,18 @@ def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
         # first nonzero coordinate of the unit w of A/J
         w = head.unit
         idx = next(i for i, c in enumerate(w) if not K.is_zero(c))
-        drift = fine.sub(Matrix(K, zip(*taus), q).apply(w), fine.unit)
+        drift = fine.sub(apply_map(K, map_of(K, taus), w, fine.dim),
+                         fine.unit)
         taus[idx] = fine.sub(taus[idx], fine.scale(K.inv(w[idx]), drift))
-        tau = Matrix(K, zip(*taus), q)
-        hcols = _layer_correction(head, fine, nspace, tau, sep.pairs)
-        section = Matrix(K, zip(*map(fine.add, taus, hcols)), q)
+        hcols = _layer_correction(head, fine, nspace, map_of(K, taus),
+                                  sep.pairs)
+        section = list(map(fine.add, taus, hcols))
         if level < len(quots) - 1:
-            _internal(AlgHom(head, fine, section).verify)
+            _internal(AlgHom(head, fine, map_of(K, section)).verify)
     # the last quotient is by the zero ideal, i.e. A itself coordinatewise,
-    # so split.verify proves the last layer's section
-    sec_hom = AlgHom(head, A, section)
-    image = Subspace(K, A.dim, section.columns())
-    split = Splitting(A, head, head_proj, sec_hom, image, rad)
-    _internal(split.verify)
-    return split
+    # so Splitting.verify proves the last layer's section
+    return _internal(_checked_splitting, A, head, head_proj,
+                     map_of(K, section), rad)
 
 
 def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
@@ -202,9 +205,16 @@ def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
     if rad is None:
         rad = radical(A)
     head, head_proj = quotient(A, rad.radical) if head is None else head
-    sec = AlgHom(head, A, matrix)
-    split = Splitting(A, head, head_proj, sec,
-                      Subspace(A.field, A.dim, matrix.columns()), rad)
+    return _checked_splitting(A, head, head_proj,
+                              _checked_map(matrix, head, A), rad)
+
+
+def _checked_splitting(A: FinAlg, head: FinAlg, head_proj: AlgHom, section,
+                       rad: RadicalResult) -> Splitting:
+    """The Splitting with the section map ``section``, fully validated."""
+    sec = AlgHom(head, A, section)
+    split = Splitting(A, head, head_proj, sec, Subspace(A.field, A.dim, [
+        sec.apply(head.basis_element(i)) for i in range(head.dim)]), rad)
     split.verify()
     return split
 
@@ -216,15 +226,14 @@ def splitting_from_complement(A: FinAlg, space: Subspace,
         rad = radical(A)
     head, head_proj = quotient(A, rad.radical)
     K = A.field
-    cols = [head_proj.apply(v) for v in space.basis]
-    M = Matrix(K, zip(*cols), space.dim)
-    coords = solve_many(M, [head.basis_element(i) for i in range(head.dim)])
-    if coords is None:
+    f = map_of(K, [head_proj.apply(v) for v in space.basis])
+    coords = [solve_maps(K, space.dim, [f], [head.basis_element(i)])
+              for i in range(head.dim)]
+    if any(c is None for c in coords):
         raise InternalVerificationFailed(
             "subspace is not a complement of the radical")
-    section_cols = [space.from_coords(c) for c in coords]
-    return splitting_from_section_matrix(
-        A, Matrix(K, zip(*section_cols), head.dim), rad, (head, head_proj))
+    return _checked_splitting(A, head, head_proj, map_of(K, [
+        space.from_coords(c) for c in coords]), rad)
 
 
 def check_ideal_lemma(s: Splitting, ideal: Ideal) -> bool:
@@ -267,8 +276,8 @@ def malcev_conjugator(s1: Splitting, s2: Splitting):
         return A.zero_element()
     a1 = [s1.section.apply(head.basis_element(i)) for i in range(head.dim)]
     a2 = [s2.section.apply(head.basis_element(i)) for i in range(head.dim)]
-    T = induced_bimodule(head, J, lambda i, v: A.mul(a1[i], v),
-                         lambda i, v: A.mul(v, a2[i]))
+    T = induced_bimodule(head, J, [_mult_map(A, x, "left") for x in a1],
+                         [_mult_map(A, x, "right") for x in a2])
     dcols = []
     for x1, x2 in zip(a1, a2):
         diff = J.coords(A.sub(x1, x2))
@@ -276,8 +285,7 @@ def malcev_conjugator(s1: Splitting, s2: Splitting):
             raise InternalVerificationFailed(
                 "section difference escapes the radical")
         dcols.append(diff)
-    u = _internal(inner_derivation, head, T,
-                  Matrix(K, zip(*dcols), head.dim))
+    u = _internal(inner_derivation, head, T, map_of(K, dcols))
     if u is None:
         raise InternalVerificationFailed(
             "section difference not inner: separability violated")

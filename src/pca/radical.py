@@ -57,7 +57,7 @@ from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
                      _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
                      base_tower, prime_subfield)
-from .linalg import Matrix, Subspace, nullspace, rank
+from .linalg import Subspace, map_of
 
 
 class RadicalResult:
@@ -81,13 +81,12 @@ def _check_field_supported(A: FinAlg):
 def _form_kernel(A: FinAlg, phi) -> Subspace:
     """{x : phi(x y) = 0 for all y in A}, for the linear functional phi
     with values phi[k] on the basis, read off the structure constants."""
-    K, n = A.field, A.dim
-    # x in kernel iff sum_i x_i phi(e_i e_j) = 0 for all j: row j, column i
-    T = [[K.zero] * n for _ in range(n)]
-    for i, row in enumerate(A.rows):
-        for j, cell in row.items():
-            T[j][i] = reduce(K.add, [K.mul(c, phi[k]) for k, c in cell])
-    return Subspace(K, n, nullspace(Matrix(K, T, n)).data)
+    K = A.field
+    # x in kernel iff sum_i x_i phi(e_i e_j) = 0 for all j: the kernel of
+    # the map whose column i has phi(e_i e_j) in row j
+    f = {i: tuple((j, reduce(K.add, [K.mul(c, phi[k]) for k, c in cell]))
+                  for j, cell in row.items()) for i, row in enumerate(A.rows)}
+    return Subspace.kernel(K, A.dim, [f])
 
 
 def _trace_form_space(A: FinAlg) -> Subspace:
@@ -170,8 +169,11 @@ def _char_p_chain_space(A: FinAlg) -> Subspace:
         m = q * p
         phi = [0] * n
         for b, pc in zip(space.basis, space.pivots):
-            L = Matrix.from_map(K, n, _mult_map(A, b, "left"))
-            t = _trace_pow(L.data, q, m)
+            L = [[0] * n for _ in range(n)]
+            for j, col in _mult_map(A, b, "left").items():
+                for k, c in col:
+                    L[k][j] = c
+            t = _trace_pow(L, q, m)
             if t % q:
                 raise InternalVerificationFailed(
                     "chain trace not divisible by p^i")
@@ -278,9 +280,8 @@ def radical(A: FinAlg) -> RadicalResult:
 def _preimage(h: AlgHom, space: Subspace) -> Subspace:
     """h^(-1)(space), as the kernel of (reduce by space) o h."""
     A = h.source
-    cols = [space.reduce(c) for c in h.matrix.columns()]
-    return Subspace(A.field, A.dim, nullspace(
-        Matrix(A.field, zip(*cols), A.dim)).data)
+    return Subspace.kernel(A.field, A.dim, [map_of(A.field, [
+        space.reduce(h.apply(A.basis_element(j))) for j in range(A.dim)])])
 
 
 def radical_from_below(h: AlgHom, below: RadicalResult) -> RadicalResult:
@@ -304,8 +305,8 @@ def radical_oracle(A: FinAlg) -> Ideal:
                        "elements, beyond its bound of 2^16")
     elements = list(itertools.product(range(p), repeat=A.dim))
     good = [x for x in elements
-            if all(rank(Matrix.from_map(K, A.dim, _mult_map(
-                A, A.sub(A.unit, A.mul(y, x)), "left"))) == A.dim
+            if all(Subspace.kernel(K, A.dim, [_mult_map(
+                A, A.sub(A.unit, A.mul(y, x)), "left")]).is_zero()
                 for y in elements)]
     space = Subspace(K, A.dim, good)
     # the set lies in its span, so it is the span iff the sizes agree

@@ -31,8 +31,8 @@ from .algebra import FinAlg, _map_sub, _mult_map, base_change
 from .errors import (BadSpec, InternalVerificationFailed, NotADerivation,
                      _internal)
 from .fields import PrimeField, Rationals
-from .linalg import (Matrix, Subspace, apply_map, solve_maps, vec_is_zero,
-                     vec_sub)
+from .linalg import (Subspace, apply_map, compose, first_difference,
+                     identity_map, map_of, solve_maps, vec_is_zero)
 from .radical import is_semisimple as _is_semisimple
 
 
@@ -58,13 +58,6 @@ def _tensor_map(A: FinAlg, g: int, side):
                 for s, col in f.items() for t in range(n)}
     return {s * n + t: tuple((s * n + k, c) for k, c in col)
             for t, col in f.items() for s in range(n)}
-
-
-def _tensor_action(A: FinAlg, side):
-    """(i, v) -> (e_i (x) 1) v (left) or v (1 (x) e_i) (right)."""
-    K, N = A.field, A.dim * A.dim
-    maps = [_tensor_map(A, i, side) for i in range(A.dim)]
-    return lambda i, v: apply_map(K, maps[i], v, N)
 
 
 def _sep_maps(A: FinAlg, gens):
@@ -147,109 +140,132 @@ def nilpotent_witness(A: FinAlg, x):
     return None
 
 
+def _combination(K, maps, v):
+    """sum_t c maps[t] over the (t, c) pairs of v, in the map format of
+    ``linalg`` (repeated indices left for it to add up)."""
+    out = {}
+    for t, c in v:
+        for j, col in maps[t].items():
+            out.setdefault(j, []).extend((k, K.mul(c, d)) for k, d in col)
+    return out
+
+
 class Bimodule:
-    """A two-sided action of an algebra on a space: the left action is a
-    unital representation, the right action a unital anti-representation,
-    and they commute.  ``verify`` checks these laws."""
+    """A two-sided action of an algebra on a space of dimension
+    ``space_dim``: ``left[i]`` and ``right[i]`` are the sparse column maps
+    (the map format of ``linalg``) by which e_i acts.  The left action is
+    a unital representation, the right action a unital
+    anti-representation, and they commute; ``verify`` checks these laws."""
 
     __slots__ = ("algebra", "space_dim", "left", "right")
 
-    def __init__(self, algebra: FinAlg, left, right):
-        left = list(left)
-        right = list(right)
-        if len(left) != algebra.dim or len(right) != algebra.dim:
-            raise BadSpec("one action matrix required per basis element")
-        dim = left[0].rows
-        for M in left + right:
-            if M.rows != dim or M.cols != dim:
-                raise BadSpec("action matrices must be square of equal size")
-        self.algebra = algebra
-        self.space_dim = dim
-        self.left = left
-        self.right = right
+    def __init__(self, algebra: FinAlg, space_dim: int, left, right):
+        self.algebra, self.space_dim = algebra, space_dim
+        self.left, self.right = list(left), list(right)
+        if len(self.left) != algebra.dim or len(self.right) != algebra.dim:
+            raise BadSpec("one action map required per basis element")
 
-    def _lin(self, mats, v):
-        K = self.algebra.field
-        out = None
-        for c, M in zip(v, mats):
-            if K.is_zero(c):
-                continue
-            term = [[K.mul(c, a) for a in row] for row in M.data]
-            if out is None:
-                out = term
-            else:
-                out = [[K.add(x, y) for x, y in zip(r1, r2)]
-                       for r1, r2 in zip(out, term)]
-        if out is None:
-            return Matrix.zero(K, self.space_dim, self.space_dim)
-        return Matrix(K, out, self.space_dim)
-
-    def left_of(self, v) -> Matrix:
-        return self._lin(self.left, v)
-
-    def right_of(self, v) -> Matrix:
-        return self._lin(self.right, v)
+    def _failing_law(self, middles):
+        """The first (i, j, law) in that order, with j in ``middles``, where
+        lambda(e_i e_j) != lambda(e_i) lambda(e_j) (law 0),
+        rho(e_i e_j) != rho(e_j) rho(e_i) (law 1) or
+        lambda(e_i) rho(e_j) != rho(e_j) lambda(e_i) (law 2), or None."""
+        A, K = self.algebra, self.algebra.field
+        lam, rho = self.left, self.right
+        for i in range(A.dim):
+            for j in middles:
+                cell = A.rows[i].get(j, ())
+                laws = ((_combination(K, lam, cell),
+                         compose(K, lam[i], lam[j])),
+                        (_combination(K, rho, cell),
+                         compose(K, rho[j], rho[i])),
+                        (compose(K, lam[i], rho[j]),
+                         compose(K, rho[j], lam[i])))
+                for law, (f, g) in enumerate(laws):
+                    if first_difference(K, f, g) is not None:
+                        return i, j, law
+        return None
 
     def verify(self):
-        A = self.algebra
-        K = A.field
-        ident = Matrix.identity(K, self.space_dim)
-        if self.left_of(A.unit) != ident:
-            raise BadSpec("left action is not unital")
-        if self.right_of(A.unit) != ident:
-            raise BadSpec("right action is not unital")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                prod = A.product_basis(i, j)
-                if self.left[i].mul(self.left[j]) != self.left_of(prod):
-                    raise BadSpec(f"left action not multiplicative at ({i},{j})")
-                if self.right[j].mul(self.right[i]) != self.right_of(prod):
-                    raise BadSpec(
-                        f"right action not anti-multiplicative at ({i},{j})")
-                if self.left[i].mul(self.right[j]) != \
-                        self.right[j].mul(self.left[i]):
-                    raise BadSpec(f"actions do not commute at ({i},{j})")
-        return True
+        """lambda(1) = id = rho(1), and the three laws of ``_failing_law``
+        at (e_i, g) for every i and g in ``algebra.generators()``, sparse
+        maps compared by ``linalg.first_difference``.  Light's argument, as
+        in ``FinAlg.verify``: with the algebra associative, the b for which
+        a law holds at every (e_i, b) form a subalgebra holding 1 (for the
+        commuting law, once rho is an anti-representation), so holding G
+        they are the whole algebra.  On a failure the laws are checked at
+        every pair, naming the first failing one."""
+        A, K = self.algebra, self.algebra.field
+        unit = map_of(K, [A.unit])[0]
+        for side, acts in (("left", self.left), ("right", self.right)):
+            if first_difference(K, _combination(K, acts, unit),
+                                identity_map(K, self.space_dim)) is not None:
+                raise BadSpec(f"{side} action is not unital")
+        if self._failing_law(A.generators()) is None:
+            return True
+        i, j, law = self._failing_law(range(A.dim))
+        raise BadSpec(("left action not multiplicative",
+                       "right action not anti-multiplicative",
+                       "actions do not commute")[law] + f" at ({i},{j})")
 
 
-def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
+def _leibniz_failure(B: FinAlg, T: Bimodule, d, middles):
+    """The first (i, j) in (i, j) order, with j in ``middles``, where
+    d(e_i e_j) != e_i.d(e_j) + d(e_i).e_j, or None: for each j, the least
+    column i where d R_(e_j) and rho(e_j) d plus e_i -> lambda(e_i) d(e_j)
+    differ."""
+    K = B.field
+    bad = []
+    for j in middles:
+        lhs = compose(K, d, _mult_map(B, B.basis_element(j), "right"))
+        rhs = compose(K, T.right[j], d)
+        for i, lam in enumerate(T.left):
+            rhs[i] = (*rhs.get(i, ()), *compose(K, lam, {0: d.get(j, ())})[0])
+        i = first_difference(K, lhs, rhs)
+        if i is not None:
+            bad.append((i, j))
+    return min(bad, default=None)
+
+
+def inner_derivation(B: FinAlg, T: Bimodule, d):
     """Find u in T with d(b) = b*u - u*b, or None when no such u exists.
 
-    d is given as a matrix whose columns are the images of the basis.  When
-    B has a separability idempotent p = sum l_r (x) r_r, the closed form
-    u = -sum d(l_r)*r_r is returned once it passes the exact substitution
-    check (b.u - u.b = d(b) holds by the Leibniz rule and bp = pb, so it
-    fails only if T is not a bimodule); otherwise the defining linear
-    system is solved directly."""
-    K = B.field
-    if d.rows != T.space_dim or d.cols != B.dim:
-        raise BadSpec("derivation matrix has wrong shape")
-    dcols = d.columns()
-    for i in range(B.dim):
-        for j in range(B.dim):
-            lhs = d.apply(B.product_basis(i, j))
-            rhs = tuple(K.add(x, y) for x, y in zip(
-                T.left[i].apply(dcols[j]), T.right[j].apply(dcols[i])))
-            if lhs != rhs:
-                raise NotADerivation(f"Leibniz fails at basis pair ({i},{j})",
-                                     (i, j))
-
-    maps = [_map_sub(K, T.left[i].to_map(), T.right[i].to_map())
-            for i in range(B.dim)]
+    d is the map B -> T given by its sparse columns, the images of the
+    basis.  The Leibniz rule is proved at (e_i, g) for g in
+    ``B.generators()``, with d(1) = 0: for a bimodule T and an associative
+    B, the b with d(a b) = a.d(b) + d(a).b for every a form a subalgebra
+    that holds 1, hence all of B.  On a failure every pair is checked,
+    naming the first failing one.  When B has a separability idempotent
+    p = sum l_r (x) r_r, the closed form u = -sum rho(r_r) d(l_r) is
+    returned once it passes the exact substitution check (b.u - u.b = d(b)
+    holds by the Leibniz rule and bp = pb, so it fails only if T is not a
+    bimodule); otherwise the defining linear system is solved directly.
+    Either answer is substituted into every equation before it is
+    returned."""
+    K, n, m = B.field, B.dim, T.space_dim
+    if (not vec_is_zero(K, apply_map(K, d, B.unit, m))
+            or _leibniz_failure(B, T, d, B.generators()) is not None):
+        bad = _leibniz_failure(B, T, d, range(n))
+        if bad is not None:
+            raise NotADerivation(f"Leibniz fails at basis pair ({bad[0]},"
+                                 f"{bad[1]})", bad)
+    maps = [_map_sub(K, lam, rho) for lam, rho in zip(T.left, T.right)]
+    dcols = [apply_map(K, d, B.basis_element(i), m) for i in range(n)]
 
     def satisfies(u):
-        return all(apply_map(K, f, u, T.space_dim) == want
+        return all(apply_map(K, f, u, m) == want
                    for f, want in zip(maps, dcols))
 
     p = sep_idempotent(B)
     if p is not None:
-        u = (K.zero,) * T.space_dim
-        for left, right in p.pairs:
-            term = T.right_of(right).apply(d.apply(left))
-            u = tuple(K.sub(x, y) for x, y in zip(u, term))
+        # sum rho(r_r) d(l_r): the map e_s (x) e_t -> rho(e_t) d(e_s),
+        # applied to the coordinates of p
+        rd = [compose(K, rho, d) for rho in T.right]
+        psi = {s * n + t: rd[t].get(s, ()) for s in range(n) for t in range(n)}
+        u = tuple(map(K.neg, apply_map(K, psi, p.tensor_coeffs, m)))
         if satisfies(u):
             return u
-    u = solve_maps(K, T.space_dim, maps, dcols)
+    u = solve_maps(K, m, maps, dcols)
     if u is None:
         return None
     if not satisfies(u):
@@ -258,31 +274,28 @@ def inner_derivation(B: FinAlg, T: Bimodule, d: Matrix):
 
 
 def induced_bimodule(B: FinAlg, space: Subspace, left, right) -> Bimodule:
-    """The bimodule on ``space`` in which e_i acts by ``left(i, v)`` and
-    ``right(i, v)``, in the coordinates of ``space``.  The bimodule laws are
-    the caller's to know; an image that leaves ``space`` raises."""
-    K = B.field
+    """The bimodule on ``space`` in which e_i acts by the maps ``left[i]``
+    and ``right[i]`` of the ambient space, restricted to ``space`` in its
+    coordinates.  The bimodule laws are the caller's to know; an image
+    that leaves ``space`` raises."""
+    def restricted(f):
+        g = space.restrict(f)
+        if g is None:
+            raise InternalVerificationFailed(
+                "subspace is not stable under the action")
+        return g
 
-    def action(act, i):
-        cols = []
-        for v in space.basis:
-            c = space.coords(act(i, v))
-            if c is None:
-                raise InternalVerificationFailed(
-                    "subspace is not stable under the action")
-            cols.append(c)
-        return Matrix(K, zip(*cols), space.dim)
-
-    return Bimodule(B, [action(left, i) for i in range(B.dim)],
-                    [action(right, i) for i in range(B.dim)])
+    return Bimodule(B, space.dim, map(restricted, left),
+                    map(restricted, right))
 
 
 def multiplication_kernel_bimodule(A: FinAlg):
     """Ker(m) inside A (x) A as a bimodule, together with the coordinate
     subspace used to express its elements."""
     kspace = Subspace.kernel(A.field, A.dim * A.dim, _sep_maps(A, ()))
-    T = induced_bimodule(A, kspace, _tensor_action(A, "left"),
-                         _tensor_action(A, "right"))
+    T = induced_bimodule(A, kspace, *(
+        [_tensor_map(A, i, side) for i in range(A.dim)]
+        for side in ("left", "right")))
     return T, kspace
 
 
@@ -291,19 +304,18 @@ def universal_derivation_check(A: FinAlg) -> bool:
     inner exactly when A is separable, and the inner element u reconstructs
     the separability idempotent 1 (x) 1 + u."""
     K = A.field
-    n = A.dim
     T, kspace = multiplication_kernel_bimodule(A)
-    left, right = _tensor_action(A, "left"), _tensor_action(A, "right")
     one_one = tuple(K.mul(a, b) for a in A.unit for b in A.unit)
     dcols = []
-    for i in range(n):
+    for i in range(A.dim):
         # d(e_i) = 1 (x) e_i - e_i (x) 1 = (1 (x) 1) e_i - e_i (1 (x) 1)
-        cv = kspace.coords(vec_sub(K, right(i, one_one), left(i, one_one)))
+        f = _map_sub(K, _tensor_map(A, i, "right"), _tensor_map(A, i, "left"))
+        cv = kspace.coords(apply_map(K, f, one_one, len(one_one)))
         if cv is None:
             raise InternalVerificationFailed(
                 "universal derivation misses the kernel")
         dcols.append(cv)
-    u = _internal(inner_derivation, A, T, Matrix(K, zip(*dcols), n))
+    u = _internal(inner_derivation, A, T, map_of(K, dcols))
     if u is None:
         return False
     ubig = kspace.from_coords(u)

@@ -22,13 +22,14 @@ dimension of its top level (``limits.Limits``) before it builds a level.
 from __future__ import annotations
 
 from .algebra import (AlgHom, _trusted_algebra, direct_product,
-                      group_algebra, hom_check, ideal_closure, quotient,
+                      group_algebra, ideal_closure, is_surjective, quotient,
                       truncated_polynomial_algebra)
 from .errors import (BadSpec, EmptyQuiver, IncompatibleCoordinates,
                      NonComposableRelation, NotAHom, TheoremViolation)
 from .fields import Field, check_same_field, is_prime
 from .limits import check_depth, check_dim
-from .linalg import Matrix, Subspace, rank, unit_vec
+from .linalg import (Subspace, first_difference, identity_map, map_of,
+                     unit_vec)
 from .radical import is_semisimple, radical, radical_from_below
 
 
@@ -52,7 +53,7 @@ class Tower:
         for i, h in enumerate(self.maps):
             if h.source != self.levels[i + 1] or h.target != self.levels[i]:
                 raise BadSpec(f"map {i} does not connect levels {i+2}->{i+1}")
-            if rank(h.matrix) != h.target.dim:
+            if not is_surjective(h):
                 raise BadSpec(f"connecting map {i} is not surjective")
         return True
 
@@ -113,12 +114,8 @@ def power_series_tower(K: Field, depth: int) -> Tower:
     check_depth(depth)
     check_dim(depth, "the top level")
     levels = [truncated_polynomial_algebra(K, n) for n in range(1, depth + 1)]
-    maps = []
-    for n in range(1, depth):
-        cols = [unit_vec(K, n, j) if j < n else (K.zero,) * n
-                for j in range(n + 1)]
-        maps.append(AlgHom(levels[n], levels[n - 1],
-                           Matrix(K, zip(*cols), n + 1)))
+    maps = [AlgHom(levels[n], levels[n - 1], identity_map(K, n))
+            for n in range(1, depth)]
     return Tower(levels, maps, "powerseries", {"depth": depth})
 
 
@@ -132,13 +129,9 @@ def cyclic_group_tower(p: int, K: Field, depth: int) -> Tower:
     check_depth(depth)
     check_dim(p ** depth, "the top level")
     levels = [group_algebra(p ** n, K) for n in range(1, depth + 1)]
-    maps = []
-    for n in range(1, depth):
-        small = p ** n
-        big = p ** (n + 1)
-        cols = [unit_vec(K, small, j % small) for j in range(big)]
-        maps.append(AlgHom(levels[n], levels[n - 1],
-                           Matrix(K, zip(*cols), big)))
+    maps = [AlgHom(levels[n], levels[n - 1],
+                   {j: ((j % p ** n, K.one),) for j in range(p ** (n + 1))})
+            for n in range(1, depth)]
     return Tower(levels, maps, "cyclicgroup", {"p": p, "depth": depth})
 
 
@@ -158,14 +151,8 @@ def product_tower(factors, depth: int | None = None) -> Tower:
     check_depth(depth)
     check_dim(sum(f.dim for f in factors[:depth]), "the top level")
     levels = [direct_product(factors[:n]) for n in range(1, depth + 1)]
-    maps = []
-    for n in range(1, depth):
-        small = levels[n - 1].dim
-        big = levels[n].dim
-        cols = [unit_vec(K, small, j) if j < small else (K.zero,) * small
-                for j in range(big)]
-        maps.append(AlgHom(levels[n], levels[n - 1],
-                           Matrix(K, zip(*cols), big)))
+    maps = [AlgHom(big, small, identity_map(K, small.dim))
+            for small, big in zip(levels, levels[1:])]
     return Tower(levels, maps, "product", {"depth": depth})
 
 
@@ -334,8 +321,7 @@ def path_algebra_tower(q: QuiverSpec, K: Field, depth: int) -> Tower:
             if len(names) < n:
                 path[index_lo[(src, names, tgt)]] = K.one
             cols.append(project_lo(tuple(path)))
-        maps.append(AlgHom(levels[n], levels[n - 1],
-                           Matrix(K, zip(*cols), levels[n].dim)))
+        maps.append(AlgHom(levels[n], levels[n - 1], map_of(K, cols)))
     rel_doc = [[[str(c) if isinstance(c, (str, int)) else K.text(c),
                  list(path)] for c, path in rel] for rel in q.relations]
     meta = {"depth": depth,
@@ -435,20 +421,16 @@ def quiver_radical_check(T: Tower, rads=None) -> bool:
 
 def check_level_isomorphic(T1: Tower, T2: Tower) -> bool:
     """Whether the identity coordinate map is a level-by-level algebra
-    isomorphism commuting with the connecting maps."""
+    isomorphism commuting with the connecting maps; the isomorphisms being
+    identities, the maps commute when they agree."""
     if T1.depth != T2.depth:
         return False
-    isos = []
     for a, b in zip(T1.levels, T2.levels):
         if a.dim != b.dim or a.field != b.field:
             return False
         try:
-            isos.append(hom_check(Matrix.identity(a.field, a.dim), b, a))
+            AlgHom(b, a, identity_map(a.field, a.dim)).verify()
         except NotAHom:
             return False
-    for i in range(T1.depth - 1):
-        lhs = isos[i].matrix.mul(T2.maps[i].matrix)
-        rhs = T1.maps[i].matrix.mul(isos[i + 1].matrix)
-        if lhs != rhs:
-            return False
-    return True
+    return all(first_difference(h1.source.field, h1.map, h2.map) is None
+               for h1, h2 in zip(T1.maps, T2.maps))

@@ -16,11 +16,12 @@ import math
 import random
 
 from .algebra import (AlgHom, FinAlg, _block_krylov, _map_sub, _mult_map,
-                      _trusted_algebra, direct_product)
+                      _trusted_algebra, direct_product, kernel)
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
 from .fields import PrimeField, Rationals
-from .linalg import Matrix, Subspace, rank, solve, vec_is_zero
+from .linalg import (Subspace, identity_map, map_of, solve_maps,
+                     vec_is_zero)
 from .poly import Poly, factor
 from .radical import is_semisimple
 from .fields import pdeg, pdivmod, pextgcd, pmod, pmul
@@ -109,9 +110,8 @@ def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
         cols.append(ze.coords(w))
     if any(c is None for c in cols):
         raise InternalVerificationFailed("center not closed under Frobenius")
-    frob = Matrix(K, zip(*cols), ze.dim).to_map()
-    ident = {j: ((j, K.one),) for j in range(ze.dim)}
-    fixed = Subspace.kernel(K, ze.dim, [_map_sub(K, frob, ident)])
+    fixed = Subspace.kernel(K, ze.dim, [
+        _map_sub(K, map_of(K, cols), identity_map(K, ze.dim))])
     if fixed.dim <= 1:
         return None
     span_e = Subspace(K, A.dim, [e])
@@ -224,9 +224,9 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
 
     # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
     cols = [[c for cs in coords for c in cs[i]] for i in range(A.dim)]
-    h = AlgHom(A, direct_product(blocks), Matrix(K, zip(*cols), A.dim))
+    h = AlgHom(A, direct_product(blocks), map_of(K, cols))
     _internal(h.verify)
-    if rank(h.matrix) != A.dim:
+    if not kernel(h).is_zero():
         raise InternalVerificationFailed("reassembly map is not bijective")
 
     return BlockDecomposition(A, final, blocks, spaces, data)
@@ -255,7 +255,7 @@ def crt_lift(A: FinAlg, ideals, targets):
     for m in range(1, len(ideals)):
         nxt = ideals[m].space
         cols = list(acc_space.basis) + list(nxt.basis)
-        sol = solve(Matrix(K, zip(*cols), len(cols)), A.unit)
+        sol = solve_maps(K, len(cols), [map_of(K, cols)], [A.unit])
         if sol is None:
             raise InternalVerificationFailed("1 = x + y decomposition failed")
         x = A.zero_element()

@@ -25,6 +25,32 @@ def mult_matrix(A: FinAlg, v, side) -> Matrix:
     return Matrix(A.field, zip(*cols), A.dim)
 
 
+def matrix_apply(M: Matrix, v):
+    """M v by the dense rows of M and the field's own operations: a
+    reference that does not go through the sparse maps of ``linalg``."""
+    K = M.field
+    out = []
+    for row in M.data:
+        acc = K.zero
+        for a, x in zip(row, v):
+            acc = K.add(acc, K.mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def hom_matrix(h) -> Matrix:
+    """The dense matrix of an ``AlgHom``, one column per source basis
+    element."""
+    return Matrix.from_map(h.source.field, h.target.dim, h.source.dim, h.map)
+
+
+def action_matrices(T, side) -> list:
+    """The dense matrices of a ``Bimodule``'s left or right actions."""
+    n = T.space_dim
+    return [Matrix.from_map(T.algebra.field, n, n, f)
+            for f in (T.left if side == "left" else T.right)]
+
+
 def reference_mul(A: FinAlg, u, v):
     """u v as the sum of u_i v_j (e_i e_j) over every i and j with u_i and
     v_j nonzero, each term from ``product_basis`` and the field's own

@@ -19,7 +19,7 @@ from pca.algebra import (AlgHom, Ideal, direct_product, group_algebra,
 from pca.errors import NotAHom
 from pca.fields import PrimeField, RationalFunctionField, Rationals
 from pca.limits import Limits
-from pca.linalg import Matrix, Subspace
+from pca.linalg import Subspace
 from pca.radical import RadicalResult
 from pca.separability import SepIdempotent
 from pca.tower import (Tower, kronecker_quiver, loop_quiver,
@@ -317,6 +317,37 @@ def test_tower_with_non_multiplicative_map_is_rejected(fixtures):
     assert not res.stdout
 
 
+NON_ASSOCIATIVE = {
+    "field": {"kind": "rationals"}, "dim": 3, "basis": ["1", "a", "b"],
+    "unit": ["1", "0", "0"],
+    "mult": [[0, j, j, "1"] for j in range(3)] +
+            [[i, 0, i, "1"] for i in (1, 2)] +
+            [[1, 1, 2, "1"], [2, 1, 1, "1"]]}
+
+
+def _non_multiplicative_tower():
+    doc = fileio.tower_to_doc(power_series_tower(Q, 2))
+    doc["maps"][0] = [["1", "1"]]
+    return doc
+
+
+@pytest.mark.parametrize("argv,name,doc,line", [
+    # (e1 e1) e1 = e2 e1 = e1, but e1 (e1 e1) = e1 e2 = 0
+    (("radical",), "a.alg", NON_ASSOCIATIVE,
+     "(e1*e1)*e1 != e1*(e1*e1)"),
+    (("tower", "check"), "t.tower", _non_multiplicative_tower(),
+     "phi(e1*e1) != phi(e1)*phi(e1)"),
+], ids=["not_associative", "not_a_hom"])
+def test_witness_error_prints_its_message_alone(tmp_path, argv, name, doc,
+                                                line):
+    # the witness rides in the exception's args, not on the error line
+    fileio.save_canonical(str(tmp_path / name), doc)
+    res = run_cli(*argv, name, cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == f"pca: error: {line}\n"
+    assert not res.stdout
+
+
 def test_tower_with_non_surjective_map_is_rejected(tmp_path):
     # (a, b) -> (a, a) on Q x Q is unital and multiplicative, not onto
     qxq = {"field": {"kind": "rationals"}, "dim": 2, "basis": ["a", "b"],
@@ -382,8 +413,7 @@ def _zero_map_tower(K, depth):
     # the power-series tower with a connecting map that is not surjective
     T = power_series_tower(K, depth)
     h = T.maps[0]
-    zero = Matrix.zero(K, h.target.dim, h.source.dim)
-    return Tower(T.levels, [AlgHom(h.source, h.target, zero)], T.kind, T.meta)
+    return Tower(T.levels, [AlgHom(h.source, h.target, {})], T.kind, T.meta)
 
 
 def _sep_idempotent_without_a_pair(A):

@@ -127,9 +127,9 @@ def test_splitting_doc_round_trip(tmp_path):
     fileio.save_canonical(str(apath), fileio.algebra_to_doc(T2alg))
     digest = fileio.digest_file(str(apath))
     s = wedderburn_splitting(T2alg, seed=1)
-    doc = fileio.splitting_to_doc(Q, s.section.matrix, digest)
+    doc = fileio.splitting_to_doc(s.section, digest)
     M = fileio.splitting_matrix_from_doc(doc, T2alg, digest)
-    assert M == s.section.matrix
+    assert M == corpus.hom_matrix(s.section)
     with pytest.raises(BadSpec):
         fileio.splitting_matrix_from_doc(doc, T2alg, "sha256:other")
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus
 from pca import linalg
 from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
@@ -32,7 +33,7 @@ def test_nullspace_example():
 
 def test_solve_identity():
     b = (Fraction(1), Fraction(2), Fraction(3))
-    assert solve(Matrix.identity(Q, 3), b) == b
+    assert solve(qmat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), b) == b
 
 
 def test_solve_inconsistent_is_none():
@@ -56,13 +57,13 @@ def test_solve_nullspace_rank_properties(K):
         M = Matrix(K, [[K.random(rng, 4) for _ in range(c)]
                        for _ in range(r)])
         x = tuple(K.random(rng, 4) for _ in range(c))
-        b = M.apply(x)
+        b = corpus.matrix_apply(M, x)
         sol = solve(M, b)
         assert sol is not None
-        assert M.apply(sol) == b
+        assert corpus.matrix_apply(M, sol) == b
         N = nullspace(M)
         for row in N.data:
-            assert vec_is_zero(K, M.apply(row))
+            assert vec_is_zero(K, corpus.matrix_apply(M, row))
         assert rank(M) + N.rows == c
 
 
@@ -258,8 +259,8 @@ def build(K, case):
     rows, ncols, xs, bs = case
     M = Matrix(K, [[scalar(K, n) for n in r] for r in rows], ncols)
     xs = [tuple(scalar(K, n) for n in x) for x in xs]
-    bs = [M.apply(x) for x in xs] + [tuple(scalar(K, n) for n in b)
-                                      for b in bs]
+    bs = [corpus.matrix_apply(M, x) for x in xs] + [
+        tuple(scalar(K, n) for n in b) for b in bs]
     return M, bs
 
 
@@ -280,7 +281,7 @@ def test_nullspace_matches_dense_reference(K, case):
     assert N.data == tuple(dense_nullspace(K, M))
     assert N.rows == M.cols - rank(M)
     for v in N.data:
-        assert vec_is_zero(K, M.apply(v))
+        assert vec_is_zero(K, corpus.matrix_apply(M, v))
 
 
 @kernel_case
@@ -289,7 +290,7 @@ def test_solve_many_matches_dense_reference(K, case):
     sols = solve_many(M, bs)
     assert sols == dense_solve_many(K, M, bs)
     if sols is not None:
-        assert [M.apply(x) for x in sols] == bs
+        assert [corpus.matrix_apply(M, x) for x in sols] == bs
         assert sols == [solve(M, b) for b in bs]
     else:
         assert any(solve(M, b) is None for b in bs)
@@ -484,7 +485,7 @@ def test_extend_under_maps_matches_fixpoint_reference(K, case):
     start = [tuple(scalar(K, x) for x in v) for v in start]
     more = [tuple(scalar(K, x) for x in v) for v in more]
     maps = [sparse_columns(K, M) for M in mats]
-    assert [Matrix.from_map(K, n, f).data for f in maps] == \
+    assert [Matrix.from_map(K, n, n, f).data for f in maps] == \
         [tuple(map(tuple, M)) for M in mats]
     calls = [0] * len(maps)
     apply_map = linalg._apply_map
@@ -549,6 +550,19 @@ def test_a_repeated_index_composes_as_the_sum():
         assert first_difference(K, fg, {0: ((0, 3),)}) == 1
         assert first_difference(K, fg, {1: ((0, six),)}) == 0
         assert first_difference(K, {}, {}) is None
+
+
+def test_from_map_sums_a_repeated_index_and_takes_its_shape():
+    # column 0 lists row 0 twice: its entry is 1 + 2; over F_5 the two
+    # entries of column 1, 3 + 4, add up to 2
+    assert Matrix.from_map(Q, 1, 1, {0: ((0, 1), (0, 2))}).data == ((3,),)
+    f = {0: ((1, 1),), 1: ((0, 3), (0, 4)), 2: ((1, 2),)}
+    for K, seven in ((Q, 7), (F5, 2)):
+        M = Matrix.from_map(K, 2, 3, f)
+        assert (M.rows, M.cols) == (2, 3)
+        assert M.data == ((0, seven, 0), (1, 0, 2))
+        assert first_difference(K, M.to_map(), f) is None
+    assert Matrix.from_map(Q, 3, 2, {}).data == ((0, 0),) * 3
 
 
 @pytest.mark.parametrize("K", KERNEL_FIELDS, ids=["Q", "F5", "F9"])

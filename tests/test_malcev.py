@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
-from pca import malcev
+from pca import malcev, separability
 from pca.algebra import (AlgHom, group_algebra, ideal_closure, matrix_algebra,
-                         triangular_algebra, truncated_polynomial_algebra)
+                         quotient, triangular_algebra,
+                         truncated_polynomial_algebra)
 from pca.errors import NotIdempotentModJ
 from pca.fields import PrimeField, Rationals
 from pca.linalg import Matrix, Subspace, solve
@@ -16,7 +17,7 @@ from pca.malcev import (check_ideal_lemma, lift_idempotent, malcev_conjugator,
                         splitting_from_complement,
                         splitting_from_section_matrix, wedderburn_splitting)
 from pca.radical import radical
-from pca.separability import induced_bimodule
+from pca.separability import sep_idempotent
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -173,10 +174,93 @@ def test_conjugator_random_seeds():
         assert s1.radical.radical.contains(omega)
 
 
+def _dense_conjugator(s1, s2, p):
+    """The conjugator as the dense bimodule path computes it: the J
+    bimodule x.j = s1(x) j, j.x = j s2(x) as one dense matrix per basis
+    element, d = s1 - s2 in the coordinates of J, and the closed form
+    u = -sum rho(r) d(l) over the pairs of the separability idempotent p
+    of A/J, checked against x.u - u.x = d(x).  Returns w = u in A."""
+    A, head = s1.algebra, s1.quotient
+    K, J, q = A.field, s1.radical.radical.space, s1.quotient.dim
+    if J.is_zero():
+        return A.zero_element()
+    a1, a2 = ([s.section.apply(head.basis_element(i)) for i in range(q)]
+              for s in (s1, s2))
+    lam = _dense_actions(J, lambda i, v: A.mul(a1[i], v), q)
+    rho = _dense_actions(J, lambda i, v: A.mul(v, a2[i]), q)
+    dcols = [J.coords(A.sub(x1, x2)) for x1, x2 in zip(a1, a2)]
+
+    def combine(vs, cs):
+        # sum_t cs[t] vs[t]
+        out = (K.zero,) * J.dim
+        for c, v in zip(cs, vs):
+            out = tuple(K.add(o, K.mul(c, y)) for o, y in zip(out, v))
+        return out
+
+    u = (K.zero,) * J.dim
+    for left, right in p.pairs:
+        dl = combine(dcols, left)
+        rdl = combine([corpus.matrix_apply(M, dl) for M in rho], right)
+        u = tuple(K.sub(a, b) for a, b in zip(u, rdl))
+    for i in range(q):
+        assert tuple(K.sub(a, b) for a, b in zip(
+            corpus.matrix_apply(lam[i], u),
+            corpus.matrix_apply(rho[i], u))) == dcols[i]
+    return J.from_coords(u)
+
+
+def _no_solve(*args):
+    raise AssertionError("inner_derivation fell back to the solve")
+
+
+def _nilpotent_inverse(A, x):
+    """(1 - x)^(-1) = 1 + x + x^2 + ..., for x nilpotent."""
+    out, power = A.unit, A.unit
+    while power != A.zero_element():
+        power = A.mul(power, x)
+        out = A.add(out, power)
+    return out
+
+
+@pytest.mark.parametrize("K", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_conjugator_matches_dense_bimodule_path(K):
+    """On random algebras with a radical and a head of dimension >= 2, w
+    from the sparse bimodule and derivation maps is the closed form of the
+    dense path, reached with no solve, and (1 - w) S2 (1 - w)^(-1) = S1
+    holds on the basis of A/J."""
+    nonzero = 0
+    for seed in range(8):
+        rng = random.Random(1000 + seed)
+        while True:
+            A = corpus.random_algebra(rng, K, 8)
+            J = radical(A).radical
+            if not J.is_zero() and A.dim - J.dim >= 2:
+                break
+        p = sep_idempotent(quotient(A, J)[0])
+        for _ in range(3):
+            s1, s2 = (wedderburn_splitting(A, seed=rng.randrange(100))
+                      for _ in range(2))
+            with pytest.MonkeyPatch.context() as mp:
+                # the closed form answers: the solve is never reached
+                mp.setattr(separability, "sep_idempotent", lambda _: p)
+                mp.setattr(separability, "solve_maps", _no_solve)
+                w = malcev_conjugator(s1, s2)
+            assert w == _dense_conjugator(s1, s2, p)
+            nonzero += w != A.zero_element()
+            one_minus = A.sub(A.unit, w)
+            inv = _nilpotent_inverse(A, w)
+            assert A.mul(one_minus, inv) == A.unit
+            for i in range(s1.quotient.dim):
+                e = s1.quotient.basis_element(i)
+                assert A.mul(one_minus, A.mul(s2.section.apply(e), inv)) \
+                    == s1.section.apply(e)
+    assert nonzero >= 5
+
+
 def test_splitting_from_section_matrix_round_trip():
     T2 = triangular_algebra(2, Q)
     s = wedderburn_splitting(T2, seed=3)
-    s2 = splitting_from_section_matrix(T2, s.section.matrix)
+    s2 = splitting_from_section_matrix(T2, corpus.hom_matrix(s.section))
     assert s2.image == s.image
 
 
@@ -200,6 +284,14 @@ def test_splitting_proves_each_section_once(monkeypatch, A, layers):
     assert len(calls) == layers
 
 
+def _dense_actions(space, act, n):
+    """For each i < n, the dense matrix of v -> act(i, v) on ``space``, in
+    the coordinates of its basis, one column per basis vector."""
+    K = space.field
+    return [Matrix(K, zip(*[space.coords(act(i, v)) for v in space.basis]),
+                   space.dim) for i in range(n)]
+
+
 def _coboundary_solve(head, fine, layer, tau):
     """The reference for ``malcev._layer_correction``: the coboundary
     system h(ab) - t(a) h(b) - h(a) t(b) = c(a, b) over the layer
@@ -207,14 +299,15 @@ def _coboundary_solve(head, fine, layer, tau):
     in the unknowns x[r q + s], coordinate r of h(e_s), solved with its
     free coordinates zero.  Returns the columns of -h."""
     K, q, nu = fine.field, head.dim, layer.dim
+    tau = Matrix.from_map(K, fine.dim, q, tau)
     tcols = tau.columns()
-    T = induced_bimodule(head, layer, lambda s, v: fine.mul(tcols[s], v),
-                         lambda s, v: fine.mul(v, tcols[s]))
+    lefts = _dense_actions(layer, lambda s, v: fine.mul(tcols[s], v), q)
+    rights = _dense_actions(layer, lambda s, v: fine.mul(v, tcols[s]), q)
     rows, rhs = [], []
     for i in range(q):
         for j in range(q):
             prod = head.product_basis(i, j)
-            c = layer.coords(fine.sub(tau.apply(prod),
+            c = layer.coords(fine.sub(corpus.matrix_apply(tau, prod),
                                       fine.mul(tcols[i], tcols[j])))
             for r in range(nu):
                 row = [K.zero] * (nu * q)
@@ -222,9 +315,9 @@ def _coboundary_solve(head, fine, layer, tau):
                     row[r * q + s] = K.add(row[r * q + s], prod[s])
                 for m in range(nu):
                     row[m * q + j] = K.sub(row[m * q + j],
-                                           T.left[i].data[r][m])
+                                           lefts[i].data[r][m])
                     row[m * q + i] = K.sub(row[m * q + i],
-                                           T.right[j].data[r][m])
+                                           rights[j].data[r][m])
                 rows.append(row)
                 rhs.append(c[r])
     x = solve(Matrix(K, rows, nu * q), tuple(rhs))

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 import corpus
 from pca import separability
-from pca.algebra import (base_change, direct_product, group_algebra,
-                         ideal_closure, make_algebra, matrix_algebra,
-                         quotient, tensor, triangular_algebra,
+from pca.algebra import (_mult_map, base_change, direct_product,
+                         group_algebra, ideal_closure, make_algebra,
+                         matrix_algebra, quotient, tensor, triangular_algebra,
                          truncated_polynomial_algebra)
 from pca.errors import (BadSpec, InternalVerificationFailed, NoUnit,
                         NotADerivation)
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import Matrix, Subspace, nullspace, solve
+from pca.linalg import Matrix, Subspace, identity_map, nullspace, solve
 from pca.poly import Poly
 from pca.radical import is_semisimple
 from pca.separability import (Bimodule, base_change_semisimple_check,
@@ -108,28 +108,41 @@ def test_inseparability_ideal_dimension():
     assert ideal_closure(EE, [x]).dim == 2
 
 
-def test_inner_derivation_zero_map():
+def _bimodule(B, lam, rho):
+    """The Bimodule whose actions have the dense matrices lam and rho."""
+    return Bimodule(B, lam[0].rows, [M.to_map() for M in lam],
+                    [M.to_map() for M in rho])
+
+
+def _projection_actions():
+    """Q x Q acting on Q by the first factor on the left and the second on
+    the right."""
     B = direct_product([group_algebra(1, Q), group_algebra(1, Q)])
     lam = [Matrix(Q, [[Fraction(1)]]), Matrix(Q, [[Fraction(0)]])]
     rho = [Matrix(Q, [[Fraction(0)]]), Matrix(Q, [[Fraction(1)]])]
-    T = Bimodule(B, lam, rho)
-    u = inner_derivation(B, T, Matrix(Q, [[Fraction(0), Fraction(0)]]))
+    return B, lam, rho
+
+
+def test_inner_derivation_zero_map():
+    B, lam, rho = _projection_actions()
+    T = _bimodule(B, lam, rho)
+    u = inner_derivation(B, T, Matrix(Q, [[Fraction(0), Fraction(0)]])
+                         .to_map())
     assert u is not None
     for i in range(2):
-        diff = T.left[i].apply(u)
-        assert diff == T.right[i].apply(u)
+        diff = corpus.matrix_apply(lam[i], u)
+        assert diff == corpus.matrix_apply(rho[i], u)
 
 
 def test_inner_derivation_projection_bimodule():
-    B = direct_product([group_algebra(1, Q), group_algebra(1, Q)])
-    lam = [Matrix(Q, [[Fraction(1)]]), Matrix(Q, [[Fraction(0)]])]
-    rho = [Matrix(Q, [[Fraction(0)]]), Matrix(Q, [[Fraction(1)]])]
-    T = Bimodule(B, lam, rho)
+    B, lam, rho = _projection_actions()
+    T = _bimodule(B, lam, rho)
     d = Matrix(Q, [[Fraction(1), Fraction(-1)]])
-    u = inner_derivation(B, T, d)
+    u = inner_derivation(B, T, d.to_map())
     # d(x) = x.u - u.x must hold exactly
     for i in range(2):
-        got = Q.sub(T.left[i].apply(u)[0], T.right[i].apply(u)[0])
+        got = Q.sub(corpus.matrix_apply(lam[i], u)[0],
+                    corpus.matrix_apply(rho[i], u)[0])
         assert got == d.column(i)[0]
 
 
@@ -145,20 +158,15 @@ def _matrix_commutator(K):
     b -> bx - xb for a fixed non-central x."""
     B = matrix_algebra(2, K)
     x = tuple(K.from_int(c) for c in (1, 2, -1, 4))
-    lam = _regular(B, "left")
-    rho = _regular(B, "right")
     cols = [B.sub(B.mul(B.basis_element(i), x), B.mul(x, B.basis_element(i)))
             for i in range(B.dim)]
-    return B, Bimodule(B, lam, rho), Matrix(K, zip(*cols), B.dim)
+    return (B, _regular(B, "left"), _regular(B, "right"),
+            Matrix(K, zip(*cols), B.dim))
 
 
 def _projection_bimodule():
-    """Q x Q acting on Q by the first factor on the left and the second on
-    the right, with d(e_0) = 1 and d(e_1) = -1."""
-    B = direct_product([group_algebra(1, Q), group_algebra(1, Q)])
-    lam = [Matrix(Q, [[Fraction(1)]]), Matrix(Q, [[Fraction(0)]])]
-    rho = [Matrix(Q, [[Fraction(0)]]), Matrix(Q, [[Fraction(1)]])]
-    return B, Bimodule(B, lam, rho), Matrix(Q, [[Fraction(1), Fraction(-1)]])
+    """The projection actions, with d(e_0) = 1 and d(e_1) = -1."""
+    return (*_projection_actions(), Matrix(Q, [[Fraction(1), Fraction(-1)]]))
 
 
 CLOSED_FORM_CASES = {
@@ -173,7 +181,7 @@ CLOSED_FORM_CASES = {
 def test_inner_derivation_closed_form_needs_no_solve(monkeypatch, name):
     """Over a separable B the closed form u = -sum d(l_r) r_r is the answer,
     so the direct solve is never reached."""
-    B, T, d = CLOSED_FORM_CASES[name]()
+    B, lam, rho, d = CLOSED_FORM_CASES[name]()
     p = sep_idempotent(B)
 
     def no_solve(*args):
@@ -181,12 +189,12 @@ def test_inner_derivation_closed_form_needs_no_solve(monkeypatch, name):
 
     monkeypatch.setattr(separability, "sep_idempotent", lambda _: p)
     monkeypatch.setattr(separability, "solve_maps", no_solve)
-    u = inner_derivation(B, T, d)
+    u = inner_derivation(B, _bimodule(B, lam, rho), d.to_map())
     K = B.field
     assert any(not K.is_zero(c) for row in d.data for c in row)
     for i in range(B.dim):
-        got = tuple(K.sub(a, b) for a, b in zip(T.left[i].apply(u),
-                                                T.right[i].apply(u)))
+        got = tuple(K.sub(a, b) for a, b in zip(
+            corpus.matrix_apply(lam[i], u), corpus.matrix_apply(rho[i], u)))
         assert got == d.column(i)
 
 
@@ -195,49 +203,47 @@ def test_inner_derivation_solve_is_the_dense_stacked_solve(monkeypatch, name):
     """Without a separability idempotent, u solves (L_i - R_i) u = d(e_i)
     for every i, with free coordinates zero: the solution of those dense
     rows stacked into one system."""
-    B, T, d = CLOSED_FORM_CASES[name]()
+    B, lam, rho, d = CLOSED_FORM_CASES[name]()
     K = B.field
     monkeypatch.setattr(separability, "sep_idempotent", lambda _: None)
     rows = [tuple(K.sub(a, b) for a, b in zip(lrow, rrow))
             for i in range(B.dim)
-            for lrow, rrow in zip(T.left[i].data, T.right[i].data)]
+            for lrow, rrow in zip(lam[i].data, rho[i].data)]
     rhs = [c for i in range(B.dim) for c in d.column(i)]
-    assert [inner_derivation(B, T, d)] == dense_solve_many(
-        K, Matrix(K, rows, T.space_dim), [rhs])
+    assert [inner_derivation(B, _bimodule(B, lam, rho), d.to_map())] == \
+        dense_solve_many(K, Matrix(K, rows, lam[0].rows), [rhs])
 
 
 def test_induced_bimodule():
     B = triangular_algebra(2, Q)
     whole = Subspace(Q, B.dim, [B.basis_element(i) for i in range(B.dim)])
-    T = induced_bimodule(B, whole, lambda i, v: B.mul(B.basis_element(i), v),
-                         lambda i, v: B.mul(v, B.basis_element(i)))
-    assert T.left == _regular(B, "left")
-    assert T.right == _regular(B, "right")
+    T = induced_bimodule(B, whole, *(
+        [_mult_map(B, B.basis_element(i), side) for i in range(B.dim)]
+        for side in ("left", "right")))
+    assert corpus.action_matrices(T, "left") == _regular(B, "left")
+    assert corpus.action_matrices(T, "right") == _regular(B, "right")
     assert T.verify()
     G = group_algebra(2, Q)
     ones = Subspace(Q, G.dim, [G.unit])
     with pytest.raises(InternalVerificationFailed):
-        induced_bimodule(G, ones, lambda i, v: G.mul(G.basis_element(i), v),
-                         lambda i, v: v)
+        induced_bimodule(G, ones, [_mult_map(G, G.basis_element(i), "left")
+                                   for i in range(G.dim)],
+                         [identity_map(Q, G.dim)] * G.dim)
 
 
 def test_derivation_on_inseparable_extension_not_inner():
     E = insep_algebra()
-    lam = _regular(E, "left")
-    rho = _regular(E, "right")
-    T = Bimodule(E, lam, rho)
+    T = _bimodule(E, _regular(E, "left"), _regular(E, "right"))
     d = Matrix(F2T, [[F2T.zero, F2T.one], [F2T.zero, F2T.zero]])
-    assert inner_derivation(E, T, d) is None
+    assert inner_derivation(E, T, d.to_map()) is None
 
 
 def test_not_a_derivation_rejected():
     B = group_algebra(2, Q)
-    lam = _regular(B, "left")
-    rho = _regular(B, "right")
-    T = Bimodule(B, lam, rho)
+    T = _bimodule(B, _regular(B, "left"), _regular(B, "right"))
     bad = Matrix(Q, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]])
     with pytest.raises(NotADerivation):
-        inner_derivation(B, T, bad)
+        inner_derivation(B, T, bad.to_map())
 
 
 def test_bimodule_validation():
@@ -246,7 +252,71 @@ def test_bimodule_validation():
     two = Matrix(Q, [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]])
     # rho(g)^2 = 4 != 1 = rho(g^2): not an anti-representation
     with pytest.raises(BadSpec):
-        Bimodule(B, lam, [lam[0], two]).verify()
+        _bimodule(B, lam, [lam[0], two]).verify()
+
+
+def _dense_product(K, M, N):
+    return Matrix(K, [[corpus.matrix_apply(M, col)[r] for col in N.columns()]
+                      for r in range(M.rows)], N.cols)
+
+
+def _dense_combination(K, mats, v):
+    """sum_t v[t] mats[t], entry by entry."""
+    n = mats[0].rows
+    out = [[K.zero] * n for _ in range(n)]
+    for c, M in zip(v, mats):
+        for r, row in enumerate(M.data):
+            out[r] = [K.add(x, K.mul(c, a)) for x, a in zip(out[r], row)]
+    return Matrix(K, out, n)
+
+
+def _dense_bimodule_failure(B, lam, rho):
+    """The BadSpec message of the first failing bimodule law, scanning the
+    unit laws and then every pair (i, j) with dense matrix products, or
+    None."""
+    K, n = B.field, lam[0].rows
+    ident = Matrix(K, [[K.one if r == k else K.zero for k in range(n)]
+                       for r in range(n)], n)
+    for side, acts in (("left", lam), ("right", rho)):
+        if _dense_combination(K, acts, B.unit) != ident:
+            return f"{side} action is not unital"
+    for i in range(B.dim):
+        for j in range(B.dim):
+            prod = B.product_basis(i, j)
+            if _dense_combination(K, lam, prod) != \
+                    _dense_product(K, lam[i], lam[j]):
+                return f"left action not multiplicative at ({i},{j})"
+            if _dense_combination(K, rho, prod) != \
+                    _dense_product(K, rho[j], rho[i]):
+                return f"right action not anti-multiplicative at ({i},{j})"
+            if _dense_product(K, lam[i], rho[j]) != \
+                    _dense_product(K, rho[j], lam[i]):
+                return f"actions do not commute at ({i},{j})"
+    return None
+
+
+@pytest.mark.parametrize("K", [Q, F5, F9], ids=["Q", "F5", "F9"])
+def test_bimodule_proof_on_generators_rejects_a_left_action_as_right(K):
+    """The regular bimodule of a noncommutative algebra passes; with the
+    right action of one generator g replaced by its left action, the
+    proof on the generators fails, and verify names the first failing pair
+    of the full dense scan."""
+    rng = random.Random(25)
+    faults = 0
+    for B in _light_bases(K, rng)[:-1]:     # all but the dimension-18 one
+        lam, rho = _regular(B, "left"), _regular(B, "right")
+        assert _bimodule(B, lam, rho).verify()
+        for g in B.generators():
+            if lam[g] == rho[g]:
+                continue
+            bad = rho[:g] + [lam[g]] + rho[g + 1:]
+            T = _bimodule(B, lam, bad)
+            assert T._failing_law(B.generators()) is not None
+            with pytest.raises(BadSpec) as err:
+                T.verify()
+            assert err.value.args[0] == _dense_bimodule_failure(B, lam, bad)
+            faults += 1
+    assert faults >= 3
 
 
 def test_universal_derivation_examples():

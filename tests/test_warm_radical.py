@@ -45,7 +45,7 @@ from pca.algebra import (AlgHom, Ideal, _trusted_algebra, direct_product,
 from pca.errors import NoUnit, NotAHom, NotAnIdeal, NotAssociative
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import Matrix, Subspace, solve
+from pca.linalg import Matrix, Subspace, identity_map, solve
 from pca.radical import (_nilpotency_data, _trace_form_space, radical,
                          radical_from_below, radical_oracle)
 from pca.tower import (QuiverSpec, Tower, cyclic_group_tower,
@@ -69,7 +69,7 @@ def _custom_tower():
     span(E12, E22) holds the idempotent E22, so it is not nilpotent."""
     top = triangular_algebra(2, Q)          # basis E11, E12, E22
     bottom = group_algebra(1, Q)
-    h = AlgHom(top, bottom, Matrix(Q, [[Q.one, Q.zero, Q.zero]], 3))
+    h = AlgHom(top, bottom, {0: ((0, Q.one),)})
     return Tower([bottom, top], [h], "custom")
 
 
@@ -441,19 +441,19 @@ def _unital_perturbation(rng, h):
     f[t] = K.neg(K.div(rest, src.unit[t]))
     v = [K.random(rng) for _ in range(h.target.dim)]
     data = [[K.add(x, K.mul(v[r], f[c])) for c, x in enumerate(row)]
-            for r, row in enumerate(h.matrix.data)]
-    return AlgHom(src, h.target, Matrix(K, data, src.dim))
+            for r, row in enumerate(corpus.hom_matrix(h).data)]
+    return AlgHom(src, h.target, Matrix(K, data, src.dim).to_map())
 
 
 def _dense_failing_pair(h):
     """The first (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), the
     product of the images by ``corpus.reference_mul``, or None."""
-    src, M = h.source, h.matrix
+    src, M = h.source, corpus.hom_matrix(h)
     cols = M.columns()
     for i in range(src.dim):
         for j in range(src.dim):
-            if M.apply(src.product_basis(i, j)) != corpus.reference_mul(
-                    h.target, cols[i], cols[j]):
+            prod = corpus.matrix_apply(M, src.product_basis(i, j))
+            if prod != corpus.reference_mul(h.target, cols[i], cols[j]):
                 return i, j
     return None
 
@@ -463,7 +463,7 @@ def test_hom_proof_on_generators_rejects_non_multiplicative_maps(K):
     rng = random.Random(74)
     homs = []
     for A in _light_bases(K, rng):
-        homs.append(AlgHom(A, A, Matrix.identity(K, A.dim)))
+        homs.append(AlgHom(A, A, identity_map(K, A.dim)))
         J = radical(A).radical
         if not J.is_zero():
             homs.append(quotient(A, J)[1])
@@ -688,9 +688,7 @@ def test_warm_route_equals_cold_radical_on_random_surjections(seed):
         E = rng.choice([group_algebra(n, K) for n in (1, 2, 3, 4)
                         if n % K.p] + [matrix_algebra(2, K)])
         A = direct_product([B, E])
-        h = AlgHom(A, B, Matrix(K, [[K.one if j == i else K.zero
-                                     for j in range(A.dim)]
-                                    for i in range(B.dim)], A.dim))
+        h = AlgHom(A, B, identity_map(K, B.dim))
     else:
         A = B
         B, h = quotient(A, _proper_ideal(rng, A))

@@ -134,7 +134,7 @@ def test_base_changed_c3_splits_into_three_lines():
         (E.one, zz, E.mul(zz, zz)),
     ]
     h = hom_check(Matrix(E, zip(*cols), 3), AE, lines)
-    assert rank(h.matrix) == 3
+    assert rank(corpus.hom_matrix(h)) == 3
 
 
 def test_crt_lift_two_linear_factors():
