@@ -16,8 +16,8 @@ from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
 from .fields import (Field, PrimeField, Rationals, SimpleExtension,
                      _over_common_denominator, check_same_field)
 from .linalg import (Matrix, Subspace, apply_map, compose, first_difference,
-                     identity_map, map_of, solve, solve_maps, unit_vec,
-                     vec_add, vec_scale, vec_sub, zero_vec)
+                     identity_map, solve, solve_maps, unit_vec, vec_add,
+                     vec_scale, vec_sub, zero_vec)
 
 
 class FinAlg:
@@ -611,7 +611,8 @@ def quotient(a: FinAlg, ideal: Ideal):
     """Quotient algebra and the canonical surjection.
 
     The quotient basis is the set of non-pivot coordinates of the ideal's
-    reduced-echelon basis, so the construction is deterministic.
+    reduced-echelon basis, so the construction is deterministic.  Its
+    table holds the residues of the kept cells ``a.rows[i][j]`` (e_i e_j).
     """
     if ideal.ambient != a:
         raise AmbientMismatch("ideal belongs to a different algebra")
@@ -622,22 +623,21 @@ def quotient(a: FinAlg, ideal: Ideal):
     K = a.field
     space = ideal.space
     keep = [c for c in range(a.dim) if c not in space.pivots]
+    at = {c: k for k, c in enumerate(keep)}
 
-    def project(v):
-        red = space.reduce(v)
-        return tuple(red[c] for c in keep)
+    def project(f):
+        # a residue has no entry at a pivot, so its indices are kept ones
+        return {j: tuple((at[k], c) for k, c in col)
+                for j, col in space.residue(f).items()}
 
-    entries = []
-    for i, ci in enumerate(keep):
-        for j, cj in enumerate(keep):
-            prod = project(a.product_basis(ci, cj))
-            for k, c in enumerate(prod):
-                if not K.is_zero(c):
-                    entries.append((i, j, k, c))
-    labels = [a.labels[c] for c in keep]
-    q = _trusted_algebra(K, labels, entries, project(a.unit))
-    return q, AlgHom(a, q, map_of(K, [project(a.basis_element(i))
-                                      for i in range(a.dim)]))
+    entries = [(i, at[j], k, c) for i, ci in enumerate(keep)
+               for j, col in project({j: cell for j, cell in
+                                      a.rows[ci].items() if j in at}).items()
+               for k, c in col]
+    proj = project(identity_map(K, a.dim))
+    q = _trusted_algebra(K, [a.labels[c] for c in keep], entries,
+                         apply_map(K, proj, a.unit, len(keep)))
+    return q, AlgHom(a, q, proj)
 
 
 def _block_krylov(a: FinAlg, e, z):

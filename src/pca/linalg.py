@@ -22,18 +22,17 @@ starting over.  A linear map is given by its sparse columns, a mapping
 from j to the (k, scalar) pairs of the image of e_j (a repeated k adds
 up); homomorphisms, bimodule actions and derivations are held so.  Only
 this module applies one, to a row (``_apply_map``) or to another map
-(``compose``), so images stay sparse, and a law stated as an equality of
-maps is one ``first_difference``.  ``Subspace.restrict`` gives a map on
-an invariant subspace in its coordinates.  The dense ``Matrix`` is the
-file, report and ``rref``/``solve`` format only, and meets the maps only
-in ``Matrix.to_map`` and ``Matrix.from_map``.  Only ``_map_rows`` turns
-maps into the rows of their equations, so a system stated by maps
-(``solve_maps``, ``Subspace.kernel``) reaches the kernel without a dense
-row.  ``Subspace.image`` spans the images of a space's pivot rows, and
-``Subspace.extend`` feeds each map's image of every pivot row it adds
-back into its elimination: growing a span until the maps send it into
-itself (a generating set, an ideal closure, A*v) is one elimination
-applying each map once per row.
+(``compose``), and a law stated as an equality of maps is one
+``first_difference``.  A ``Subspace`` reduces a map's columns modulo
+itself (``residue``: a quotient's table), reads them in its coordinates
+(``coordinates``, and ``restrict`` on an invariant subspace) and spans
+them (``span_of``) or its rows' images (``image``); ``extend`` feeds each
+map's image of every pivot row it adds back into its elimination, so
+growing a span until the maps send it into itself is one elimination.
+The dense ``Matrix`` is the file, report and ``rref``/``solve`` format
+only, and meets the maps only in ``Matrix.to_map`` and
+``Matrix.from_map``.  Only ``_map_rows`` turns maps into the rows of
+their equations (``solve_maps``, ``Subspace.kernel``).
 The reduced row echelon form of a matrix is unique, so the kernel's
 results do not depend on the order in which it visits rows or on how it
 stores them.  Division is exact; "no solution" is a value (None), not an
@@ -482,9 +481,10 @@ class Subspace:
         return cls(field, ambient, [])
 
     @classmethod
-    def full(cls, field: Field, ambient: int):
-        return cls(field, ambient,
-                   [unit_vec(field, ambient, i) for i in range(ambient)])
+    def span_of(cls, field: Field, ambient: int, f) -> "Subspace":
+        """The span of the columns of the map f (sparse columns)."""
+        return cls.zero(field, ambient)._new(
+            {}, [_apply_map(field, f, {j: field.one}) for j in f])
 
     @staticmethod
     def kernel(field: Field, ambient: int, maps) -> "Subspace":
@@ -513,37 +513,41 @@ class Subspace:
         return self._new({}, [_apply_map(self.field, f, row)
                               for row in self._rows.values() for f in maps])
 
-    def restrict(self, f):
-        """The map f on this space, in the coordinates of its RREF basis,
-        or None when f does not send the space into itself.  A vector of
-        the space is the sum of its entries at the pivots times the basis
-        rows, so column t lists the entries of f(basis[t]) there."""
-        K, at = self.field, {pc: t for t, pc in enumerate(self.pivots)}
-        out = {}
-        for t, pc in enumerate(self.pivots):
-            image = _apply_map(K, f, self._rows[pc])
-            residue = dict(image)
-            _reduce(K, residue, self._rows)
-            if residue:
-                return None
-            out[t] = tuple((at[k], c) for k, c in image.items() if k in at)
+    def residue(self, f) -> dict:
+        """The columns of the map f reduced modulo this space, as sparse
+        columns: column j is what the row steps against the pivot rows
+        leave of f(e_j), so it has no entry at a pivot."""
+        K, out = self.field, {}
+        for j in f:
+            row = _apply_map(K, f, {j: K.one})
+            _reduce(K, row, self._rows)
+            out[j] = tuple(row.items())
         return out
 
-    def _residue(self, v) -> dict:
-        row = _sparse(self.field, v)
-        _reduce(self.field, row, self._rows)
-        return row
+    def coordinates(self, f):
+        """The columns of the map f in the coordinates of this space's RREF
+        basis, or None when one leaves the space.  A vector of the space
+        is the sum of its entries at the pivots times the basis rows."""
+        if any(self.residue(f).values()):
+            return None
+        at = {pc: t for t, pc in enumerate(self.pivots)}
+        return {j: tuple((at[k], c) for k, c in _apply_map(
+            self.field, f, {j: self.field.one}).items() if k in at)
+            for j in f}
 
-    def reduce(self, v):
-        """Residue of v after eliminating against the basis."""
-        return _dense(self.field, self._residue(v), self.ambient)
+    def restrict(self, f):
+        """The map f on this space, in the coordinates of its RREF basis,
+        or None when f does not send the space into itself."""
+        return self.coordinates(compose(self.field, f, {
+            t: tuple(self._rows[pc].items())
+            for t, pc in enumerate(self.pivots)}))
 
     def contains(self, v) -> bool:
-        return not self._residue(v)
+        return not self.residue(map_of(self.field, [v]))[0]
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""
-        if self._residue(v):
+        if not self.contains(v):
             return None
         return tuple(v[pc] for pc in self.pivots)
 

@@ -17,8 +17,12 @@ The two corrections have one sign each:
   H(b) = sum_k t(u_k) c(v_k, b).  The identity at x = v_k, sum u_k v_k = 1
   and ap = pa give t(a) H(b) - H(ab) + H(a) t(b) = c(a, b), and as
   H(a) H(b) = 0, t + H has defect c - c = 0: the multiplicative lift is
-  t + H.  The H that work differ by derivations A/J -> N, all inner,
-  b -> t(b) n - n t(b).  Reduced against those with its unknowns
+  t + H.  H is built as a map, not one product at a time: expanding c,
+  H = sum_k L_t(u_k) t L_v_k - L_P t with P = sum_k t(u_k) t(v_k), where
+  L_x is left multiplication by x, and its columns are read in N's
+  coordinates.  The H that work differ by derivations A/J -> N, all
+  inner, b -> t(b) n - n t(b); at b = e_s that is L_t(e_s) - R_t(e_s)
+  restricted to N.  Reduced against those with its unknowns
   x[r q + s] (coordinate r of H(e_s)) in reversed order, H vanishes on
   the free columns of the coboundary system's RREF, which are the pivots
   of the derivation space's reversed RREF (matroid duality): the lift is
@@ -32,7 +36,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import AlgHom, FinAlg, Ideal, _checked_map, _mult_map, quotient
+from .algebra import (AlgHom, FinAlg, Ideal, _checked_map, _map_sub,
+                      _mult_map, quotient)
 from .errors import (AmbientMismatch, BadSpec, InternalVerificationFailed,
                      NotIdempotentModJ, _internal)
 from .linalg import (Matrix, Subspace, apply_map, compose, first_difference,
@@ -42,20 +47,23 @@ from .separability import induced_bimodule, inner_derivation, sep_idempotent
 
 
 class Splitting:
-    """An algebra section of the projection A -> A/J(A) with image S."""
+    """An algebra section of the projection A -> A/J(A) with image S, the
+    span of the section's columns."""
 
     def __init__(self, algebra: FinAlg, quotient: FinAlg, projection: AlgHom,
-                 section: AlgHom, image: Subspace, radical: RadicalResult):
+                 section: AlgHom, radical: RadicalResult):
         self.algebra = algebra
         self.quotient = quotient
         self.projection = projection
         self.section = section
-        self.image = image
+        self.image = Subspace.span_of(algebra.field, algebra.dim, section.map)
         self.radical = radical
 
     def verify(self):
-        """The section is a unital algebra homomorphism, a right inverse
-        of the projection, and its image S is a complement of J."""
+        """The section s is a unital algebra homomorphism and a right
+        inverse of the projection pi, and J is the kernel of pi.  S is then
+        a complement of J: s(y) in J gives y = pi(s(y)) = 0, so s is
+        injective and dim S + dim J = dim A."""
         A = self.algebra
         K = A.field
         comp = compose(K, self.projection.map, self.section.map)
@@ -64,10 +72,8 @@ class Splitting:
             raise BadSpec("projection o section != id")
         self.section.verify()
         J = self.radical.radical.space
-        if self.image.intersect(J).dim != 0:
-            raise BadSpec("S meets J")
-        if self.image.sum(J).dim != A.dim:
-            raise BadSpec("S + J != A")
+        if Subspace.kernel(K, A.dim, [self.projection.map]) != J:
+            raise BadSpec("J is not the kernel of the projection")
         return True
 
 
@@ -116,39 +122,36 @@ def _layer_correction(head: FinAlg, fine: FinAlg, layer: Subspace,
     t = ``tau`` (sparse columns) of A/J into ``fine`` multiplicative,
     ``layer`` being the square-zero ideal N that holds its defect, read
     off the ``pairs`` of a separability idempotent of A/J as the module
-    docstring says."""
+    docstring says: H and the inner derivations are composed maps, read
+    in N's coordinates by ``Subspace.coordinates`` and ``restrict``."""
     K, q, nu = fine.field, head.dim, layer.dim
 
     def lift(v):
         return apply_map(K, tau, v, fine.dim)
 
-    tcols = [lift(head.basis_element(s)) for s in range(q)]
-
-    def coords(v):
-        c = layer.coords(v)
-        if c is None:
-            raise InternalVerificationFailed(
-                "correction escapes the kernel layer")
-        return c
-
-    def unknowns(cols):
-        # x[r q + s], coordinate r of column s, in reversed order
-        return [c[r] for r in range(nu) for c in cols][::-1]
-
-    lifted = [(lift(u), v, lift(v)) for u, v in pairs]
-    hcols = []
-    for j, tb in enumerate(tcols):
-        b = head.basis_element(j)
-        h = fine.zero_element()
-        for tu, v, tv in lifted:
-            c = fine.sub(lift(head.mul(v, b)), fine.mul(tv, tb))
-            h = fine.add(h, fine.mul(tu, c))
-        hcols.append(coords(h))
-    inner = Subspace(K, nu * q, [unknowns([
-        coords(fine.sub(fine.mul(t, n), fine.mul(n, t))) for t in tcols])
-        for n in layer.basis])
-    x = inner.reduce(unknowns(hcols))[::-1]
-    return [layer.from_coords(x[s::q]) for s in range(q)]
+    lefts = [(_mult_map(fine, lift(u), "left"), v) for u, v in pairs]
+    P, H = fine.zero_element(), {}
+    for L, v in lefts:
+        P = fine.add(P, apply_map(K, L, lift(v), fine.dim))
+        for j, col in compose(K, L, compose(K, tau, _mult_map(
+                head, v, "left"))).items():
+            H.setdefault(j, []).extend(col)
+    hcols = layer.coordinates(_map_sub(
+        K, H, compose(K, _mult_map(fine, P, "left"), tau)))
+    ders = [layer.restrict(_map_sub(K, _mult_map(fine, t, "left"),
+                                    _mult_map(fine, t, "right")))
+            for t in map(lift, map(head.basis_element, range(q)))]
+    if hcols is None or None in ders:
+        raise InternalVerificationFailed("correction escapes the kernel layer")
+    # x[r q + s] is coordinate r of column s, in reversed order
+    last = nu * q - 1
+    inner = {r: [(last - m * q - s, c) for s, d in enumerate(ders)
+                 for m, c in d[r]] for r in range(nu)}
+    x = dict(Subspace.span_of(K, nu * q, inner).residue({0: [
+        (last - r * q - s, c) for s, col in hcols.items()
+        for r, c in col]})[0])
+    return [layer.from_coords([x.get(last - r * q - s, K.zero)
+                               for r in range(nu)]) for s in range(q)]
 
 
 def wedderburn_splitting(A: FinAlg, seed: int = 0) -> Splitting:
@@ -212,9 +215,7 @@ def splitting_from_section_matrix(A: FinAlg, matrix: Matrix,
 def _checked_splitting(A: FinAlg, head: FinAlg, head_proj: AlgHom, section,
                        rad: RadicalResult) -> Splitting:
     """The Splitting with the section map ``section``, fully validated."""
-    sec = AlgHom(head, A, section)
-    split = Splitting(A, head, head_proj, sec, Subspace(A.field, A.dim, [
-        sec.apply(head.basis_element(i)) for i in range(head.dim)]), rad)
+    split = Splitting(A, head, head_proj, AlgHom(head, A, section), rad)
     split.verify()
     return split
 
@@ -278,14 +279,11 @@ def malcev_conjugator(s1: Splitting, s2: Splitting):
     a2 = [s2.section.apply(head.basis_element(i)) for i in range(head.dim)]
     T = induced_bimodule(head, J, [_mult_map(A, x, "left") for x in a1],
                          [_mult_map(A, x, "right") for x in a2])
-    dcols = []
-    for x1, x2 in zip(a1, a2):
-        diff = J.coords(A.sub(x1, x2))
-        if diff is None:
-            raise InternalVerificationFailed(
-                "section difference escapes the radical")
-        dcols.append(diff)
-    u = _internal(inner_derivation, head, T, map_of(K, dcols))
+    d = J.coordinates(_map_sub(K, s1.section.map, s2.section.map))
+    if d is None:
+        raise InternalVerificationFailed(
+            "section difference escapes the radical")
+    u = _internal(inner_derivation, head, T, d)
     if u is None:
         raise InternalVerificationFailed(
             "section difference not inner: separability violated")

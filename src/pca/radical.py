@@ -57,7 +57,7 @@ from .errors import (InternalVerificationFailed, TooLarge, UnsupportedField,
                      _internal)
 from .fields import (PrimeField, RationalFunctionField, SimpleExtension,
                      base_tower, prime_subfield)
-from .linalg import Subspace, map_of
+from .linalg import Subspace, identity_map
 
 
 class RadicalResult:
@@ -280,8 +280,7 @@ def radical(A: FinAlg) -> RadicalResult:
 def _preimage(h: AlgHom, space: Subspace) -> Subspace:
     """h^(-1)(space), as the kernel of (reduce by space) o h."""
     A = h.source
-    return Subspace.kernel(A.field, A.dim, [map_of(A.field, [
-        space.reduce(h.apply(A.basis_element(j))) for j in range(A.dim)])])
+    return Subspace.kernel(A.field, A.dim, [space.residue(h.map)])
 
 
 def radical_from_below(h: AlgHom, below: RadicalResult) -> RadicalResult:
@@ -331,10 +330,10 @@ def maximal_twosided_intersection(A: FinAlg) -> Ideal:
     Aq, pi = quotient(A, rr.radical)
     dec = central_idempotents(Aq)
     K = A.field
-    inter = Subspace.full(K, A.dim)
+    inter = Subspace.span_of(K, A.dim, identity_map(K, A.dim))
     for e in dec.idempotents:
-        comp = Subspace.full(K, Aq.dim).image(
-            [_mult_map(Aq, Aq.sub(Aq.unit, e), "right")])
+        comp = Subspace.span_of(K, Aq.dim,
+                                _mult_map(Aq, Aq.sub(Aq.unit, e), "right"))
         inter = inter.intersect(_preimage(pi, comp))
     if inter != rr.radical.space:
         raise InternalVerificationFailed(

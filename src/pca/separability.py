@@ -278,15 +278,11 @@ def induced_bimodule(B: FinAlg, space: Subspace, left, right) -> Bimodule:
     and ``right[i]`` of the ambient space, restricted to ``space`` in its
     coordinates.  The bimodule laws are the caller's to know; an image
     that leaves ``space`` raises."""
-    def restricted(f):
-        g = space.restrict(f)
-        if g is None:
-            raise InternalVerificationFailed(
-                "subspace is not stable under the action")
-        return g
-
-    return Bimodule(B, space.dim, map(restricted, left),
-                    map(restricted, right))
+    left, right = ([space.restrict(f) for f in fs] for fs in (left, right))
+    if None in left or None in right:
+        raise InternalVerificationFailed(
+            "subspace is not stable under the action")
+    return Bimodule(B, space.dim, left, right)
 
 
 def multiplication_kernel_bimodule(A: FinAlg):
@@ -306,16 +302,14 @@ def universal_derivation_check(A: FinAlg) -> bool:
     K = A.field
     T, kspace = multiplication_kernel_bimodule(A)
     one_one = tuple(K.mul(a, b) for a in A.unit for b in A.unit)
-    dcols = []
-    for i in range(A.dim):
-        # d(e_i) = 1 (x) e_i - e_i (x) 1 = (1 (x) 1) e_i - e_i (1 (x) 1)
-        f = _map_sub(K, _tensor_map(A, i, "right"), _tensor_map(A, i, "left"))
-        cv = kspace.coords(apply_map(K, f, one_one, len(one_one)))
-        if cv is None:
-            raise InternalVerificationFailed(
-                "universal derivation misses the kernel")
-        dcols.append(cv)
-    u = _internal(inner_derivation, A, T, map_of(K, dcols))
+    # d(e_i) = 1 (x) e_i - e_i (x) 1 = (1 (x) 1) e_i - e_i (1 (x) 1)
+    d = kspace.coordinates({i: tuple(enumerate(apply_map(K, _map_sub(
+        K, _tensor_map(A, i, "right"), _tensor_map(A, i, "left")),
+        one_one, len(one_one)))) for i in range(A.dim)})
+    if d is None:
+        raise InternalVerificationFailed(
+            "universal derivation misses the kernel")
+    u = _internal(inner_derivation, A, T, d)
     if u is None:
         return False
     ubig = kspace.from_coords(u)

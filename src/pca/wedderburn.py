@@ -157,7 +157,7 @@ def _block(A: FinAlg, e):
     the subspace's pivots."""
     K = A.field
     right = _mult_map(A, e, "right")
-    space = Subspace.full(K, A.dim).image([right])
+    space = Subspace.span_of(K, A.dim, right)
     labels = [A.labels[p] for p in space.pivots]
     entries = []
     for i in range(space.dim):

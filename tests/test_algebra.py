@@ -22,6 +22,7 @@ from pca.fields import PrimeField, RationalFunctionField, Rationals, \
     SimpleExtension
 from pca.linalg import Matrix, Subspace, rank, vec_is_zero
 from pca.poly import Poly
+from pca.radical import radical
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -260,6 +261,54 @@ def test_quotient_kernel_property_random():
             continue
         _, pi = quotient(A, I)
         assert kernel(pi) == I
+
+
+def dense_quotient(a, ideal):
+    """The reference for ``quotient``: each product e_i e_j of kept basis
+    elements and each e_j projected as a dense vector, reduced one dense
+    row at a time and read at the kept (non-pivot) coordinates."""
+    K, space = a.field, ideal.space
+    keep = [c for c in range(a.dim) if c not in space.pivots]
+
+    def project(v):
+        red = dense_reduce(K, space.basis, space.pivots, v)
+        return tuple(red[c] for c in keep)
+
+    entries = [(i, j, k, c) for i, ci in enumerate(keep)
+               for j, cj in enumerate(keep)
+               for k, c in enumerate(project(a.product_basis(ci, cj)))
+               if not K.is_zero(c)]
+    q = algebra._trusted_algebra(K, [a.labels[c] for c in keep], entries,
+                                 project(a.unit))
+    cols = [project(a.basis_element(j)) for j in range(a.dim)]
+    return q, algebra.AlgHom(a, q, linalg.map_of(K, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([Q, F2, F3]),
+       st.booleans())
+@example(5, Q, False)
+@example(5, F3, True)
+def test_quotient_matches_dense_reference(seed, field, by_filtration):
+    # every ideal of the radical filtration, or the closure of a few
+    # random elements; the sparse quotient builds the same algebra and
+    # the same projection as the dense reference
+    rng = random.Random(seed)
+    A = corpus.random_algebra(rng, field, 8)
+    if by_filtration:
+        ideals = radical(A).filtration
+    else:
+        ideals = [ideal_closure(A, [tuple(field.random(rng)
+                                          for _ in range(A.dim))
+                                    for _ in range(rng.randint(1, 2))])]
+    for I in ideals:
+        if I.dim == A.dim:
+            continue
+        q, pi = quotient(A, I)
+        ref_q, ref_pi = dense_quotient(A, I)
+        assert q == ref_q and q.labels == ref_q.labels
+        assert pi == ref_pi
+        assert corpus.hom_matrix(pi) == corpus.hom_matrix(ref_pi)
 
 
 def test_restrict_scalars_round_trip():

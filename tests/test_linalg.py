@@ -404,15 +404,31 @@ def test_subspace_operations_match_dense_reference(K, case):
     member = dense_combination(K, basis, cs, n)
     assert U.from_coords(cs) == member
     outside = [tuple(scalar(K, x) for x in p) for p in probes]
-    for v in outside + extra + [member] + [vec_add(K, member, p)
-                                           for p in outside]:
+    vs = outside + extra + [member] + [vec_add(K, member, p)
+                                       for p in outside]
+    # the same vectors as the columns of one map, each entry split in two
+    # halves that the map format adds up (no kernel field has char 2)
+    half = K.inv(K.from_int(2))
+    cols = {j: tuple((k, K.mul(half, c)) for k, c in enumerate(v)) * 2
+            for j, v in enumerate(vs)}
+    residues = U.residue(cols)
+    for j, v in enumerate(vs):
         residue = dense_reduce(K, basis, pivots, v)
-        assert U.reduce(v) == residue
+        assert dict(residues[j]) == {k: c for k, c in enumerate(residue)
+                                     if not K.is_zero(c)}
         inside = vec_is_zero(K, residue)
         assert U.contains(v) == inside
         assert U.coords(v) == (tuple(v[pc] for pc in pivots) if inside
                                else None)
     assert U.coords(member) == cs
+    # the coordinates of the whole map: None once a column leaves U
+    coords = U.coordinates(cols)
+    if not all(U.contains(v) for v in vs):
+        assert coords is None
+    else:
+        assert {j: dict(col) for j, col in coords.items()} == {
+            j: {t: c for t, c in enumerate(U.coords(v)) if not K.is_zero(c)}
+            for j, v in enumerate(vs)}
 
 
 # -- closure under linear maps -----------------------------------------------

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 import corpus
 from pca import malcev, separability
-from pca.algebra import (AlgHom, group_algebra, ideal_closure, matrix_algebra,
-                         quotient, triangular_algebra,
-                         truncated_polynomial_algebra)
-from pca.errors import NotIdempotentModJ
+from pca.algebra import (AlgHom, Ideal, group_algebra, hom_check,
+                         ideal_closure, matrix_algebra, quotient,
+                         triangular_algebra, truncated_polynomial_algebra)
+from pca.errors import BadSpec, NotIdempotentModJ
 from pca.fields import PrimeField, Rationals
 from pca.linalg import Matrix, Subspace, solve
-from pca.malcev import (check_ideal_lemma, lift_idempotent, malcev_conjugator,
-                        splitting_from_complement,
+from pca.malcev import (Splitting, check_ideal_lemma, lift_idempotent,
+                        malcev_conjugator, splitting_from_complement,
                         splitting_from_section_matrix, wedderburn_splitting)
-from pca.radical import radical
+from pca.radical import RadicalResult, radical
 from pca.separability import sep_idempotent
 
 Q = Rationals()
@@ -262,6 +262,31 @@ def test_splitting_from_section_matrix_round_trip():
     s = wedderburn_splitting(T2, seed=3)
     s2 = splitting_from_section_matrix(T2, corpus.hom_matrix(s.section))
     assert s2.image == s.image
+
+
+def test_section_matrix_that_is_no_right_inverse_is_refused():
+    # E11 and E22 swapped: a unital homomorphism A/J -> A whose image
+    # complements J, but pi o s swaps the two basis elements of A/J
+    T2 = triangular_algebra(2, Q)
+    head, _ = quotient(T2, radical(T2).radical)
+    swap = Matrix(Q, [[0, 1], [0, 0], [1, 0]])
+    assert hom_check(swap, head, T2).verify()
+    with pytest.raises(BadSpec, match="projection o section"):
+        splitting_from_section_matrix(T2, swap)
+
+
+def test_hand_built_splitting_is_checked_against_its_radical():
+    # the image is read off the section, and a radical that is not the
+    # kernel of the projection is refused
+    T2 = triangular_algebra(2, Q)
+    s = wedderburn_splitting(T2)
+    assert s.image == Subspace(Q, T2.dim, [
+        s.section.apply(s.quotient.basis_element(i))
+        for i in range(s.quotient.dim)])
+    e11 = Ideal(T2, Subspace(Q, T2.dim, [T2.basis_element(0)]))
+    wrong = RadicalResult(e11, [e11], 2, "given")
+    with pytest.raises(BadSpec, match="kernel of the projection"):
+        Splitting(T2, s.quotient, s.projection, s.section, wrong).verify()
 
 
 @pytest.mark.parametrize("A,layers", [
