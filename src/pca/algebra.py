@@ -260,37 +260,29 @@ def group_algebra(n: int, field: Field) -> FinAlg:
     return _trusted_algebra(field, labels, entries, unit)
 
 
+def _matrix_units(field: Field, pos) -> FinAlg:
+    """The span of the matrix units E_ij, (i, j) in ``pos``, under
+    E_ij E_jl = E_il; ``pos`` holds every (i, i), and (i, l) whenever it
+    holds (i, j) and (j, l)."""
+    idx = {p: a for a, p in enumerate(pos)}
+    entries = [(a, b, idx[i, l], field.one) for (i, j), a in idx.items()
+               for (k, l), b in idx.items() if j == k]
+    unit = [field.one if i == j else field.zero for i, j in pos]
+    return _trusted_algebra(field, [f"E{i + 1}{j + 1}" for i, j in pos],
+                            entries, unit)
+
+
 def matrix_algebra(n: int, field: Field) -> FinAlg:
     """Full matrix algebra M_n with the E_ij basis."""
     if n < 1:
         raise BadSpec("matrix degree must be >= 1")
-    idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    entries = []
-    for (i, j), a in idx.items():
-        for (k, l), b in idx.items():
-            if j == k:
-                entries.append((a, b, idx[(i, l)], field.one))
-    unit = [field.zero] * (n * n)
-    for i in range(n):
-        unit[idx[(i, i)]] = field.one
-    return _trusted_algebra(field, labels, entries, unit)
+    return _matrix_units(field, [(i, j) for i in range(n) for j in range(n)])
 
 
 def triangular_algebra(n: int, field: Field) -> FinAlg:
     """Upper triangular n x n matrices."""
-    pos = [(i, j) for i in range(n) for j in range(i, n)]
-    idx = {p: a for a, p in enumerate(pos)}
-    labels = [f"E{i + 1}{j + 1}" for i, j in pos]
-    entries = []
-    for (i, j), a in idx.items():
-        for (k, l), b in idx.items():
-            if j == k:
-                entries.append((a, b, idx[(i, l)], field.one))
-    unit = [field.zero] * len(pos)
-    for i in range(n):
-        unit[idx[(i, i)]] = field.one
-    return _trusted_algebra(field, labels, entries, unit)
+    return _matrix_units(field, [(i, j) for i in range(n)
+                                 for j in range(i, n)])
 
 
 def truncated_polynomial_algebra(field: Field, n: int) -> FinAlg:

@@ -239,14 +239,12 @@ def splitting_from_complement(A: FinAlg, space: Subspace,
 
 def check_ideal_lemma(s: Splitting, ideal: Ideal) -> bool:
     """Whether the section maps (I + J)/J into I; true for every twosided
-    ideal by the idempotent-power argument."""
+    ideal by the idempotent-power argument.  The projection kills J, so
+    (I + J)/J is the image of I."""
     if ideal.ambient != s.algebra:
         raise AmbientMismatch("ideal of a different algebra")
-    J = s.radical.radical.space
-    total = ideal.space.sum(J)
-    down = Subspace(s.algebra.field, s.quotient.dim,
-                    [s.projection.apply(v) for v in total.basis])
-    return all(ideal.contains(s.section.apply(w)) for w in down.basis)
+    return all(ideal.contains(s.section.apply(s.projection.apply(v)))
+               for v in ideal.space.basis)
 
 
 def _geometric_inverse(A: FinAlg, omega, index: int):

@@ -5,18 +5,22 @@ factoring minimal polynomials of central elements and recursing until each
 block's center is a field.  Over F_p the block count is read off
 deterministically from the fixed space of the Frobenius map on the center;
 over Q a seeded random center element is used, with a primitive-element
-degree certificate.  Orthogonality, completeness and the reassembly
-isomorphism are re-verified in exact arithmetic on every call; the
-reassembly is proved through ``errors._internal``.
+degree certificate.  Each block of a primitive central idempotent e is
+the quotient algebra A/A(1-e), A(1-e) being the kernel of right
+multiplication by e, and is isomorphic to Ae by a + A(1-e) -> ae.
+Orthogonality, completeness, centrality and the reassembly isomorphism
+are re-verified in exact arithmetic on every call; the reassembly is
+proved through ``errors._internal``.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from itertools import accumulate
 
-from .algebra import (AlgHom, FinAlg, _block_krylov, _map_sub, _mult_map,
-                      _trusted_algebra, direct_product, kernel)
+from .algebra import (AlgHom, FinAlg, Ideal, _block_krylov, _map_sub,
+                      _mult_map, direct_product, kernel, quotient)
 from .errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                      NotSemisimple, UnsupportedField, _internal)
 from .fields import PrimeField, Rationals
@@ -29,8 +33,9 @@ from .fields import pdeg, pdivmod, pextgcd, pmod, pmul
 
 class BlockDecomposition:
     """``idempotents``: a complete orthogonal primitive central set.  For
-    each idempotent e, ``blocks`` holds the FinAlg on Ae with unit e,
-    ``block_spaces`` the Subspace of A under it and ``block_data`` a dict
+    each idempotent e, ``blocks`` holds the quotient algebra A/A(1-e),
+    isomorphic to Ae by a + A(1-e) -> ae, on the basis ``quotient`` keeps;
+    ``block_spaces`` holds the Subspace Ae of A and ``block_data`` a dict
     with total_dim, center_dim and, over a prime field, matrix_degree."""
 
     def __init__(self, algebra: FinAlg, idempotents: list, blocks: list,
@@ -101,12 +106,13 @@ def _find_splitter_prime(A: FinAlg, e, ze: Subspace):
     Returns ([e, ez, ...], minpoly(z), its factors), or None when Z(A)e
     is a field."""
     K = A.field
-    p = K.p
     cols = []
     for v in ze.basis:
-        w = v
-        for _ in range(p - 1):
-            w = A.mul(w, v)
+        w = v  # v^p by square-and-multiply over the bits of p
+        for bit in bin(K.p)[3:]:
+            w = A.mul(w, w)
+            if bit == "1":
+                w = A.mul(w, v)
         cols.append(ze.coords(w))
     if any(c is None for c in cols):
         raise InternalVerificationFailed("center not closed under Frobenius")
@@ -150,25 +156,17 @@ def _find_splitter_rationals(A: FinAlg, e, ze: Subspace, rng):
         "no primitive or splitting center element found")
 
 
-def _block(A: FinAlg, e):
-    """The block algebra Ae with unit e, its subspace of A, its dimension
-    data and the coordinates in that subspace of each e_i e.  Column i of
-    R_e is e_i e, which lies in Ae, so its coordinates are its entries at
-    the subspace's pivots."""
+def _block(A: FinAlg, e, zc: Subspace):
+    """The block A/A(1-e), the subspace Ae, the dimension data and the
+    columns of the projection A -> A/A(1-e), for e an idempotent in the
+    centre ``zc``.  Ker R_e is A(1-e), as ae = 0 exactly when a = a(1-e);
+    it is a twosided ideal as e is central, and a + A(1-e) -> ae maps the
+    quotient onto Ae."""
     K = A.field
+    if not zc.contains(e):
+        raise InternalVerificationFailed("a block idempotent is not central")
     right = _mult_map(A, e, "right")
-    space = Subspace.span_of(K, A.dim, right)
-    labels = [A.labels[p] for p in space.pivots]
-    entries = []
-    for i in range(space.dim):
-        for j in range(space.dim):
-            prod = space.coords(A.mul(space.basis[i], space.basis[j]))
-            if prod is None:
-                raise InternalVerificationFailed("block not closed")
-            for k, c in enumerate(prod):
-                if not K.is_zero(c):
-                    entries.append((i, j, k, c))
-    block = _trusted_algebra(K, labels, entries, space.coords(e))
+    block, proj = quotient(A, Ideal(A, Subspace.kernel(K, A.dim, [right])))
     cdim = center(block).dim
     record = {"total_dim": block.dim, "center_dim": cdim}
     if isinstance(K, PrimeField):
@@ -178,9 +176,7 @@ def _block(A: FinAlg, e):
             raise InternalVerificationFailed(
                 "block dimension is not n^2 * center_dim")
         record["matrix_degree"] = n
-    cols = [dict(right.get(i, ())) for i in range(A.dim)]
-    return block, space, record, [
-        tuple(col.get(pc, K.zero) for pc in space.pivots) for col in cols]
+    return block, Subspace.span_of(K, A.dim, right), record, proj.map
 
 
 def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
@@ -218,13 +214,16 @@ def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:
         parts = _split_by(A, e, powers, mu, fac)
         (final if mu.degree == ze.dim else worklist).extend(parts)
 
-    built = sorted(((e, *_block(A, e)) for e in final),
+    built = sorted(((e, *_block(A, e, zc)) for e in final),
                    key=lambda x: (x[1].dim, x[0]))
-    final, blocks, spaces, data, coords = (list(c) for c in zip(*built))
+    final, blocks, spaces, data, projs = (list(c) for c in zip(*built))
 
-    # reassembly: a -> (a e_1, ..., a e_r) must be an algebra isomorphism
-    cols = [[c for cs in coords for c in cs[i]] for i in range(A.dim)]
-    h = AlgHom(A, direct_product(blocks), map_of(K, cols))
+    # reassembly: a -> (a + A(1-e_1), ..., a + A(1-e_r)), each projection's
+    # columns stacked at its block's offset, must be an isomorphism
+    offsets = [0, *accumulate(b.dim for b in blocks)]
+    h = AlgHom(A, direct_product(blocks), {
+        j: tuple((o + k, c) for p, o in zip(projs, offsets)
+                 for k, c in p.get(j, ())) for j in range(A.dim)})
     _internal(h.verify)
     if not kernel(h).is_zero():
         raise InternalVerificationFailed("reassembly map is not bijective")

@@ -86,6 +86,33 @@ def test_matrix_algebra_unit():
     assert M.unit == (1, 0, 0, 1)
 
 
+def _matrix_units_reference(n, field, upper):
+    """M_n (upper False) or T_n (upper True) from explicit loops over
+    pairs of positions: a reference that does not go through
+    ``algebra._matrix_units``."""
+    pos = [(i, j) for i in range(n) for j in range(i if upper else 0, n)]
+    idx = {p: a for a, p in enumerate(pos)}
+    entries = []
+    for (i, j), a in idx.items():
+        for (k, l), b in idx.items():
+            if j == k:
+                entries.append((a, b, idx[(i, l)], field.one))
+    unit = [field.zero] * len(pos)
+    for i in range(n):
+        unit[idx[(i, i)]] = field.one
+    return algebra._trusted_algebra(
+        field, [f"E{i + 1}{j + 1}" for i, j in pos], entries, unit)
+
+
+@pytest.mark.parametrize("K", [Q, F2], ids=["Q", "F2"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matrix_and_triangular_algebras_match_reference(K, n):
+    for make, upper in ((matrix_algebra, False), (triangular_algebra, True)):
+        A, ref = make(n, K), _matrix_units_reference(n, K, upper)
+        assert A == ref
+        assert A.labels == ref.labels
+
+
 def test_direct_product():
     P = direct_product([group_algebra(1, Q), group_algebra(1, Q)])
     assert P.dim == 2

@@ -87,6 +87,17 @@ def test_oracle_refuses_more_pairs_than_its_bound(tmp_path):
     assert took < 2
 
 
+def test_wedderburn_over_a_large_prime(tmp_path):
+    # v^p for the Frobenius fixed space takes log p products, not p - 1:
+    # over F_(2^61 - 1), where 3 divides p - 1, C_3 splits into three lines
+    fileio.save_canonical(str(tmp_path / "c3.alg"), fileio.algebra_to_doc(
+        group_algebra(3, PrimeField(2 ** 61 - 1))))
+    res = run_cli("wedderburn", "c3.alg", "--json", cwd=tmp_path, timeout=20)
+    assert res.returncode == 0
+    blocks = json.loads(res.stdout)["results"]["blocks"]
+    assert [b["dim"] for b in blocks] == [1, 1, 1]
+
+
 def test_septest_negative_exit_code(fixtures):
     res = run_cli("septest", "insep.alg", cwd=fixtures)
     assert res.returncode == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 import corpus
 from pca import wedderburn
-from pca.algebra import (base_change, direct_product, group_algebra,
-                         hom_check, ideal_closure, make_algebra,
+from pca.algebra import (AlgHom, _trusted_algebra, base_change,
+                         direct_product, group_algebra, hom_check,
+                         ideal_closure, kernel, make_algebra,
                          matrix_algebra, polynomial_quotient_algebra,
                          quotient, triangular_algebra)
-from pca.errors import BadSpec, NotCoprime, NotSemisimple, UnsupportedField
+from pca.errors import (BadSpec, InternalVerificationFailed, NotCoprime,
+                        NotSemisimple, UnsupportedField)
 from pca.fields import PrimeField, Rationals, SimpleExtension
-from pca.linalg import Matrix, Subspace, rank
+from pca.linalg import Matrix, Subspace, map_of, nullspace, rank
 from pca.poly import Poly, factor
 from pca.radical import radical
 from pca.wedderburn import center, central_idempotents, crt_lift
@@ -276,3 +279,63 @@ def test_block_spaces_equal_dense_products_on_random_algebras(seed):
     for e, space in zip(dec.idempotents, dec.block_spaces):
         assert space == Subspace(K, A.dim, [A.mul(A.basis_element(i), e)
                                             for i in range(A.dim)])
+
+
+def test_block_refuses_a_non_central_idempotent():
+    # E11 of M_2(Q) is idempotent but not central: Ker R_E11 = A E22 is a
+    # left ideal only, and the quotient by it would be no block
+    A = matrix_algebra(2, Q)
+    with pytest.raises(InternalVerificationFailed):
+        wedderburn._block(A, A.basis_element(0), center(A))
+
+
+def _dense_block(A, e):
+    """The block algebra on the RREF basis of Ae, its table from one dense
+    product and one ``coords`` per pair of basis vectors, with its space
+    and dimension data: a reference that does not go through
+    ``quotient``."""
+    K = A.field
+    space = Subspace(K, A.dim, [A.mul(A.basis_element(i), e)
+                                for i in range(A.dim)])
+    entries = []
+    for i in range(space.dim):
+        for j in range(space.dim):
+            prod = space.coords(A.mul(space.basis[i], space.basis[j]))
+            assert prod is not None
+            entries.extend((i, j, k, c) for k, c in enumerate(prod)
+                           if not K.is_zero(c))
+    block = _trusted_algebra(K, [A.labels[p] for p in space.pivots],
+                             entries, space.coords(e))
+    cdim = center(block).dim
+    record = {"total_dim": block.dim, "center_dim": cdim}
+    if isinstance(K, PrimeField):
+        record["matrix_degree"] = math.isqrt(block.dim // cdim)
+    return block, space, record
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10 ** 9))
+def test_blocks_are_isomorphic_to_dense_blocks_on_random_algebras(seed):
+    # each block A/A(1-e), on the kept columns of the RREF basis of
+    # Ker R_e, maps onto the dense block Ae by e_c -> e_c e: a bijective
+    # homomorphism, with the dense block's dimension data
+    rng = random.Random(seed)
+    K = rng.choice([F2, F3, Q])
+    A = corpus.random_algebra(rng, K, 6)
+    J = radical(A).radical
+    if not J.is_zero():
+        A = quotient(A, J)[0]
+    if rng.random() < 0.5:
+        A = _rebased(rng, A)
+    dec = central_idempotents(A)
+    for e, block, data in zip(dec.idempotents, dec.blocks, dec.block_data):
+        ref, space, ref_data = _dense_block(A, e)
+        assert data == ref_data
+        ker = Subspace(K, A.dim,
+                       nullspace(corpus.mult_matrix(A, e, "right")).data)
+        keep = [c for c in range(A.dim) if c not in ker.pivots]
+        assert block.labels == tuple(A.labels[c] for c in keep)
+        h = AlgHom(block, ref, map_of(K, [
+            space.coords(A.mul(A.basis_element(c), e)) for c in keep]))
+        assert h.verify()
+        assert block.dim == ref.dim and kernel(h).is_zero()
