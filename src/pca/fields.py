@@ -20,7 +20,6 @@ through floating point.
 from __future__ import annotations
 
 import operator
-import re
 import sys
 from math import gcd, lcm
 
@@ -249,11 +248,13 @@ class Field:
         return not self.__eq__(other)
 
 
-# the rational scalar grammar, an integer or an integer over a positive
-# one, as text: ``re`` compiles it on first use (and caches it)
-_RATIONAL_RE = r"([+-]?[0-9]+)(?:/([0-9]+))?"
-
 _HASH = sys.hash_info
+
+
+def _is_ascii_digits(text: str) -> bool:
+    """One or more of 0-9: ``str.isdigit`` alone admits other scripts'
+    digits and superscripts."""
+    return text.isascii() and text.isdigit()
 
 
 def _ratio(n: int, d: int):
@@ -487,11 +488,15 @@ class Rationals(Field):
         return n
 
     def parse(self, text):
-        m = re.fullmatch(_RATIONAL_RE, text.strip())
-        if m is None:
+        """The rational scalar grammar, "a" or "a/b": an optional sign and
+        ASCII digits, then optionally a slash and ASCII digits."""
+        num, slash, den = text.strip().partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if not (_is_ascii_digits(digits)
+                and (not slash or _is_ascii_digits(den))):
             raise BadSpec(f"bad rational scalar {text!r}")
         try:
-            return _ratio(int(m[1]), int(m[2])) if m[2] else int(m[1])
+            return _ratio(int(num), int(den)) if slash else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise BadSpec(f"bad rational scalar {text!r}") from exc
 
@@ -611,6 +616,7 @@ def _fp_poly_text(cs) -> str:
 
 
 def _fp_poly_parse(text: str, p: int):
+    import re       # only here, so a Q or F_p job never loads it
     text = text.strip().replace(" ", "")
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]

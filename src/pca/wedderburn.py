@@ -166,7 +166,8 @@ def _block(A: FinAlg, e, zc: Subspace):
     if not zc.contains(e):
         raise InternalVerificationFailed("a block idempotent is not central")
     right = _mult_map(A, e, "right")
-    block, proj = quotient(A, Ideal(A, Subspace.kernel(K, A.dim, [right])))
+    ker = Subspace.kernel(K, A.dim, [right])
+    block, proj = quotient(A, Ideal(A, ker))
     cdim = center(block).dim
     record = {"total_dim": block.dim, "center_dim": cdim}
     if isinstance(K, PrimeField):
@@ -176,7 +177,10 @@ def _block(A: FinAlg, e, zc: Subspace):
             raise InternalVerificationFailed(
                 "block dimension is not n^2 * center_dim")
         record["matrix_degree"] = n
-    return block, Subspace.span_of(K, A.dim, right), record, proj.map
+    # the e_c e for the columns c the quotient keeps are a basis of Ae
+    pivots = set(ker.pivots)
+    kept = {c: col for c, col in right.items() if c not in pivots}
+    return block, Subspace.span_of(K, A.dim, kept), record, proj.map
 
 
 def central_idempotents(A: FinAlg, seed: int = 0) -> BlockDecomposition:

@@ -1,11 +1,12 @@
 import operator
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pca.algebra import polynomial_quotient_algebra
@@ -129,6 +130,37 @@ def test_rational_parse_gives_canonical_scalars(text, value):
 def test_rational_parse_refuses_text_outside_the_grammar(text):
     with pytest.raises(BadSpec):
         Q.parse(text)
+
+
+# the grammar as a regular expression, as Rationals.parse once matched it
+RATIONAL_RE = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+
+
+def _regex_parse(text):
+    """The value of ``text`` under RATIONAL_RE, or None where it is
+    refused: the reference for ``Rationals.parse``."""
+    m = re.fullmatch(RATIONAL_RE, text.strip())
+    try:
+        return m and Fraction(int(m[1]), int(m[2]) if m[2] else 1)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text("0123456789+-/ \n_\u0661\u00b2", max_size=10))
+@example(text="\u0661")
+@example(text=" -\u0661/2")
+@example(text="7" * 5000)
+def test_rational_parse_accepts_exactly_the_regex_grammar(text):
+    # ASCII digits, signs, slashes, blanks, an underscore, an Arabic-Indic
+    # one and a superscript two, which str.isdigit alone would admit
+    want = _regex_parse(text)
+    if want is None:
+        with pytest.raises(BadSpec):
+            Q.parse(text)
+    else:
+        got = Q.parse(text)
+        assert got == want and _is_canonical(got)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corpus
+from clirun import run_cli
 from pca import fileio
 from pca.algebra import (base_change, group_algebra, matrix_algebra,
                          triangular_algebra)
@@ -151,3 +152,120 @@ def test_canonical_dumps_sorted_and_stable():
     s2 = fileio.canonical_dumps(json.loads(s1))
     assert s1 == s2
     assert s1.index('"a"') < s1.index('"b"')
+
+
+# -- the _json loader and dumper against json -------------------------------
+
+def _json_dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False) + "\n"
+
+
+def _json_load(path):
+    """What ``fileio.load_json`` did through ``json.load``: the reference."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise BadSpec(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _outcome(load, path):
+    """``repr`` of what ``load(path)`` returns, which tells -0.0 from 0 and
+    1 from 1.0 and keeps key order, or the message it raises."""
+    try:
+        return "ok", repr(load(path))
+    except BadSpec as exc:
+        return "error", str(exc)
+
+
+# escapes, control characters, a line separator and non-ASCII text
+JSON_TEXT = st.text() | st.text(st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f \xe9€\U0001f600a'))
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | JSON_TEXT,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(JSON_TEXT, kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS)
+@example(doc={"b": [1.5, -0.0, None], "a": {"é": "\x00\"\\"}})
+def test_canonical_dumps_is_json_dumps(doc):
+    assert fileio.canonical_dumps(doc) == _json_dumps(doc)
+
+
+# texts json.loads refuses, each with its own message
+MALFORMED = {
+    "truncated": '{"dim": 2, "basis": ["a", ',
+    "trailing data": '{"dim": 2} {"dim": 3}',
+    "missing delimiter": '{"dim" 2}',
+    "trailing word": '[1, 2] x',
+    "BOM": '\ufeff{"dim": 2}',
+    "deep nesting": "[" * 100_000 + "]" * 100_000,
+    "5000 digits": "[" + "7" * 5000 + "]",
+    "control character": '["a\nb"]',
+    "bad escape": '["\\x"]',
+    "empty": "",
+    "blank": " \n\t",
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_load_json_refuses_malformed_text_as_json_does(tmp_path, text):
+    path = str(tmp_path / "bad.alg")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    want = _outcome(_json_load, path)
+    assert want[0] == "error"
+    assert _outcome(fileio.load_json, path) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_DOCS, indent=st.sampled_from([None, 0, 2]),
+       ascii_only=st.booleans(), pad=st.sampled_from(["", " ", "\n\t\r "]),
+       cut=st.none() | st.integers(0, 10 ** 6),
+       tail=st.sampled_from(["", "x", " 1", "]", "\ufeff"]))
+@example(doc=[1, 2], indent=None, ascii_only=True, pad=" ", cut=None,
+         tail=" 1")
+def test_load_json_is_json_load(tmp_path_factory, doc, indent, ascii_only,
+                                pad, cut, tail):
+    # well-formed texts in several layouts, cut short or followed by more
+    text = pad + json.dumps(doc, indent=indent, ensure_ascii=ascii_only) + pad
+    if cut is not None:
+        text = text[:cut % (len(text) + 1)]
+    text += tail
+    path = str(tmp_path_factory.mktemp("doc") / "a.alg")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _outcome(fileio.load_json, path) == _outcome(_json_load, path)
+
+
+@pytest.mark.parametrize("text", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_load_json_error_in_a_fresh_process(tmp_path, text):
+    # a job has not loaded json when it meets a malformed document; the
+    # scanner's own error then differs by Python version (SystemError on
+    # 3.10 and 3.11 for a missing delimiter), and the line printed must
+    # still be json's
+    (tmp_path / "bad.alg").write_text(text, encoding="utf-8")
+    res = run_cli("radical", "bad.alg", cwd=tmp_path, timeout=60)
+    want = _outcome(_json_load, str(tmp_path / "bad.alg"))[1]
+    assert res.returncode == 1
+    assert res.stderr == "pca: error: " + want.replace(
+        str(tmp_path / "bad.alg"), "bad.alg") + "\n"
+    assert res.stdout == ""
+
+
+def test_load_and_dump_without_the_accelerator(tmp_path, monkeypatch):
+    # an interpreter built without _json reads and writes through json
+    doc = {"b": [1, 2.5], "a": "é"}
+    good, bad = tmp_path / "good.alg", tmp_path / "bad.alg"
+    good.write_text(json.dumps(doc), encoding="utf-8")
+    bad.write_text(MALFORMED["trailing data"], encoding="utf-8")
+    monkeypatch.setattr(fileio, "_scan", None)
+    assert fileio.canonical_dumps(doc) == _json_dumps(doc)
+    for path in (str(good), str(bad)):
+        assert _outcome(fileio.load_json, path) == _outcome(_json_load, path)

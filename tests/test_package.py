@@ -1,7 +1,6 @@
 """The package's public names and what a command imports."""
 
 import ast
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,30 +19,34 @@ from pca.fields import PrimeField, Rationals
 # command line is read without argparse (and its gettext and locale), F_p
 # work needs neither ``fractions`` (nor its decimal) nor polynomials, and
 # the input digest comes from the interpreter's own SHA-256, not from
-# hashlib (with OpenSSL and blake2)
+# hashlib (with OpenSSL and blake2), and documents are read and written by
+# the C accelerator _json, not by json (whose import compiles regexes)
 NOT_LOADED = ("dataclasses", "inspect", "pca.wedderburn", "pca.separability",
               "pca.malcev", "pca.tower", "argparse", "gettext", "locale",
               "fractions", "decimal", "pca.poly", "hashlib", "_hashlib",
-              "_blake2")
+              "_blake2", "json", "json.decoder", "json.encoder",
+              "json.scanner")
 
+# the probe itself imports only sys, so every other module is the job's
 PROBE = """
-import json, sys
+import sys
 from pca import cli
 code = cli.main([*sys.argv[1:], "a.alg", "--json"])
-print(json.dumps([code, sorted(sys.modules)]))
+print(repr([code, sorted(sys.modules)]))
 """
 
 
-def _modules_after(tmp_path, command, algebra):
-    """The modules loaded by a process that runs ``pca command`` to a
-    successful report on ``algebra``."""
+def _modules_after(tmp_path, command, algebra, flags=()):
+    """The modules loaded by a process, started with the interpreter
+    ``flags``, that runs ``pca command`` to a successful report on
+    ``algebra``."""
     fileio.save_canonical(str(tmp_path / "a.alg"),
                           fileio.algebra_to_doc(algebra))
-    res = subprocess.run([sys.executable, "-c", PROBE, command],
+    res = subprocess.run([sys.executable, *flags, "-c", PROBE, command],
                          cwd=tmp_path, env=cli_env(), capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 0, res.stderr
-    code, modules = json.loads(res.stdout.splitlines()[-1])
+    code, modules = ast.literal_eval(res.stdout.splitlines()[-1])
     assert code == 0
     return modules
 
@@ -91,6 +94,15 @@ def test_fractional_rationals_do_not_load_fractions(tmp_path, command,
     assert module in modules
     assert [m for m in ("fractions", "decimal", "numbers") if m in modules] \
         == []
+
+
+def test_rational_job_does_not_load_re(tmp_path):
+    # without site (-S), which loads re itself on many interpreters, a Q
+    # job parses its scalars and its JSON without a regular expression
+    modules = _modules_after(tmp_path, "sepidem",
+                             group_algebra(6, Rationals()), flags=["-S"])
+    assert "pca.separability" in modules
+    assert [m for m in ("re", "json") if m in modules] == []
 
 
 def test_no_module_imports_fractions():
