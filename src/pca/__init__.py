@@ -16,7 +16,7 @@ _PUBLIC = {
     "fields": ("Field", "PrimeField", "RatFunc", "RationalFunctionField",
                "Rationals", "SimpleExtension"),
     "poly": ("Poly", "factor"),
-    "linalg": ("Matrix", "Subspace", "nullspace", "rank", "rref", "solve"),
+    "linalg": ("Matrix", "Subspace", "solve"),
     "algebra": ("AlgHom", "FinAlg", "Ideal", "base_change", "direct_product",
                 "group_algebra", "hom_check", "ideal_closure",
                 "is_surjective", "kernel", "make_algebra", "matrix_algebra",

@@ -16,8 +16,7 @@ from .errors import (AmbientMismatch, BadSpec, ImproperIdeal, NoUnit,
 from .fields import (Field, PrimeField, Rationals, SimpleExtension,
                      _over_common_denominator, check_same_field)
 from .linalg import (Matrix, Subspace, apply_map, compose, first_difference,
-                     identity_map, solve, solve_maps, unit_vec, vec_add,
-                     vec_scale, vec_sub, zero_vec)
+                     identity_map, solve, solve_maps, unit_vec)
 
 
 class FinAlg:
@@ -39,26 +38,36 @@ class FinAlg:
 
     # -- element arithmetic -------------------------------------------------
 
+    def _check(self, *vectors):
+        """Raise AmbientMismatch unless each vector has ``dim`` entries."""
+        for v in vectors:
+            if len(v) != self.dim:
+                raise AmbientMismatch("element length != algebra dimension")
+
     def zero_element(self):
-        return zero_vec(self.field, self.dim)
+        return (self.field.zero,) * self.dim
 
     def basis_element(self, i: int):
         return unit_vec(self.field, self.dim, i)
 
     def add(self, u, v):
-        return vec_add(self.field, u, v)
+        self._check(u, v)
+        return tuple(map(self.field.add, u, v))
 
     def sub(self, u, v):
-        return vec_sub(self.field, u, v)
+        self._check(u, v)
+        return tuple(map(self.field.sub, u, v))
 
     def scale(self, c, u):
-        return vec_scale(self.field, c, u)
+        self._check(u)
+        return tuple(self.field.mul(c, a) for a in u)
 
     def mul(self, u, v):
         """u v by the cells of the table.  Over Q, u = U/du and v = V/dv
         with integer vectors U and V, so the products and sums run on ints
         (on Rationals only where a structure constant is one) and each
         coordinate is divided by du dv once, on the way out."""
+        self._check(u, v)
         K = self.field
         q = isinstance(K, Rationals)
         if q:
@@ -554,6 +563,7 @@ class AlgHom:
         raise NotAHom(f"phi(e{i}*e{j}) != phi(e{i})*phi(e{j})", (i, j))
 
     def apply(self, v):
+        self.source._check(v)
         return apply_map(self.source.field, self.map, v, self.target.dim)
 
     def compose(self, inner: "AlgHom") -> "AlgHom":

@@ -1,19 +1,20 @@
 """Exact linear algebra over the supported fields.
 
-Matrices are immutable-by-convention row tuples.  Every elimination, in
-``rref``, ``rank``, ``nullspace``, ``solve``, ``solve_many`` and
-``Subspace``, goes through one sparse Gauss-Jordan kernel, ``_eliminate``,
-which works on ``{col: value}`` rows and touches only nonzero entries;
-the systems the algorithms build (the separability system above all) have
-a few nonzeros per row.  Its one row step, ``_step``, clears column c of
-a row by row <- (d/g) row - (r/g) prow, with d the pivot entry of the
-pivot row, r the row's entry and g = gcd(d, r).  Over a field the pivot
-rows are monic, so this is row - r prow.  Over Q the kernel keeps its rows
-as primitive integer vectors with a positive pivot, so its steps multiply
-ints, never Rationals; a row enters that form once and each pivot row
-the call changed leaves it monic.  A new pivot is cleared only from the
-pivot rows that hold its column, which the index ``where[col]`` lists, so
-a system of rank r costs no r^2 scan.
+Every elimination goes through one sparse Gauss-Jordan kernel,
+``_eliminate``, which works on ``{col: value}`` rows and touches only
+nonzero entries; the systems the algorithms build (the separability
+system above all) have a few nonzeros per row.  The only ways in are
+``solve_maps`` (and ``solve``, which reads a dense ``Matrix`` as one
+map) and the methods of ``Subspace``.  The kernel's one row step,
+``_step``, clears column c of a row by row <- (d/g) row - (r/g) prow,
+with d the pivot entry of the pivot row, r the row's entry and
+g = gcd(d, r).  Over a field the pivot rows are monic, so this is
+row - r prow.  Over Q the kernel keeps its rows as primitive integer
+vectors with a positive pivot, so its steps multiply ints, never
+Rationals; a row enters that form once and each pivot row the call
+changed leaves it monic.  A new pivot is cleared only from the pivot
+rows that hold its column, which the index ``where[col]`` lists, so a
+system of rank r costs no r^2 scan.
 
 A ``Subspace`` keeps the kernel's pivot rows, monic and with canonical
 scalars, so its reductions, coordinates and sums are the kernel's own row
@@ -29,8 +30,8 @@ itself (``residue``: a quotient's table), reads them in its coordinates
 them (``span_of``) or its rows' images (``image``); ``extend`` feeds each
 map's image of every pivot row it adds back into its elimination, so
 growing a span until the maps send it into itself is one elimination.
-The dense ``Matrix`` is the file, report and ``rref``/``solve`` format
-only, and meets the maps only in ``Matrix.to_map`` and
+The dense ``Matrix`` is only the file and report format and the argument
+of ``solve``, and meets the maps only in ``Matrix.to_map`` and
 ``Matrix.from_map``.  Only ``_map_rows`` turns maps into the rows of
 their equations (``solve_maps``, ``Subspace.kernel``).
 The reduced row echelon form of a matrix is unique, so the kernel's
@@ -49,24 +50,8 @@ from .fields import (Field, PrimeField, Rationals, _over_common_denominator,
                      _ratio)
 
 
-def vec_add(K: Field, u, v):
-    return tuple(K.add(a, b) for a, b in zip(u, v))
-
-
-def vec_sub(K: Field, u, v):
-    return tuple(K.sub(a, b) for a, b in zip(u, v))
-
-
-def vec_scale(K: Field, c, u):
-    return tuple(K.mul(c, a) for a in u)
-
-
 def vec_is_zero(K: Field, u) -> bool:
     return all(K.is_zero(a) for a in u)
-
-
-def zero_vec(K: Field, n: int):
-    return (K.zero,) * n
 
 
 def unit_vec(K: Field, n: int, i: int):
@@ -369,72 +354,20 @@ def _eliminate(field: Field, rows, ncols, piv=None):
     return piv, rest
 
 
-def _dense_rows(K: Field, piv: dict, n: int) -> list:
-    """The pivot rows as dense tuples, in pivot order: the RREF rows."""
-    return [_dense(K, piv[c], n) for c in sorted(piv)]
-
-
-def rref(M: Matrix):
-    """Reduced row echelon form and the pivot columns."""
-    K = M.field
-    piv, _ = _eliminate(K, [_sparse(K, r) for r in M.data], M.cols)
-    rows = _dense_rows(K, piv, M.cols)
-    rows += [zero_vec(K, M.cols)] * (M.rows - len(rows))
-    return Matrix(K, rows, M.cols), tuple(sorted(piv))
-
-
-def rank(M: Matrix) -> int:
-    K = M.field
-    return len(_eliminate(K, [_sparse(K, r) for r in M.data], M.cols)[0])
-
-
-def _kernel(K: Field, rows, n: int) -> "Subspace":
-    """{x in K^n : every kernel row in ``rows`` vanishes on x}."""
-    piv, _ = _eliminate(K, rows, n)
-    return Subspace.zero(K, n)._new({}, [
-        {fc: K.one, **{pc: K.neg(row[fc]) for pc, row in piv.items()
-                       if fc in row}} for fc in range(n) if fc not in piv])
-
-
-def _solution(K: Field, piv: dict, t: int, n: int) -> tuple:
-    """x read off the tail column t of the pivot rows, free coordinates 0."""
-    return _dense(K, {pc: row[t] for pc, row in piv.items() if t in row}, n)
-
-
-def nullspace(M: Matrix) -> Matrix:
-    """Canonical basis (RREF rows) of {x : M x = 0}."""
-    K = M.field
-    return Matrix(K, _kernel(K, [_sparse(K, r) for r in M.data],
-                             M.cols).basis, M.cols)
+def solve_maps(field: Field, n: int, maps, rhs):
+    """One exact x in K^n with f(x) = rhs[t] for each map f = maps[t]
+    (zero past the end of ``rhs``), free coordinates zero, or None when
+    there is none; the rows come from ``_map_rows``, and x is read off
+    their tail column n."""
+    piv, rest = _eliminate(field, _map_rows(field, maps, rhs, n), n)
+    return None if rest else _dense(
+        field, {pc: row[n] for pc, row in piv.items() if n in row}, n)
 
 
 def solve(M: Matrix, b) -> tuple | None:
     """One exact solution of M x = b, or None when inconsistent.
     Free variables are set to zero, so the answer is deterministic."""
-    sols = solve_many(M, [b])
-    return None if sols is None else sols[0]
-
-
-def solve_many(M: Matrix, bs) -> list | None:
-    """Solve M x = b for several right-hand sides with one elimination.
-    Returns None if any system is inconsistent."""
-    K = M.field
-    bs = [tuple(b) for b in bs]
-    rows = [_sparse(K, list(row) + [b[i] for b in bs])
-            for i, row in enumerate(M.data)]
-    piv, rest = _eliminate(K, rows, M.cols)
-    if rest:      # a zero row with a nonzero tail
-        return None
-    return [_solution(K, piv, t, M.cols)
-            for t in range(M.cols, M.cols + len(bs))]
-
-
-def solve_maps(field: Field, n: int, maps, rhs):
-    """One exact x in K^n with f(x) = rhs[t] for each map f = maps[t]
-    (zero past the end of ``rhs``), free coordinates zero, or None when
-    there is none; the rows come from ``_map_rows``."""
-    piv, rest = _eliminate(field, _map_rows(field, maps, rhs, n), n)
-    return None if rest else _solution(field, piv, n, n)
+    return solve_maps(M.field, M.cols, [M.to_map()], [tuple(b)])
 
 
 class Subspace:
@@ -468,7 +401,7 @@ class Subspace:
             _eliminate(K, new, n, rows)
         self._rows = rows
         self.pivots = tuple(sorted(rows))
-        self.basis = tuple(_dense_rows(K, rows, n))
+        self.basis = tuple(_dense(K, rows[c], n) for c in self.pivots)
 
     def _new(self, rows: dict, new, maps=()) -> "Subspace":
         out = Subspace.__new__(Subspace)
@@ -488,8 +421,15 @@ class Subspace:
 
     @staticmethod
     def kernel(field: Field, ambient: int, maps) -> "Subspace":
-        """{x : f(x) = 0 for every map f in ``maps``}, from ``_map_rows``."""
-        return _kernel(field, _map_rows(field, maps), ambient)
+        """{x : f(x) = 0 for every map f in ``maps``}: for each free
+        column fc of the ``_map_rows`` system, the x with 1 at fc, minus
+        column fc of the pivot rows at their pivots, and 0 elsewhere."""
+        K = field
+        piv, _ = _eliminate(K, _map_rows(K, maps), ambient)
+        return Subspace.zero(K, ambient)._new({}, [
+            {fc: K.one, **{pc: K.neg(row[fc]) for pc, row in piv.items()
+                           if fc in row}}
+            for fc in range(ambient) if fc not in piv])
 
     @property
     def dim(self) -> int:
@@ -543,7 +483,9 @@ class Subspace:
             for t, pc in enumerate(self.pivots)}))
 
     def contains(self, v) -> bool:
-        return not self.residue(map_of(self.field, [v]))[0]
+        row, = self._checked_rows([v])
+        _reduce(self.field, row, self._rows)
+        return not row
 
     def coords(self, v):
         """Coordinates of v in the RREF basis, or None if v is outside."""

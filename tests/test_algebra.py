@@ -6,23 +6,26 @@ import corpus
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_linalg import dense_reduce, dense_span
+from test_linalg import dense_reduce, dense_rref, dense_span
 
 from pca import algebra, linalg
-from pca.algebra import (Ideal, base_change, direct_product,
+from pca.algebra import (AlgHom, Ideal, base_change, direct_product,
                          group_algebra, hom_check, ideal_closure,
                          is_surjective, kernel, make_algebra, matrix_algebra,
                          minimal_polynomial, opposite,
                          polynomial_quotient_algebra, quotient,
                          restrict_scalars, tensor, triangular_algebra,
                          truncated_polynomial_algebra)
-from pca.errors import (ImproperIdeal, NoUnit, NotAHom, NotAnExtension,
-                        NotAnIdeal, NotAssociative)
+from pca.errors import (AmbientMismatch, ImproperIdeal, NoUnit, NotAHom,
+                        NotAnExtension, NotAnIdeal, NotAssociative)
 from pca.fields import PrimeField, RationalFunctionField, Rationals, \
     SimpleExtension
-from pca.linalg import Matrix, Subspace, rank, vec_is_zero
+from pca.linalg import Matrix, Subspace, identity_map, vec_is_zero
+from pca.malcev import lift_idempotent
 from pca.poly import Poly
 from pca.radical import radical
+from pca.separability import nilpotent_witness
+from pca.tower import make_element, power_series_tower
 
 Q = Rationals()
 F2 = PrimeField(2)
@@ -373,7 +376,7 @@ def test_left_right_mult_matrices():
     column from ``FinAlg.mul``, for basis elements and random elements."""
     P4 = truncated_polynomial_algebra(Q, 4)
     L = algebra._mult_map(P4, P4.basis_element(1), "left")
-    assert rank(Matrix.from_map(Q, 4, 4, L)) == 3
+    assert len(dense_rref(Q, Matrix.from_map(Q, 4, 4, L).data, 4)[1]) == 3
     rng = random.Random(20)
     for A in (P4, triangular_algebra(3, Q), matrix_algebra(2, F3),
               insep_extension_algebra(), corpus.random_algebra(rng, F2, 6)):
@@ -486,3 +489,35 @@ def test_ideal_checks_match_per_product_reference(seed):
                 else:
                     with pytest.raises(NotAnIdeal):
                         ideal.verify()
+
+
+# -- element vectors of the wrong length --------------------------------------
+
+# each entry point given k[x]/(x^3) and a vector v in the place of one of
+# its elements; zip would truncate and the table lookups pad, so each must
+# check the length itself
+ELEMENT_ENTRY_POINTS = {
+    "add_left": lambda A, v: A.add(v, A.unit),
+    "add_right": lambda A, v: A.add(A.unit, v),
+    "sub_left": lambda A, v: A.sub(v, A.unit),
+    "sub_right": lambda A, v: A.sub(A.unit, v),
+    "scale": lambda A, v: A.scale(2, v),
+    "mul_left": lambda A, v: A.mul(v, A.unit),
+    "mul_right": lambda A, v: A.mul(A.unit, v),
+    "hom_apply": lambda A, v: AlgHom(A, A, identity_map(Q, 3)).apply(v),
+    "contains": lambda A, v: Subspace(Q, 3, [A.unit]).contains(v),
+    "coords": lambda A, v: Subspace(Q, 3, [A.unit]).coords(v),
+    "lift_idempotent": lift_idempotent,
+    "nilpotent_witness": nilpotent_witness,
+    "make_element": lambda A, v: make_element(power_series_tower(Q, 3),
+                                              [(1,), (1, 0), v]),
+}
+
+
+@pytest.mark.parametrize("v", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("entry", ELEMENT_ENTRY_POINTS)
+def test_element_of_the_wrong_length_is_refused(entry, v):
+    A = truncated_polynomial_algebra(Q, 3)
+    ELEMENT_ENTRY_POINTS[entry](A, A.unit)      # the right length passes
+    with pytest.raises(AmbientMismatch):
+        ELEMENT_ENTRY_POINTS[entry](A, v)

@@ -12,9 +12,8 @@ from pca.errors import AmbientMismatch
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
 from pca.linalg import (Matrix, Subspace, apply_map, compose,
-                        first_difference, nullspace, rank, rref, solve,
-                        solve_many, solve_maps, unit_vec, vec_add,
-                        vec_is_zero)
+                        first_difference, map_of, solve, solve_maps,
+                        unit_vec, vec_is_zero)
 
 Q = Rationals()
 F5 = PrimeField(5)
@@ -26,9 +25,9 @@ def qmat(rows):
 
 def test_nullspace_example():
     M = qmat([[1, 1], [2, 2]])
-    N = nullspace(M)
-    assert N.data == ((Fraction(1), Fraction(-1)),)
-    assert rank(M) == 1
+    N = Subspace.kernel(Q, 2, [M.to_map()])
+    assert N.basis == ((Fraction(1), Fraction(-1)),)
+    assert Subspace(Q, 2, M.data).dim == 1
 
 
 def test_solve_identity():
@@ -42,10 +41,9 @@ def test_solve_inconsistent_is_none():
 
 
 def test_rref_pivots():
-    M = qmat([[0, 2, 1], [0, 4, 2]])
-    R, pivots = rref(M)
-    assert pivots == (1,)
-    assert R.data[0] == (Fraction(0), Fraction(1), Fraction(1, 2))
+    U = Subspace(Q, 3, qmat([[0, 2, 1], [0, 4, 2]]).data)
+    assert U.pivots == (1,)
+    assert U.basis == ((Fraction(0), Fraction(1), Fraction(1, 2)),)
 
 
 @pytest.mark.parametrize("K", [Q, F5], ids=["Q", "F5"])
@@ -61,17 +59,19 @@ def test_solve_nullspace_rank_properties(K):
         sol = solve(M, b)
         assert sol is not None
         assert corpus.matrix_apply(M, sol) == b
-        N = nullspace(M)
-        for row in N.data:
+        N = Subspace.kernel(K, c, [M.to_map()])
+        for row in N.basis:
             assert vec_is_zero(K, corpus.matrix_apply(M, row))
-        assert rank(M) + N.rows == c
+        assert Subspace(K, c, M.data).dim + N.dim == c
 
 
 def test_solve_many_matches_solve():
+    # one right-hand side at a time, the columns of M^-1
     M = qmat([[1, 2], [3, 4]])
     bs = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    sols = solve_many(M, bs)
-    assert sols == [solve(M, b) for b in bs]
+    sols = [solve(M, b) for b in bs]
+    assert sols == [(-2, Fraction(3, 2)), (1, Fraction(-1, 2))]
+    assert sols == dense_solve_many(Q, M, bs)
 
 
 def test_subspace_sum_idempotent():
@@ -143,7 +143,7 @@ def test_subspace_intersection_random_property():
         vs = [[K.random(rng) for _ in range(n)]
               for _ in range(rng.randint(0, n))]
         if us and rng.random() < 0.5:     # a shared vector
-            vs.append(list(vec_add(K, us[0], us[-1])))
+            vs.append(list(map(K.add, us[0], us[-1])))
         U, V = Subspace(K, n, us), Subspace(K, n, vs)
         W = U.intersect(V)
         ref = dense_intersection(U, V)
@@ -266,34 +266,35 @@ def build(K, case):
 
 @kernel_case
 def test_rref_matches_dense_reference(K, case):
+    """The RREF of M's rows through ``Subspace.span_of``, the rows given
+    as the columns of a map."""
     M, _ = build(K, case)
-    R, pivots = rref(M)
+    U = Subspace.span_of(K, M.cols, map_of(K, M.data))
     ref, ref_pivots = dense_rref(K, M.data, M.cols)
-    assert pivots == tuple(ref_pivots)
-    assert R.data == tuple(tuple(r) for r in ref)
-    assert rank(M) == len(ref_pivots)
+    assert U.pivots == tuple(ref_pivots)
+    assert U.basis == tuple(tuple(r) for r in ref[:len(ref_pivots)])
 
 
 @kernel_case
 def test_nullspace_matches_dense_reference(K, case):
     M, _ = build(K, case)
-    N = nullspace(M)
-    assert N.data == tuple(dense_nullspace(K, M))
-    assert N.rows == M.cols - rank(M)
-    for v in N.data:
+    N = Subspace.kernel(K, M.cols, [M.to_map()])
+    assert N.basis == tuple(dense_nullspace(K, M))
+    assert N.dim == M.cols - len(dense_rref(K, M.data, M.cols)[1])
+    for v in N.basis:
         assert vec_is_zero(K, corpus.matrix_apply(M, v))
 
 
 @kernel_case
 def test_solve_many_matches_dense_reference(K, case):
+    """``solve`` on each right-hand side, consistent or not, against the
+    dense solution with free coordinates zero."""
     M, bs = build(K, case)
-    sols = solve_many(M, bs)
-    assert sols == dense_solve_many(K, M, bs)
-    if sols is not None:
-        assert [corpus.matrix_apply(M, x) for x in sols] == bs
-        assert sols == [solve(M, b) for b in bs]
-    else:
-        assert any(solve(M, b) is None for b in bs)
+    sols = [solve(M, b) for b in bs]
+    assert sols == [(dense_solve_many(K, M, [b]) or [None])[0] for b in bs]
+    for x, b in zip(sols, bs):
+        if x is not None:
+            assert corpus.matrix_apply(M, x) == b
 
 
 @kernel_case
@@ -336,10 +337,9 @@ def test_kernel_stores_no_zero_products_over_zero_divisors():
     one, zero = K.one, K.zero
     xp1 = (B.one, B.one)
     xm1 = (B.from_int(-1), B.one)
-    M = Matrix(K, [[one, xp1], [xm1, zero]])
-    R, pivots = rref(M)
-    assert pivots == (0,)
-    assert R.data == ((one, xp1), (zero, zero))
+    U = Subspace(K, 2, [[one, xp1], [xm1, zero]])
+    assert U.pivots == (0,)
+    assert U.basis == ((one, xp1),)
 
 
 # -- Subspace against a dense reference --------------------------------------
@@ -404,7 +404,7 @@ def test_subspace_operations_match_dense_reference(K, case):
     member = dense_combination(K, basis, cs, n)
     assert U.from_coords(cs) == member
     outside = [tuple(scalar(K, x) for x in p) for p in probes]
-    vs = outside + extra + [member] + [vec_add(K, member, p)
+    vs = outside + extra + [member] + [tuple(map(K.add, member, p))
                                        for p in outside]
     # the same vectors as the columns of one map, each entry split in two
     # halves that the map format adds up (no kernel field has char 2)

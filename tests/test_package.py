@@ -131,7 +131,7 @@ def test_both_launchers_enter_through_run():
 def test_every_public_name_resolves():
     star = {}
     exec("from pca import *", star)
-    assert len(pca.__all__) == 74
+    assert len(pca.__all__) == 71
     for name in pca.__all__:
         obj = getattr(pca, name)
         assert star[name] is obj

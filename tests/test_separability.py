@@ -15,7 +15,7 @@ from pca.errors import (BadSpec, InternalVerificationFailed, NoUnit,
                         NotADerivation)
 from pca.fields import (PrimeField, RationalFunctionField, Rationals,
                         SimpleExtension)
-from pca.linalg import Matrix, Subspace, identity_map, nullspace, solve
+from pca.linalg import Matrix, Subspace, identity_map, solve
 from pca.poly import Poly
 from pca.radical import is_semisimple
 from pca.separability import (Bimodule, base_change_semisimple_check,
@@ -25,7 +25,7 @@ from pca.separability import (Bimodule, base_change_semisimple_check,
                               universal_derivation_check,
                               verify_sep_idempotent)
 from pca.wedderburn import center
-from test_linalg import dense_solve_many
+from test_linalg import dense_nullspace, dense_solve_many
 from test_warm_radical import F9, _light_bases, _rebased
 
 Q = Rationals()
@@ -436,7 +436,7 @@ def _reference_center(A):
         cols = [A.sub(A.product_basis(i, j), A.product_basis(j, i))
                 for j in range(n)]
         rows.extend(zip(*cols))
-    return Subspace(K, n, nullspace(Matrix(K, rows, n)).data)
+    return Subspace(K, n, dense_nullspace(K, Matrix(K, rows, n)))
 
 
 def _generator_corpus(K):
