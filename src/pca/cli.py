@@ -12,8 +12,10 @@ and nothing on stdout.  Reports are deterministic: identical inputs
 produce identical bytes.
 
 The command line is read against one table, ``COMMANDS``, which also
-gives the usage text.  Each handler imports the algorithm modules it runs,
-so a command does not pay for the start-up of the others.
+gives the usage text.  ``main`` reads FILE once and stamps each report
+with the command, the digest of the bytes read and the seed.  Each handler
+imports the algorithm modules it runs, so a command does not pay for the
+start-up of the others.
 
 ``main`` answers one command and returns its exit code; it can be called
 in process any number of times.  ``run`` is the process entry, which both
@@ -62,22 +64,17 @@ def render_report(report: dict, as_json: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(command: str, digest, seed: int, results: dict,
-            verified: dict) -> dict:
-    return {"command": command, "input_digest": digest, "seed": seed,
-            "results": results, "verified": verified}
-
-
 def _vecs(K, rows):
     return [fileio.vector_to_texts(K, r) for r in rows]
 
 
-# -- handlers: return (negative, report) -------------------------------------
+# -- handlers: (args, FILE's document, its digest) -> (negative, body) --------
+# The body holds "results" and "verified", and a composite "input_digest"
+# where the command reads more than FILE.
 
-def _cmd_radical(args):
+def _cmd_radical(args, doc, digest):
     from .radical import radical, radical_oracle
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     oracle = radical_oracle(A) if args.oracle else None
     rr = radical(A)
     space, index, method = rr.radical.space, rr.nilpotency_index, rr.method
@@ -97,19 +94,17 @@ def _cmd_radical(args):
         "nilpotency_index": index,
         "method": method,
     }
-    return False, _report("radical", digest, args.seed, results, verified)
+    return False, {"results": results, "verified": verified}
 
 
-def _cmd_wedderburn(args):
+def _cmd_wedderburn(args, doc, digest):
     from .wedderburn import central_idempotents
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     try:
         dec = central_idempotents(A, seed=args.seed)
     except NotSemisimple:
-        results = {"semisimple": False}
-        return True, _report("wedderburn", digest, args.seed, results,
-                             {"radical_checked": True})
+        return True, {"results": {"semisimple": False},
+                      "verified": {"radical_checked": True}}
     blocks = []
     for d in dec.block_data:
         entry = {"dim": d["total_dim"], "center_dim": d["center_dim"]}
@@ -122,54 +117,48 @@ def _cmd_wedderburn(args):
         "idempotents": _vecs(A.field, dec.idempotents),
     }
     verified = {"orthogonal_complete": True, "reassembly_isomorphism": True}
-    return False, _report("wedderburn", digest, args.seed, results, verified)
+    return False, {"results": results, "verified": verified}
 
 
-def _cmd_septest(args):
+def _cmd_septest(args, doc, digest):
     from .separability import is_separable
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     sep = is_separable(A)
     verified = ({"solution_substituted": True} if sep
                 else {"system_inconsistent": True})
-    return (not sep), _report("septest", digest, args.seed,
-                              {"separable": sep}, verified)
+    return (not sep), {"results": {"separable": sep}, "verified": verified}
 
 
-def _cmd_sepidem(args):
+def _cmd_sepidem(args, doc, digest):
     from .separability import sep_idempotent
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     p = sep_idempotent(A)
     if p is None:
-        results = {"separable": False}
-        return True, _report("sepidem", digest, args.seed, results,
-                             {"system_inconsistent": True})
+        return True, {"results": {"separable": False},
+                      "verified": {"system_inconsistent": True}}
     n = A.dim
     K = A.field
     coeffs = [[st // n, st % n, K.text(c)]
               for st, c in enumerate(p.tensor_coeffs) if not K.is_zero(c)]
     results = {"separable": True, "dim": n, "tensor_coeffs": coeffs}
-    return False, _report("sepidem", digest, args.seed, results,
-                          {"defining_equations": True})
+    return False, {"results": results,
+                   "verified": {"defining_equations": True}}
 
 
-def _cmd_nilpotent(args):
+def _cmd_nilpotent(args, doc, digest):
     from .separability import nilpotent_witness
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     x = fileio.parse_vector_text(A.field, args.element)
     if len(x) != A.dim:
         raise PcaError(f"element has {len(x)} coordinates, need {A.dim}")
     w = nilpotent_witness(A, x)
     results = {"nilpotent": w is not None, "witness": w}
-    return (w is None), _report("nilpotent", digest, args.seed, results, {})
+    return (w is None), {"results": results, "verified": {}}
 
 
-def _cmd_split(args):
+def _cmd_split(args, doc, digest):
     from .malcev import wedderburn_splitting
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
+    A = fileio.algebra_from_doc(doc)
     s = wedderburn_splitting(A, seed=args.seed)
     K = A.field
     results = {
@@ -182,69 +171,68 @@ def _cmd_split(args):
         fileio.save_canonical(args.output,
                               fileio.splitting_to_doc(s.section, digest))
     verified = {"section_multiplicative": True, "complement": True}
-    return False, _report("split", digest, args.seed, results, verified)
+    return False, {"results": results, "verified": verified}
 
 
-def _cmd_conjugate(args):
+def _cmd_conjugate(args, doc, digest):
     from .malcev import malcev_conjugator, splitting_from_section_matrix
-    A = fileio.load_algebra(args.file)
-    digest = fileio.digest_file(args.file)
-    m1 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s1), A, digest)
-    m2 = fileio.splitting_matrix_from_doc(fileio.load_json(args.s2), A, digest)
+    A = fileio.algebra_from_doc(doc)
+    doc1, digest1 = fileio.load_json(args.s1)
+    m1 = fileio.splitting_matrix_from_doc(doc1, A, digest)
+    doc2, digest2 = fileio.load_json(args.s2)
+    m2 = fileio.splitting_matrix_from_doc(doc2, A, digest)
     s1 = splitting_from_section_matrix(A, m1)
     s2 = splitting_from_section_matrix(A, m2, s1.radical,
                                        (s1.quotient, s1.projection))
     omega = malcev_conjugator(s1, s2)
     results = {"omega": fileio.vector_to_texts(A.field, omega),
                "radical_dim": s1.radical.radical.dim}
-    digests = {"algebra": digest, "s1": fileio.digest_file(args.s1),
-               "s2": fileio.digest_file(args.s2)}
-    return False, _report("conjugate", digests, args.seed, results,
-                          {"conjugation_exact": True})
+    digests = {"algebra": digest, "s1": digest1, "s2": digest2}
+    return False, {"input_digest": digests, "results": results,
+                   "verified": {"conjugation_exact": True}}
 
 
-def _cmd_tower_build(args):
+def _cmd_tower_build(args, doc, digest):
     from .tower import (cyclic_group_tower, path_algebra_tower,
                         power_series_tower, product_tower)
     K = fileio.parse_field_text(args.field)
+    # a generated tower's digest is that of its options
+    spec = {"kind": args.kind, "field": args.field, "depth": args.depth}
     if args.kind == "powerseries":
         T = power_series_tower(K, args.depth)
-        digest = fileio.digest_bytes(fileio.canonical_dumps(
-            {"kind": args.kind, "field": args.field,
-             "depth": args.depth}).encode())
+        digest = fileio.digest_bytes(fileio.canonical_dumps(spec).encode())
     elif args.kind == "cyclicgroup":
         if args.prime is None:
             raise PcaError("cyclicgroup towers need --prime")
         T = cyclic_group_tower(args.prime, K, args.depth)
-        digest = fileio.digest_bytes(fileio.canonical_dumps(
-            {"kind": args.kind, "field": args.field, "prime": args.prime,
-             "depth": args.depth}).encode())
+        spec["prime"] = args.prime
+        digest = fileio.digest_bytes(fileio.canonical_dumps(spec).encode())
     elif args.kind == "path":
         if not args.quiver:
             raise PcaError("path towers need --quiver")
-        q = fileio.load_quiver(args.quiver)
-        T = path_algebra_tower(q, K, args.depth)
-        digest = fileio.digest_file(args.quiver)
+        qdoc, digest = fileio.load_json(args.quiver)
+        T = path_algebra_tower(fileio.quiver_from_doc(qdoc), K, args.depth)
     else:                               # "product", the last kind
         if not args.factor:
             raise PcaError("product towers need at least one --factor")
-        factors = [fileio.load_algebra(f) for f in args.factor]
+        factors, digest = [], {}
+        for f in args.factor:
+            fdoc, digest[f] = fileio.load_json(f)
+            factors.append(fileio.algebra_from_doc(fdoc))
         T = product_tower(factors, args.depth)
-        digest = {f: fileio.digest_file(f) for f in args.factor}
     _internal(T.verify)
     fileio.save_canonical(args.output, fileio.tower_to_doc(T))
     results = {"kind": T.kind, "depth": T.depth,
                "level_dims": [lvl.dim for lvl in T.levels],
                "output": args.output}
-    return False, _report("tower build", digest, args.seed, results,
-                          {"maps_surjective": True})
+    return False, {"input_digest": digest, "results": results,
+                   "verified": {"maps_surjective": True}}
 
 
-def _cmd_tower_check(args):
+def _cmd_tower_check(args, doc, digest):
     from .tower import (quiver_radical_check, tower_radical_check,
                         tower_radicals)
-    T = fileio.load_tower(args.file)
-    digest = fileio.digest_file(args.file)
+    T = fileio.tower_from_doc(doc)
     results = {"kind": T.kind}
     rads = tower_radicals(T)
     results.update(tower_radical_check(T, rads))
@@ -253,7 +241,7 @@ def _cmd_tower_check(args):
     if T.kind == "path" and "quiver" in T.meta:
         results["arrow_ideal_is_radical"] = quiver_radical_check(T, rads)
         verified["arrow_ideal_is_radical"] = True
-    return False, _report("tower check", digest, args.seed, results, verified)
+    return False, {"results": results, "verified": verified}
 
 
 # -- the command line ---------------------------------------------------------
@@ -310,7 +298,7 @@ def usage() -> str:
 
 def parse_args(argv):
     """The values ``argv`` gives its command, read against COMMANDS, with
-    the command's ``handler``; a usage error raises PcaError."""
+    the command's name and ``handler``; a usage error raises PcaError."""
     name = " ".join(argv[:2] if argv[:1] == ["tower"] else argv[:1])
     if name not in COMMANDS:
         raise PcaError((f"unknown command {name!r}" if name else "no command")
@@ -356,7 +344,7 @@ def parse_args(argv):
     if missing:
         raise PcaError("the following arguments are required: "
                        + ", ".join(missing))
-    return SimpleNamespace(handler=handler, **values)
+    return SimpleNamespace(command=name, handler=handler, **values)
 
 
 def main(argv=None) -> int:
@@ -364,13 +352,16 @@ def main(argv=None) -> int:
     if "-h" in argv or "--help" in argv:
         sys.stdout.write(usage())
         return 0
+    doc = digest = None
     try:
         args = parse_args(argv)
-        negative, report = args.handler(args)
+        if hasattr(args, "file"):
+            doc, digest = fileio.load_json(args.file)
+        negative, body = args.handler(args, doc, digest)
     except InternalVerificationFailed as exc:
         where = f"seed {args.seed}"
-        if getattr(args, "file", None):
-            where += f", input {fileio.digest_file(args.file)}"
+        if digest is not None:
+            where += f", input {digest}"
         print(f"pca: internal error: {exc} ({where})", file=sys.stderr)
         return 3
     except (OSError, PcaError) as exc:
@@ -381,6 +372,8 @@ def main(argv=None) -> int:
     except MemoryError:
         print("pca: error: out of memory", file=sys.stderr)
         return 1
+    report = {"command": args.command, "input_digest": digest,
+              "seed": args.seed, **body}
     sys.stdout.write(render_report(report, args.json))
     return 2 if negative else 0
 

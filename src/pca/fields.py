@@ -205,47 +205,18 @@ def ppowmod(f, e, m, K):
 # ---------------------------------------------------------------------------
 
 class Field:
-    """Base class for exact field descriptors."""
+    """Base class for exact field descriptors.  A field sets ``char`` and
+    its canonical ``zero`` and ``one``, and implements ``add``, ``neg``,
+    ``mul``, ``inv``, ``is_zero``, ``from_int``, ``parse``, ``text``,
+    ``random(rng, height)``, ``__eq__`` and ``__hash__``."""
 
     char: int
-
-    # subclasses set .zero and .one as canonical values
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def parse(self, text: str):
-        raise NotImplementedError
-
-    def text(self, a) -> str:
-        raise NotImplementedError
-
-    def random(self, rng, height: int = 5):
-        raise NotImplementedError
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 _HASH = sys.hash_info

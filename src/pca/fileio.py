@@ -4,6 +4,9 @@ Serialization is deterministic: sorted keys, compact separators, canonical
 scalar text, sorted structure-constant entries.  parse -> serialize ->
 parse is the identity on every well-formed document.
 
+Each input file is read once, by ``load_json``, and a report's
+``input_digest`` is the SHA-256 of the bytes it parsed.
+
 Documents are read and written by the interpreter's C accelerator
 ``_json``: its scanner and encoder are the ones ``json.loads`` and
 ``json.dumps`` call, so the text is the same, but importing ``json``
@@ -14,6 +17,7 @@ on an interpreter built without ``_json``.
 
 from __future__ import annotations
 
+import io
 import sys
 
 from .algebra import FinAlg, hom_check, make_algebra
@@ -98,18 +102,18 @@ def digest_bytes(data: bytes) -> str:
     return "sha256:" + sha256(data).hexdigest()
 
 
-def digest_file(path: str) -> str:
+def load_json(path: str):
+    """The document in ``path`` and the digest of its bytes, decoded as
+    ``open(path, encoding="utf-8")`` decodes them (universal newlines and
+    errors included); text that ``json`` cannot read is BadSpec."""
     with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
-
-
-def load_json(path: str) -> dict:
-    """The document in ``path``; any text ``json`` cannot read is BadSpec."""
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _loads(fh.read())
+        doc = _loads(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                     .read())
     except (ValueError, RecursionError) as exc:
         raise BadSpec(f"{path}: not valid JSON ({exc})") from exc
+    return doc, digest_bytes(data)
 
 
 def save_canonical(path: str, doc) -> None:
@@ -239,10 +243,6 @@ def algebra_from_doc(doc: dict) -> FinAlg:
     return make_algebra(K, labels, entries, unit)
 
 
-def load_algebra(path: str) -> FinAlg:
-    return algebra_from_doc(load_json(path))
-
-
 # -- quivers ------------------------------------------------------------------
 
 def quiver_to_doc(q) -> dict:
@@ -265,10 +265,6 @@ def quiver_from_doc(doc: dict):
         return _checked_quiver(doc["vertices"], arrows, relations)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise BadSpec(f"malformed quiver document: {exc}") from exc
-
-
-def load_quiver(path: str):
-    return quiver_from_doc(load_json(path))
 
 
 # -- towers ---------------------------------------------------------------
@@ -303,10 +299,6 @@ def tower_from_doc(doc: dict):
     T = Tower(levels, maps, kind, meta)
     T.verify()
     return T
-
-
-def load_tower(path: str):
-    return tower_from_doc(load_json(path))
 
 
 # -- splittings ------------------------------------------------------------

@@ -5,8 +5,9 @@ decomposition, distinct-degree splitting and seeded Cantor-Zassenhaus
 equal-degree splitting.  Over Q it clears denominators, reduces modulo a
 good prime, lifts the modular factorization with quadratic Hensel steps and
 recombines subsets of modular factors.  No lattice reduction: recombination
-is exponential in the number of modular factors, which is adequate for the
-small degrees this package works at.
+is exponential in the number of modular factors.  A subset is multiplied
+out only when its x^(d-1) coefficient is within Mignotte's bound, and the
+subsets considered count against ``Limits.subsets``.
 
 Every polynomial product and division here goes through the ``fields.p*``
 helpers: over a field, or over the residues Z/p^k of Hensel lifting
@@ -20,10 +21,11 @@ import math
 import random
 
 from . import fields
-from .errors import BadSpec, UnsupportedField
+from .errors import BadSpec, TooLarge, UnsupportedField
 from .fields import (Field, PrimeField, Rationals, pdeg, pdivmod, pgcd, pmod,
                      pmonic, pmul, pnormalize, ppowmod, pscale, psub, padd,
                      pderiv, peval)
+from .limits import Limits
 
 
 class Poly:
@@ -77,9 +79,6 @@ class Poly:
         fields.check_same_field(self.field, other.field)
         return Poly(self.field, psub(self.coeffs, other.coeffs, self.field))
 
-    def __neg__(self):
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
-
     def __mul__(self, other):
         fields.check_same_field(self.field, other.field)
         return Poly(self.field, pmul(self.coeffs, other.coeffs, self.field))
@@ -100,12 +99,6 @@ class Poly:
     def divmod(self, other):
         q, r = pdivmod(self.coeffs, other.coeffs, self.field)
         return Poly(self.field, q), Poly(self.field, r)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def __call__(self, x):
         return peval(self.coeffs, x, self.field)
@@ -385,14 +378,30 @@ def _zassenhaus(f, rng):
         return [f]
     lifted, modulus = _hensel_lift(p, f, modular, bound)
     R = _Residues(modulus)
+    degrees = [len(g) - 1 for g in lifted]
+    subleading = [g[-2] for g in lifted]
+    budget = Limits.subsets
     result = []
     rest = list(f)
     avail = list(range(len(lifted)))
     size = 1
     while 2 * size <= len(avail):
         found = False
+        # A factor h of rest of degree d has |h_(d-1)| <= |rest|_2 + (d-1) lc
+        # (Mignotte; Knuth, TAOCP 2, 4.6.2), so the candidate (lc/lc(h)) h
+        # of a true factor has an x^(d-1) coefficient of at most lc times it
+        lc = rest[-1]                                   # > 0
+        norm = math.isqrt(sum(c * c for c in rest) - 1) + 1   # >= |rest|_2
         for subset in itertools.combinations(avail, size):
-            cand = (rest[-1],)
+            budget -= 1
+            if budget < 0:
+                raise TooLarge(f"recombining {len(lifted)} modular factors "
+                               f"needs over {Limits.subsets} subsets")
+            d = sum(degrees[i] for i in subset)
+            if abs(R.red(lc * sum(subleading[i] for i in subset))) \
+                    > lc * (norm + (d - 1) * lc):
+                continue
+            cand = (lc,)
             for i in subset:
                 cand = pmul(cand, lifted[i], R)
             _, cand = _zprimitive(cand)

@@ -132,6 +132,7 @@ def nilpotent_witness(A: FinAlg, x):
     """Least m <= dim(A) with x^m = 0, else None."""
     K = A.field
     x = tuple(x)
+    A._check(x)
     cur = x
     for m in range(1, A.dim + 1):
         if vec_is_zero(K, cur):

@@ -81,10 +81,13 @@ class TowerElement:
 
 
 def make_element(T: Tower, coords) -> TowerElement:
-    """Validate a coordinate sequence; reports the first failing level."""
+    """Validate a coordinate sequence; reports the first failing level.
+    A vector of the wrong length for its level is AmbientMismatch."""
     coords = [tuple(c) for c in coords]
     if len(coords) != T.depth:
         raise IncompatibleCoordinates("need one coordinate vector per level")
+    for lvl, c in zip(T.levels, coords):
+        lvl._check(c)
     for i, h in enumerate(T.maps):
         if h.apply(coords[i + 1]) != coords[i]:
             raise IncompatibleCoordinates(

@@ -521,3 +521,21 @@ def test_element_of_the_wrong_length_is_refused(entry, v):
     ELEMENT_ENTRY_POINTS[entry](A, A.unit)      # the right length passes
     with pytest.raises(AmbientMismatch):
         ELEMENT_ENTRY_POINTS[entry](A, v)
+
+
+@pytest.mark.parametrize("v", [(0,), (0, 0, 0, 0)], ids=["short", "long"])
+def test_nilpotent_witness_refuses_a_zero_vector_of_the_wrong_length(v):
+    # a zero vector is nilpotent before any product checks its length
+    A = truncated_polynomial_algebra(Q, 3)
+    assert nilpotent_witness(A, (0, 0, 0)) == 1
+    with pytest.raises(AmbientMismatch):
+        nilpotent_witness(A, v)
+
+
+@pytest.mark.parametrize("v", [(), (1, 2, 3)], ids=["short", "long"])
+def test_make_element_refuses_the_wrong_length_without_maps(v):
+    # a depth-1 tower has no connecting map to apply to the coordinates
+    T = power_series_tower(Q, 1)
+    assert make_element(T, [(1,)]).coords == [(1,)]
+    with pytest.raises(AmbientMismatch):
+        make_element(T, [v])

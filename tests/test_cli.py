@@ -1,4 +1,6 @@
+import builtins
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -405,19 +407,85 @@ def test_hostile_splitting_is_input_error(tmp_path, alg, good, bad):
     assert not res.stdout
 
 
-def test_oracle_disagreement_raises(fixtures, monkeypatch, capsys):
-    def zero_radical(A):
-        zero = Ideal(A, Subspace.zero(A.field, A.dim))
-        return RadicalResult(zero, [zero], 0, "trace_form")
+def _sha(path):
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
+
+def _zero_radical(A):
+    zero = Ideal(A, Subspace.zero(A.field, A.dim))
+    return RadicalResult(zero, [zero], 0, "trace_form")
+
+
+def test_oracle_disagreement_raises(fixtures, monkeypatch, capsys):
     monkeypatch.chdir(fixtures)
-    monkeypatch.setattr(radical_module, "radical", zero_radical)
+    monkeypatch.setattr(radical_module, "radical", _zero_radical)
     assert cli.main(["radical", "f2c2.alg", "--oracle", "--seed", "7"]) == 3
     out, err = capsys.readouterr()
     assert not out
     assert err == ("pca: internal error: oracle and main method disagree on "
-                   "the radical (seed 7, input "
-                   f"{fileio.digest_file('f2c2.alg')})\n")
+                   f"the radical (seed 7, input {_sha('f2c2.alg')})\n")
+
+
+# argv, the exit code and the input_digest the report must carry; every
+# file the job reads is opened exactly once
+OPEN_CASES = {
+    "radical": (["radical", "t3q.alg"], 0, lambda: _sha("t3q.alg")),
+    "tower check": (["tower", "check", "ps.tower"], 0,
+                    lambda: _sha("ps.tower")),
+    "conjugate": (
+        ["conjugate", "t3q.alg", "--s1", "s1.json", "--s2", "s2.json"], 0,
+        lambda: {"algebra": _sha("t3q.alg"), "s1": _sha("s1.json"),
+                 "s2": _sha("s2.json")}),
+    "tower build product": (
+        ["tower", "build", "--kind", "product", "--field", "Q", "--depth",
+         "2", "--factor", "t3q.alg", "--factor", "qc3.alg", "-o", "p.tower"],
+        0, lambda: {"t3q.alg": _sha("t3q.alg"), "qc3.alg": _sha("qc3.alg")}),
+    "tower build path": (
+        ["tower", "build", "--kind", "path", "--field", "Q", "--depth", "2",
+         "--quiver", "loop.quiver", "-o", "q.tower"], 0,
+        lambda: _sha("loop.quiver")),
+    "oracle exit 3": (["radical", "f2c2.alg", "--oracle"], 3,
+                      lambda: _sha("f2c2.alg")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPEN_CASES))
+def test_each_input_is_opened_once(tmp_path, monkeypatch, capsys, case):
+    argv, code, digest = OPEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    fileio.save_canonical("t3q.alg",
+                          fileio.algebra_to_doc(triangular_algebra(3, Q)))
+    fileio.save_canonical("qc3.alg",
+                          fileio.algebra_to_doc(group_algebra(3, Q)))
+    fileio.save_canonical("f2c2.alg",
+                          fileio.algebra_to_doc(group_algebra(2, F2)))
+    fileio.save_canonical("loop.quiver", fileio.quiver_to_doc(loop_quiver()))
+    fileio.save_canonical("ps.tower",
+                          fileio.tower_to_doc(power_series_tower(Q, 3)))
+    for seed, out in (("1", "s1.json"), ("2", "s2.json")):
+        assert cli.main(["split", "t3q.alg", "--seed", seed, "-o", out]) == 0
+    capsys.readouterr()
+    if code == 3:
+        monkeypatch.setattr(radical_module, "radical", _zero_radical)
+    inputs = [w for w in argv if w.endswith((".alg", ".json", ".tower",
+                                            ".quiver"))
+              and w not in ("p.tower", "q.tower")]
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert cli.main([*argv, "--json"]) == code
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert {p: opened.count(p) for p in inputs} == {p: 1 for p in inputs}
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert err.endswith(f", input {digest()})\n")
+    else:
+        assert json.loads(out)["input_digest"] == digest()
 
 
 def _zero_map_tower(K, depth):

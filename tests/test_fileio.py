@@ -126,7 +126,9 @@ def test_splitting_doc_round_trip(tmp_path):
     T2alg = triangular_algebra(2, Q)
     apath = tmp_path / "t2.alg"
     fileio.save_canonical(str(apath), fileio.algebra_to_doc(T2alg))
-    digest = fileio.digest_file(str(apath))
+    adoc, digest = fileio.load_json(str(apath))
+    assert adoc == fileio.algebra_to_doc(T2alg)
+    assert digest == "sha256:" + hashlib.sha256(apath.read_bytes()).hexdigest()
     s = wedderburn_splitting(T2alg, seed=1)
     doc = fileio.splitting_to_doc(s.section, digest)
     M = fileio.splitting_matrix_from_doc(doc, T2alg, digest)
@@ -168,6 +170,15 @@ def _json_load(path):
             return json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise BadSpec(f"{path}: not valid JSON ({exc})") from exc
+
+
+def _load_doc(path):
+    """The document ``fileio.load_json`` reads, after checking that its
+    digest is the SHA-256 of the file's bytes."""
+    doc, digest = fileio.load_json(path)
+    with open(path, "rb") as fh:
+        assert digest == "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+    return doc
 
 
 def _outcome(load, path):
@@ -220,7 +231,7 @@ def test_load_json_refuses_malformed_text_as_json_does(tmp_path, text):
         fh.write(text)
     want = _outcome(_json_load, path)
     assert want[0] == "error"
-    assert _outcome(fileio.load_json, path) == want
+    assert _outcome(_load_doc, path) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -240,7 +251,7 @@ def test_load_json_is_json_load(tmp_path_factory, doc, indent, ascii_only,
     path = str(tmp_path_factory.mktemp("doc") / "a.alg")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    assert _outcome(fileio.load_json, path) == _outcome(_json_load, path)
+    assert _outcome(_load_doc, path) == _outcome(_json_load, path)
 
 
 @pytest.mark.parametrize("text", list(MALFORMED.values()),
@@ -259,6 +270,27 @@ def test_load_json_error_in_a_fresh_process(tmp_path, text):
     assert res.stdout == ""
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.sampled_from([
+    b"{", b"}", b"[", b"]", b'"', b",", b":", b"1", b"-0.5", b"null", b" ",
+    b"\r", b"\n", b"\r\n", b"\t", b"\x00", b"\x1f", b"\\", b"\\n",
+    b"\xef\xbb\xbf", b"\xc3\xa9", b"\xe2\x82", b"\xff", b"\x80", b"a"]),
+    max_size=30).map(b"".join))
+@example(data=b'["a\r\nb"]')
+@example(data=b'["a\rb"]\r')
+@example(data=b'\xef\xbb\xbf{"dim": 2}')
+@example(data=b'{"a": "\xff"}')
+def test_load_json_reads_bytes_as_text_mode_open_does(tmp_path_factory, data):
+    # universal newlines inside and outside strings, a BOM, raw control
+    # characters and bytes that are not UTF-8: the document or the error
+    # is the one text-mode open and json.load give, and the digest is of
+    # the bytes on disk
+    path = str(tmp_path_factory.mktemp("doc") / "a.alg")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _outcome(_load_doc, path) == _outcome(_json_load, path)
+
+
 def test_load_and_dump_without_the_accelerator(tmp_path, monkeypatch):
     # an interpreter built without _json reads and writes through json
     doc = {"b": [1, 2.5], "a": "é"}
@@ -268,4 +300,4 @@ def test_load_and_dump_without_the_accelerator(tmp_path, monkeypatch):
     monkeypatch.setattr(fileio, "_scan", None)
     assert fileio.canonical_dumps(doc) == _json_dumps(doc)
     for path in (str(good), str(bad)):
-        assert _outcome(fileio.load_json, path) == _outcome(_json_load, path)
+        assert _outcome(_load_doc, path) == _outcome(_json_load, path)

@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pca import poly
 from pca.errors import BadSpec, UnsupportedField
@@ -137,16 +140,47 @@ def test_hensel_lift_invariant(monkeypatch, f):
         assert [[c % p for c in h] for h in lifted] == [list(h) for h in fac]
 
 
+def _sd16_candidates(monkeypatch):
+    """Every recombination candidate of SD16, whether or not the x^(d-1)
+    coefficient bound rejects it, and the (candidate, f) pairs that reach
+    the divisibility test."""
+    lifts, tried = [], []
+    lift, divides = poly._hensel_lift, poly._zz_divides
+
+    def recording_lift(*args):
+        lifts.append(lift(*args))
+        return lifts[-1]
+
+    monkeypatch.setattr(poly, "_hensel_lift", recording_lift)
+    monkeypatch.setattr(poly, "_zz_divides",
+                        lambda g, f: tried.append((g, f)) or divides(g, f))
+    assert is_irreducible(SD16)
+    lifted, modulus = lifts[-1]         # the outermost call ends last
+    R = poly._Residues(modulus)
+    every = []
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in itertools.combinations(lifted, size):
+            cand = (1,)
+            for g in subset:
+                cand = poly.pmul(cand, g, R)
+            every.append(poly._zprimitive(cand)[1])
+    return every, tried
+
+
 def test_swinnerton_dyer_is_irreducible(monkeypatch):
     # it splits into 8 quadratics modulo every prime, so recombination
-    # tries every subset of up to 4 of them: 8 + 28 + 56 + 70 = 162
+    # considers every subset of up to 4 of them, 8 + 28 + 56 + 70 = 162,
+    # and the x^(d-1) coefficient bound lets 26 through to the
+    # divisibility test; none of the 136 it rejects divides SD16
     assert SD16.degree == 16
-    tried = []
     divides = poly._zz_divides
-    monkeypatch.setattr(poly, "_zz_divides",
-                        lambda g, f: tried.append(g) or divides(g, f))
-    assert is_irreducible(SD16)
-    assert len(tried) == 162
+    every, tried = _sd16_candidates(monkeypatch)
+    assert len(every) == 162 and len(tried) == 26
+    assert all(g in every for g, _ in tried)
+    rejected = [g for g in every if g not in [g for g, _ in tried]]
+    assert len(rejected) == 136
+    f = [int(c) for c in SD16.coeffs]
+    assert all(divides(g, f) is None for g in rejected)
 
 
 def _random_primitive(rng):
@@ -170,20 +204,49 @@ def test_divisibility_pretest_keeps_true_factors():
 
 
 def test_divisibility_pretest_rejects_before_dividing(monkeypatch):
-    # every recombination candidate of SD16 fails g(a) | f(a) at a = 2,
-    # -2 or 3, so none of them needs the division over Q
-    tried = []
+    # every recombination candidate of SD16 that passes the x^(d-1)
+    # coefficient bound fails g(a) | f(a) at a = 2, -2 or 3, so none of
+    # them needs the division over Q
     divides = poly._zz_divides
-    monkeypatch.setattr(poly, "_zz_divides",
-                        lambda g, f: tried.append((g, f)) or divides(g, f))
-    assert is_irreducible(SD16)
+    _, tried = _sd16_candidates(monkeypatch)
 
     def no_division(*args):
         raise AssertionError("candidate reached the division over Q")
 
     monkeypatch.setattr(poly, "pdivmod", no_division)
-    assert len(tried) == 162
+    assert len(tried) == 26
     assert all(divides(g, f) is None for g, f in tried)
+
+
+@st.composite
+def _irreducible_int_poly(draw):
+    """A primitive ax + b, or a primitive ax^2 + bx + c with b^2 < 4ac,
+    which has no real root and so is irreducible over Q."""
+    a = draw(st.integers(1, 9))
+    b = draw(st.integers(-40, 40))
+    if draw(st.booleans()):
+        g = [b, a]
+    else:
+        low = b * b // (4 * a) + 1
+        g = [draw(st.integers(low, low + 40)), b, a]
+    return poly._zprimitive(g)[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(_irreducible_int_poly(), min_size=2, max_size=7))
+@example(factors=[[-1, 1], [-2, 1], [3, 2], [5, 1, 1], [2, -3, 4]])
+def test_recombination_bound_keeps_every_true_factor(factors):
+    # a true factor the x^(d-1) coefficient bound rejected would stay
+    # merged with others in what is left, so the factorization of the
+    # product would not be the one it was built from
+    f = [1]
+    for g in factors:
+        f = _int_mul(f, g)
+    want = {}
+    for g in factors:
+        monic = tuple(Fraction(c, g[-1]) for c in g)
+        want[monic] = want.get(monic, 0) + 1
+    assert {g.coeffs: m for g, m in factor(Poly.from_ints(Q, f))} == want
 
 
 def test_factor_frobenius_powers():

@@ -100,7 +100,7 @@ def _summary(r):
 def _loaded_custom_tower(tmp_path):
     path = str(tmp_path / "custom.tower")
     fileio.save_canonical(path, fileio.tower_to_doc(_custom_tower()))
-    return fileio.load_tower(path)
+    return fileio.tower_from_doc(fileio.load_json(path)[0])
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from pca import wedderburn
+from pca import cli, fileio, wedderburn
 from pca.algebra import (AlgHom, _trusted_algebra, base_change,
                          direct_product, group_algebra, hom_check,
                          ideal_closure, kernel, make_algebra,
                          matrix_algebra, polynomial_quotient_algebra,
-                         quotient, triangular_algebra)
+                         quotient, tensor, triangular_algebra)
 from pca.errors import (BadSpec, InternalVerificationFailed, NotCoprime,
                         NotSemisimple, UnsupportedField)
 from pca.fields import PrimeField, Rationals, SimpleExtension
@@ -341,3 +342,23 @@ def test_blocks_are_isomorphic_to_dense_blocks_on_random_algebras(seed):
             space.coords(A.mul(A.basis_element(c), e)) for c in keep]))
         assert h.verify()
         assert block.dim == ref.dim and kernel(h).is_zero()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_biquadratic_field_needs_a_random_centre_element(tmp_path, monkeypatch,
+                                                         capsys, seed):
+    # Q(sqrt 2) (x) Q(sqrt 3) is the field Q(sqrt 2, sqrt 3): no basis
+    # element's minimal polynomial has degree 4 or splits, so only the
+    # seeded random centre elements can show that it is one block
+    A = tensor(polynomial_quotient_algebra(Poly.from_ints(Q, [-2, 0, 1])),
+               polynomial_quotient_algebra(Poly.from_ints(Q, [-3, 0, 1])))
+    for z in center(A).basis:
+        mu = wedderburn._block_krylov(A, A.unit, z)[0]
+        assert mu.degree < 4 and factor(mu) == [(mu, 1)]
+    monkeypatch.chdir(tmp_path)
+    fileio.save_canonical("q23.alg", fileio.algebra_to_doc(A))
+    assert cli.main(["wedderburn", "q23.alg", "--seed", str(seed),
+                     "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["blocks"] == [{"center_dim": 4, "dim": 4}]
+    assert results["idempotents"] == [["1", "0", "0", "0"]]
